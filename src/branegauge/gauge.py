@@ -193,17 +193,19 @@ def hom_pair_dim(i: int, j: int, p: ProjectiveSpace, cache: dict | None = None) 
     cross-check.  Disagreement between disjoint-locus metadata and the exact
     dimension raises SupportDisjointFinding.
 
-    Memoization is call-local: pass one cache dict through a batch of related
-    calls; nothing is shared between independent calls."""
+    `cache` is the caller's memo dict, shared with sheaf_hom_dim; one dict
+    per run (tasks.run_tasks) or per batch call, never a global.  Without it
+    nothing outlives the call.  A pair that raises stores no dimension, so
+    the finding fires again on every call for that pair."""
     if cache is None:
         cache = {}
-    key = (p.n, i, j)
+    key = ("hom_pair", p.n, i, j)
     if key in cache:
         return cache[key]
     gi = generator(i, p)
     gj = generator(j, p)
     om = cotangent_sheaf(p)
-    dim = sheaf_hom_dim(gi.module, tensor(om, gj.module))
+    dim = sheaf_hom_dim(gi.module, tensor(om, gj.module), cache)
     if loci_disjoint(gi.locus, gj.locus) and dim != 0:
         raise SupportDisjointFinding(
             "support metadata predicts a vanishing Hom space but the exact "
@@ -226,7 +228,7 @@ def hom_vanishing_certificate(i: int, j: int, p: ProjectiveSpace) -> bool:
     return hom_pair_dim(i, j, p) == 0
 
 
-def lem1_table(p: ProjectiveSpace):
+def lem1_table(p: ProjectiveSpace, cache: dict | None = None):
     """The full vanishing table over generator pairs.
 
     Returns (table, findings): table maps (i, j) to a dim-or-None entry,
@@ -235,7 +237,8 @@ def lem1_table(p: ProjectiveSpace):
     """
     table = {}
     findings = []
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     for i in range(1, p.n + 2):
         for j in range(1, p.n + 2):
             try:
@@ -279,12 +282,12 @@ def component_hom_dim(x, y, p: ProjectiveSpace, cache: dict | None = None) -> in
         cache = {}
     if x[0] == "S" and y[0] == "S":
         return hom_pair_dim(x[1], y[1], p, cache)
-    key = (p.n, x, y)
+    key = ("component_hom", p.n, x, y)
     if key in cache:
         return cache[key]
     om = cotangent_sheaf(p)
     dim = sheaf_hom_dim(
-        component_module(x, p), tensor(om, component_module(y, p))
+        component_module(x, p), tensor(om, component_module(y, p)), cache
     )
     cache[key] = dim
     return dim
@@ -315,12 +318,14 @@ def _checked_decomposition(f: BoundedComplex, decomposition, p: ProjectiveSpace)
     return parsed
 
 
-def derived_hom_table(f: BoundedComplex, decomposition, p: ProjectiveSpace):
+def derived_hom_table(f: BoundedComplex, decomposition, p: ProjectiveSpace,
+                      cache: dict | None = None):
     """Componentwise Hom dimensions between a brane and its cotangent twist,
     one row per (degree shift, source degree, source comp, target comp)."""
     parsed = _checked_decomposition(f, decomposition, p)
     degrees = sorted(parsed)
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     rows = []
     for i in degrees:
         for j in degrees:
@@ -376,14 +381,15 @@ class GaugeReport:
 
 def gauge_field_count_bound(f: BoundedComplex, decomposition,
                             p: ProjectiveSpace, brane_id: str = "brane",
-                            bound: int | None = None) -> GaugeReport:
+                            bound: int | None = None,
+                            cache: dict | None = None) -> GaugeReport:
     """Count bound for holomorphic gauge fields on a declared brane.
 
     A vanishing componentwise Hom table gives uniqueness (at most one).  For
     a brane concentrated in a single line bundle the Atiyah class decides
     existence as well, upgrading the verdict to exactly one or exactly zero.
     """
-    rows = derived_hom_table(f, decomposition, p)
+    rows = derived_hom_table(f, decomposition, p, cache)
     hom_dim = sum(row["dim"] for row in rows)
     comps = [c for i in sorted(decomposition)
              for c in (decomposition[i] or [])]

@@ -46,7 +46,8 @@ class GradedModule:
 
     cover_twists are the generator degrees; relations columns are relations
     among those generators.  Instances are immutable; the relation Groebner
-    basis is computed lazily and cached per instance.
+    basis is computed lazily and cached per instance.  Equality and hash are
+    those of the relation matrix, so a presentation can key a run cache.
     """
 
     __slots__ = ("nvars", "cover_twists", "relations", "_gb")
@@ -96,6 +97,12 @@ class GradedModule:
             elif deg != d:
                 raise ShapeError("inhomogeneous element")
         return deg
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedModule) and self.relations == other.relations
+
+    def __hash__(self) -> int:
+        return hash(self.relations)
 
     def __repr__(self):
         return (

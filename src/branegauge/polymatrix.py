@@ -19,7 +19,8 @@ from .polynomials import Polynomial, parse_polynomial
 
 
 class PolyMatrix:
-    __slots__ = ("nvars", "rows", "cols", "row_twists", "col_twists", "entries")
+    __slots__ = ("nvars", "rows", "cols", "row_twists", "col_twists", "entries",
+                 "_hash")
 
     def __init__(
         self,
@@ -55,6 +56,7 @@ class PolyMatrix:
                 new_row.append(p)
             grid.append(tuple(new_row))
         self.entries = tuple(grid)
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -249,7 +251,15 @@ class PolyMatrix:
             and self.entries == other.entries
         )
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        """Hash of the canonical presentation, built once per instance; it
+        agrees with __eq__, so equal matrices built apart share cache keys."""
+        if self._hash is None:
+            self._hash = hash((
+                self.nvars, self.row_twists, self.col_twists,
+                tuple(tuple(p.items()) for row in self.entries for p in row),
+            ))
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(

@@ -178,23 +178,36 @@ def euler_map(p: ProjectiveSpace) -> GradedMap:
 # -- sheaf Hom --------------------------------------------------------------
 
 
-def sheaf_hom_dim(f: GradedModule, g: GradedModule) -> int:
+def sheaf_hom_dim(f: GradedModule, g: GradedModule,
+                  cache: dict | None = None) -> int:
     """Dimension of the space of sheaf maps F~ -> G~.
 
     Source torsion cannot map anywhere in a saturated target, so the source
     is replaced by its torsion-free quotient; the target is saturated with a
     floor no higher than any surviving source generator, which keeps every
     candidate image inside the truncated window.
+
+    Both presentations are looked up in `cache` by the module's presentation
+    (keys ("torsion_free", f) and ("saturate", g, floor)); pass one dict
+    through a run to compute each distinct one once.
     """
     if f.nvars != g.nvars:
         raise ShapeError("sheaf hom over mismatched rings")
     if f.rank == 0 or g.rank == 0:
         return 0
-    src = minimal_presentation(torsion_free_quotient(f))
+    if cache is None:
+        cache = {}
+    key = ("torsion_free", f)
+    src = cache.get(key)
+    if src is None:
+        src = cache[key] = minimal_presentation(torsion_free_quotient(f))
     if src.rank == 0 or is_zero_module(src):
         return 0
     floor = min([0] + list(src.cover_twists) + list(g.cover_twists))
-    tgt = saturate(g, floor)
+    key = ("saturate", g, floor)
+    tgt = cache.get(key)
+    if tgt is None:
+        tgt = cache[key] = saturate(g, floor)
     if tgt.rank == 0:
         return 0
     return graded_piece_dim(hom_module(src, tgt), 0)

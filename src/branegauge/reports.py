@@ -8,7 +8,6 @@ output, so every value formatter is order-stable and locale-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 SCHEMA = "brane-gauge-report/1"
 
@@ -34,10 +33,6 @@ class TaskReport:
 
 def fmt_bool(b: bool) -> str:
     return "true" if b else "false"
-
-
-def fmt_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 def fmt_int_list(values) -> str:

@@ -20,8 +20,8 @@ from .complexes import (
     triangle_from_module_ses,
     triangle_les_ok,
 )
-from .errors import BraneGaugeError, Finding, SupportDisjointFinding
-from .gauge import atiyah_class_line_bundle, gauge_field_count_bound, hom_pair_dim
+from .errors import BraneGaugeError, Finding
+from .gauge import atiyah_class_line_bundle, gauge_field_count_bound, lem1_table
 from .manifest import Manifest, TaskDef, _columns_for_map
 from .modules import (
     GradedMap,
@@ -36,10 +36,18 @@ from .reports import TaskReport, fmt_bool, fmt_int_list, fmt_str_list
 
 @dataclass
 class RunContext:
+    """What every handler of one run shares.
+
+    `cache` is the run's one memo dict, keyed by namespaced tuples such as
+    ("saturate", module, floor) or ("hom_pair", n, i, j).  run_tasks creates
+    it and drops it when the run ends; the lem1-check, gauge-bound and
+    sheaf-hom handlers pass it down explicitly.  Nothing is cached globally.
+    """
+
     manifest: Manifest
     cech_bound: int
     max_degree: int
-    hom_cache: dict = field(default_factory=dict)
+    cache: dict = field(default_factory=dict)
 
 
 def run_tasks(m: Manifest, cech_bound: int | None = None,
@@ -57,11 +65,6 @@ def run_tasks(m: Manifest, cech_bound: int | None = None,
         try:
             status, result = handler(task, ctx)
             payload.extend(result)
-        except SupportDisjointFinding as f:
-            status = "finding"
-            payload.append(("message", str(f)))
-            for k in sorted(f.details):
-                payload.append((f"detail {k}", _echo(f.details[k])))
         except Finding as f:
             status = "finding"
             payload.append(("message", str(f)))
@@ -211,7 +214,7 @@ def _run_sheaf_hom(task, ctx):
     m = ctx.manifest
     src = m.resolve_module(_param(task, "source"), task.line)
     tgt = m.resolve_module(_param(task, "target"), task.line)
-    return "ok", [("dim", str(sheaf_hom_dim(src, tgt)))]
+    return "ok", [("dim", str(sheaf_hom_dim(src, tgt, ctx.cache)))]
 
 
 def _run_cech(task, ctx):
@@ -225,29 +228,24 @@ def _run_cech(task, ctx):
 
 def _run_lem1_check(task, ctx):
     space = ctx.manifest.space
-    payload = []
-    findings = 0
-    nonzero = 0
-    top = space.n + 1
-    payload.append(("pairs", str(top * top)))
-    for i in range(1, top + 1):
-        for j in range(1, top + 1):
+    table, findings = lem1_table(space, ctx.cache)
+    found = {(f["source_generator"], f["target_generator"]): f["hom_dim"]
+             for f in findings}
+    nonzero = sum(1 for d in table.values() if d)
+    payload = [("pairs", str(len(table)))]
+    for (i, j), d in table.items():
+        if d is None:
+            value = (f"dim={found[(i, j)]} vanishes=false "
+                     f"support-disjoint=true finding=support-disjoint")
+        else:
             disjoint = loci_disjoint(
                 generator(i, space).locus, generator(j, space).locus
             )
-            try:
-                d = hom_pair_dim(i, j, space, ctx.hom_cache)
-                if d:
-                    nonzero += 1
-                value = (f"dim={d} vanishes={fmt_bool(d == 0)} "
-                         f"support-disjoint={fmt_bool(disjoint)}")
-            except SupportDisjointFinding as f:
-                findings += 1
-                value = (f"dim={f.details['hom_dim']} vanishes=false "
-                         f"support-disjoint=true finding=support-disjoint")
-            payload.append((f"pair ({i},{j})", value))
-    payload.append(("all-vanish", fmt_bool(findings == 0 and nonzero == 0)))
-    payload.append(("findings", str(findings)))
+            value = (f"dim={d} vanishes={fmt_bool(d == 0)} "
+                     f"support-disjoint={fmt_bool(disjoint)}")
+        payload.append((f"pair ({i},{j})", value))
+    payload.append(("all-vanish", fmt_bool(not findings and nonzero == 0)))
+    payload.append(("findings", str(len(findings))))
     if findings:
         return "finding", payload
     return ("ok" if nonzero == 0 else "false"), payload
@@ -272,7 +270,8 @@ def _run_gauge_bound(task, ctx):
     decomposition = m.complex_layout[name]["generators"]
     brane_id = _param(task, "brane-id", name)
     rep = gauge_field_count_bound(cx, decomposition, m.space,
-                                  brane_id=brane_id, bound=ctx.cech_bound)
+                                  brane_id=brane_id, bound=ctx.cech_bound,
+                                  cache=ctx.cache)
     payload = [
         ("brane-id", rep.brane_id),
         ("hom-dim", str(rep.hom_dim)),

@@ -17,6 +17,7 @@ from branegauge.complexes import (
     hom_complex,
     is_acyclic,
     is_quasi_iso,
+    rotate_triangle,
     shift,
     triangle_from_cone,
     triangle_from_module_ses,
@@ -200,6 +201,28 @@ def test_triangle_from_cone_les():
         src.term(0), tgt.term(0), _mat((0,), (1,), [["x0"]]))})
     t = triangle_from_cone(h)
     assert triangle_les_ok(t, -1, 4)
+
+
+def _assert_same_complex(x, y):
+    assert (x.lo, x.hi) == (y.lo, y.hi)
+    for i in x.window():
+        assert x.term(i) == y.term(i)
+    for i in range(x.lo, x.hi):
+        assert x.diff(i).matrix == y.diff(i).matrix
+
+
+def test_rotate_triangle_three_times_is_the_shift():
+    # rotating (A, B, C, f, g, delta) three times gives
+    # (A[1], B[1], C[1], -f[1], -g[1], -delta[1])
+    t = triangle_from_cone(ComplexMap.identity(_two_term("x1")))
+    r = rotate_triangle(rotate_triangle(rotate_triangle(t)))
+    for got, want in ((r.a, t.a), (r.b, t.b), (r.c, t.c)):
+        _assert_same_complex(got, shift(want, 1))
+    for got, want in ((r.f, t.f), (r.g, t.g), (r.delta, t.delta)):
+        lo = min(got.source.lo, got.target.lo) - 1
+        hi = max(got.source.hi, got.target.hi) + 1
+        for i in range(lo, hi + 1):
+            assert got.level(i).matrix == -want.level(i + 1).matrix
 
 
 def test_triangle_from_module_ses_hyperplane():

@@ -31,6 +31,7 @@ from branegauge.modules import (
     tensor,
     torsion_free_quotient,
     twist,
+    twist_map,
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial, random_homogeneous
@@ -67,6 +68,26 @@ def test_twist_shifts_hilbert():
     assert w == [1, 1, 1, 1]
     assert hilbert_window(twist(m, -2), 2, 5) == w
     assert hilbert_window(twist(m, 2), -2, 1) == w
+
+
+def _same_map(f, g):
+    return (f.source == g.source and f.target == g.target
+            and f.matrix == g.matrix)
+
+
+def test_twist_map_commutes_with_composition_and_inverts():
+    nv = 3
+    free = GradedModule.free(nv, (1,))
+    line = _quotient_by_vars(nv, 1)
+    plane = _quotient_by_vars(nv, 2)
+    x1 = PolyMatrix.from_columns(nv, (0,), [[Polynomial.variable(nv, 1)]], [1])
+    f = GradedMap(free, line, x1)  # R(-1) --x1--> R/(x0)
+    g = GradedMap(line, plane, PolyMatrix.identity(nv, (0,)))  # projection
+    for k in (-2, 1, 3):
+        assert _same_map(twist_map(g * f, k), twist_map(g, k) * twist_map(f, k))
+        for h in (f, g, g * f):
+            assert _same_map(twist_map(twist_map(h, k), -k), h)
+            assert twist_map(h, k).source == twist(h.source, k)
 
 
 def test_euler_kernel_matches_cotangent_counts():
