@@ -11,7 +11,10 @@ dimensions from four ranks:
     h^i = dim W_i - rank [D_i | R_{i+1}] + rank R_{i+1} - rank [D_{i-1} | R_i]
 
 where W_i is the spot window, D the Cech differential and R_p the in-window
-relation multiples.  Kernels truncate exactly but images need not, so every
+relation multiples.  The ranks are per level: level p owns the triple
+(rank [D_{p-1} | R_p], rank R_p, dim W_p), so h^i reads levels i and i + 1
+and neighbouring degrees share a level (cech_level_ranks, memoized in the
+caller's cache).  Kernels truncate exactly but images need not, so every
 public dimension is recomputed at B + 1 and must agree; disagreement raises
 CechStabilizationError rather than reporting an unstable number.
 """
@@ -131,53 +134,72 @@ def cech_relation_columns(lv: CechLevel) -> list[dict]:
     return cols
 
 
-def _joint_rank(*column_groups) -> int:
+def _checked_bound(bound: int | None) -> int:
+    """The window bound to use: the default for None, else at least 1."""
+    if bound is None:
+        return DEFAULT_CECH_BOUND
+    if bound < 1:
+        raise ShapeError("cech bound must be at least 1")
+    return bound
+
+
+def cech_level_ranks(m: GradedModule, p: int, bound: int,
+                     cache: dict | None = None) -> tuple[int, int, int]:
+    """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound.
+
+    One tracker: R_p goes in first, its rank is read off, then D_{p-1} joins
+    it.  The triple is memoized in `cache` under ("cech_ranks", m, p, bound);
+    only the three ints are stored, never the window or the tracker.  Levels
+    outside 0..n are empty.
+    """
+    if p < 0 or p >= m.nvars:
+        return 0, 0, 0
+    key = ("cech_ranks", m, p, bound)
+    if cache is not None and key in cache:
+        return cache[key]
+    lv = cech_level(m, p, bound)
     tracker = SpanTracker()
-    for group in column_groups:
-        for col in group:
+    for col in cech_relation_columns(lv):
+        tracker.insert(col)
+    rel = tracker.rank
+    if p >= 1:
+        for col in cech_diff_columns(cech_level(m, p - 1, bound), lv):
             tracker.insert(col)
-    return tracker.rank
+    ranks = (tracker.rank, rel, lv.dim)
+    if cache is not None:
+        cache[key] = ranks
+    return ranks
 
 
-def cech_h_dim_at(m: GradedModule, i: int, bound: int) -> int:
-    """Cohomology dimension at a single bound, no stabilization check."""
-    nv = m.nvars
-    n = nv - 1
-    if i < 0 or i > n:
+def cech_h_dim_at(m: GradedModule, i: int, bound: int,
+                  cache: dict | None = None) -> int:
+    """Cohomology dimension at a single bound, no stabilization check.
+
+    h^i = dim W_i - joint(i+1) + rel(i+1) - joint(i), from the per-level
+    ranks of cech_level_ranks.  `cache` is the caller's memo dict (one per
+    run in tasks.run_tasks); with it, neighbouring degrees and repeated
+    calls share each level's ranks.
+    """
+    if i < 0 or i >= m.nvars:
         return 0
-    lv_i = cech_level(m, i, bound)
-    rel_i = cech_relation_columns(lv_i)
-    if i + 1 <= n:
-        lv_up = cech_level(m, i + 1, bound)
-        rel_up = cech_relation_columns(lv_up)
-        d_i = cech_diff_columns(lv_i, lv_up)
-    else:
-        rel_up, d_i = [], []
-    if i >= 1:
-        lv_dn = cech_level(m, i - 1, bound)
-        d_dn = cech_diff_columns(lv_dn, lv_i)
-    else:
-        d_dn = []
-    return (
-        lv_i.dim
-        - _joint_rank(d_i, rel_up)
-        + _joint_rank(rel_up)
-        - _joint_rank(d_dn, rel_i)
-    )
+    joint_i, _, dim_i = cech_level_ranks(m, i, bound, cache)
+    joint_up, rel_up, _ = cech_level_ranks(m, i + 1, bound, cache)
+    return dim_i - joint_up + rel_up - joint_i
 
 
-def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None) -> int:
+def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None,
+                        cache: dict | None = None) -> int:
     """Stabilized Cech cohomology dimension of the sheaf presented by m.
 
     Computes at the bound and at bound + 1; a mismatch aborts, because the
-    truncated relation span can lag behind the true localized one.
+    truncated relation span can lag behind the true localized one.  `cache`
+    holds only the per-level ranks ("cech_ranks", m, p, bound), so the
+    comparison runs on every call and a CechStabilizationError fires again
+    with a shared cache.
     """
-    if bound is None:
-        bound = DEFAULT_CECH_BOUND
-    if bound < 1:
-        raise ShapeError("cech bound must be at least 1")
-    first = cech_h_dim_at(m, i, bound)
-    second = cech_h_dim_at(m, i, bound + 1)
+    bound = _checked_bound(bound)
+    first = cech_h_dim_at(m, i, bound, cache)
+    second = cech_h_dim_at(m, i, bound + 1, cache)
     if first != second:
         raise CechStabilizationError(
             f"h^{i} gave {first} at bound {bound} but {second} at bound "

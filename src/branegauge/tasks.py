@@ -39,9 +39,13 @@ class RunContext:
     """What every handler of one run shares.
 
     `cache` is the run's one memo dict, keyed by namespaced tuples such as
-    ("saturate", module, floor) or ("hom_pair", n, i, j).  run_tasks creates
-    it and drops it when the run ends; the lem1-check, gauge-bound and
-    sheaf-hom handlers pass it down explicitly.  Nothing is cached globally.
+    ("saturate", module, floor), ("hom_pair", n, i, j), the per-level Cech
+    ranks ("cech_ranks", module, p, bound) and the checked O(1) Atiyah
+    cochain with its residual ("atiyah_generator", n, bound).  run_tasks
+    creates it and drops it when the run ends; the lem1-check, gauge-bound,
+    sheaf-hom, cech and atiyah handlers pass it down explicitly.  Values are
+    ints, modules, cochains and residual dicts, never a tracker or a window.
+    Nothing is cached globally, and a failed check stores nothing.
     """
 
     manifest: Manifest
@@ -221,7 +225,7 @@ def _run_cech(task, ctx):
     mod = ctx.manifest.resolve_module(_param(task, "module"), task.line)
     i = _param(task, "i")
     b = ctx.cech_bound
-    dim = cech_cohomology_dim(mod, i, b)
+    dim = cech_cohomology_dim(mod, i, b, ctx.cache)
     return "ok", [("bound", str(b)), ("recheck", str(b + 1)),
                   ("stable", "true"), ("dim", str(dim))]
 
@@ -254,7 +258,7 @@ def _run_lem1_check(task, ctx):
 def _run_atiyah(task, ctx):
     space = ctx.manifest.space
     a = _param(task, "a")
-    coord = atiyah_class_line_bundle(a, space, ctx.cech_bound)
+    coord = atiyah_class_line_bundle(a, space, ctx.cech_bound, ctx.cache)
     return "ok", [
         ("bound", str(ctx.cech_bound)),
         ("recheck", str(ctx.cech_bound + 1)),

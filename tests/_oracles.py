@@ -108,3 +108,20 @@ def omega_piece_dim(n: int, d: int) -> int:
 
 def koszul_rank(nv: int, i: int) -> int:
     return math.comb(nv, i)
+
+
+def bott_omega1_h(n: int, d: int, q: int) -> int:
+    """h^q(P^n, Omega^1(d)) by Bott's formula (p = 1):
+
+        q = 0, d > 1:       C(d + n - 1, d) * C(d - 1, 1)
+        d = 0, q = 1:       1
+        q = n, d < 1 - n:   C(-d + 1, -d) * C(-d - 1, n - 1)
+        otherwise:          0
+    """
+    if q == 0 and d > 1:
+        return math.comb(d + n - 1, d) * math.comb(d - 1, 1)
+    if d == 0 and q == 1:
+        return 1
+    if q == n and d < 1 - n:
+        return math.comb(-d + 1, -d) * math.comb(-d - 1, n - 1)
+    return 0

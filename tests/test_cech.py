@@ -17,7 +17,7 @@ from branegauge.projective import (
     generator,
 )
 
-from _oracles import line_bundle_h
+from _oracles import bott_omega1_h, line_bundle_h
 
 
 def test_chart_subsets_shape():
@@ -62,6 +62,33 @@ def test_cotangent_cohomology():
         om = cotangent_sheaf(p)
         assert cech_cohomology_dim(om, 0) == 0
         assert cech_cohomology_dim(om, 1) == 1
+
+
+def _stable_dim(m, q, cache):
+    """The dimension at the first bound from the default on that
+    stabilizes; only CechStabilizationError moves to a wider window."""
+    for bound in range(DEFAULT_CECH_BOUND, DEFAULT_CECH_BOUND + 3):
+        try:
+            return cech_cohomology_dim(m, q, bound, cache)
+        except CechStabilizationError:
+            continue
+    raise AssertionError(f"h^{q} did not stabilize up to bound {bound}")
+
+
+def test_twisted_cotangent_cohomology_matches_bott():
+    # an oracle outside cech.py for the per-level rank path
+    cases = [(1, d) for d in range(-4, 4)] + [(2, d) for d in range(-4, 4)]
+    cases += [(3, d) for d in (-1, 0, 1)]
+    for n, d in cases:
+        m = twist(cotangent_sheaf(ProjectiveSpace(n)), d)
+        cache: dict = {}
+        for q in range(n + 1):
+            assert _stable_dim(m, q, cache) == bott_omega1_h(n, d, q), (n, d, q)
+    # very negative twists outgrow the default window: an error, not a number
+    m = twist(cotangent_sheaf(ProjectiveSpace(2)), -3)
+    with pytest.raises(CechStabilizationError):
+        cech_cohomology_dim(m, 2)
+    assert bott_omega1_h(2, -3, 2) == 8
 
 
 def test_skyscraper_cohomology():

@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 
 from branegauge.complexes import BoundedComplex, embed_object
+import branegauge.gauge as gauge
 from branegauge.errors import (
+    BraneGaugeError,
+    CechStabilizationError,
     NonGeneratorTermError,
     NotWellDefinedError,
+    ShapeError,
     SupportDisjointFinding,
 )
 from branegauge.gauge import (
@@ -25,10 +29,12 @@ from branegauge.gauge import (
     lem1_table,
     parse_component,
 )
+from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedMap, GradedModule
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial
 from branegauge.projective import ProjectiveSpace, generator
+from branegauge.tasks import run_tasks
 
 
 def _line_brane(a: int, p: ProjectiveSpace):
@@ -40,6 +46,54 @@ def test_atiyah_class_is_the_twist():
         p = ProjectiveSpace(n)
         for a in range(-3, 4):
             assert atiyah_class_line_bundle(a, p) == Fraction(a)
+
+
+def test_atiyah_bound_must_be_positive():
+    p = ProjectiveSpace(2)
+    for bound in (0, -1):
+        with pytest.raises(ShapeError, match="cech bound must be at least 1"):
+            atiyah_class_line_bundle(2, p, bound)
+
+
+def test_vanishing_generating_class_is_a_structured_error(monkeypatch):
+    real = gauge.coboundary_tracker
+
+    def spans_the_generator(m, p, bound):
+        # a coboundary span that (wrongly) contains the O(1) cochain
+        lv, tracker = real(m, p, bound)
+        basis = atiyah_cocycle_line_bundle(1, ProjectiveSpace(m.nvars - 1),
+                                           bound)
+        tracker.insert(basis.indexed(lv))
+        return lv, tracker
+
+    monkeypatch.setattr(gauge, "coboundary_tracker", spans_the_generator)
+    p = ProjectiveSpace(1)
+    cache: dict = {}
+    for _ in range(2):
+        with pytest.raises(CechStabilizationError, match="coboundary"):
+            atiyah_class_line_bundle(1, p, cache=cache)
+    assert cache == {}
+    assert issubclass(CechStabilizationError, BraneGaugeError)
+    manifest = parse_manifest("[ring]\nn = 1\n\n[task atiyah]\na = 1\n")
+    (report,) = run_tasks(manifest)
+    assert report.status == "error"
+
+
+def test_atiyah_cochain_must_scale_the_generator(monkeypatch):
+    real = gauge._atiyah_vector
+
+    def off_by_one(a, p):
+        vector = real(a, p)
+        if a == 2:
+            spot = next(iter(vector))
+            vector[spot] += 1
+        return vector
+
+    monkeypatch.setattr(gauge, "_atiyah_vector", off_by_one)
+    p = ProjectiveSpace(1)
+    assert atiyah_class_line_bundle(3, p) == 3
+    with pytest.raises(NotWellDefinedError, match="not 2 times"):
+        atiyah_class_line_bundle(2, p)
 
 
 def test_connection_exists_only_for_trivial_twist():

@@ -1,10 +1,19 @@
 """The run-scoped cache: hashable presentations, one memo dict per run."""
 
+from fractions import Fraction
+
 import pytest
 
+import branegauge.cech as cech
+import branegauge.gauge as gauge
 import branegauge.projective as projective
-from branegauge.errors import SupportDisjointFinding
-from branegauge.gauge import hom_pair_dim
+from branegauge.cech import DEFAULT_CECH_BOUND, cech_cohomology_dim
+from branegauge.errors import (
+    CechStabilizationError,
+    NotWellDefinedError,
+    SupportDisjointFinding,
+)
+from branegauge.gauge import atiyah_class_line_bundle, hom_pair_dim
 from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedModule, saturate, tensor, twist
 from branegauge.polymatrix import PolyMatrix
@@ -85,6 +94,106 @@ def test_cache_gives_the_uncached_answers(monkeypatch):
     assert calls == []
 
 
+BOUNDS = (DEFAULT_CECH_BOUND, DEFAULT_CECH_BOUND + 1)
+
+
+def _keys(cache, namespace):
+    return [key[1:] for key in cache if key[0] == namespace]
+
+
+def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
+    spaces = [ProjectiveSpace(n) for n in (1, 2, 3)]
+    cases = [(cotangent_sheaf(p), i) for p in spaces for i in range(p.n + 1)]
+    twists = range(-3, 4)
+    plain_h = [cech_cohomology_dim(m, i) for m, i in cases]
+    plain_a = [atiyah_class_line_bundle(a, p) for p in spaces[:2]
+               for a in twists]
+    assert plain_h == [0, 1, 0, 1, 0, 0, 1, 0, 0]
+    assert plain_a == [Fraction(a) for a in twists] * 2
+
+    cache: dict = {}
+    assert [cech_cohomology_dim(m, i, cache=cache) for m, i in cases] == plain_h
+    assert [atiyah_class_line_bundle(a, p, cache=cache) for p in spaces[:2]
+            for a in twists] == plain_a
+
+    # one entry per (module, level, bound) and per (n, bound)
+    ranks = _keys(cache, "cech_ranks")
+    assert sorted((m.nvars, lv, b) for m, lv, b in ranks) == sorted(
+        (p.nvars, lv, b) for p in spaces for lv in range(p.n + 1)
+        for b in BOUNDS)
+    assert sorted(_keys(cache, "atiyah_generator")) == [
+        (n, b) for n in (1, 2) for b in BOUNDS]
+    assert len(cache) == len(ranks) + 4
+    # only ints, one cochain and one residual dict: no tracker, no window
+    for key, value in cache.items():
+        if key[0] == "cech_ranks":
+            assert len(value) == 3
+            assert all(type(v) is int for v in value)
+        else:
+            w, residual = value
+            assert w and residual
+            assert all(type(c) is Fraction for c in w.values())
+            assert all(type(c) is Fraction for c in residual.values())
+
+    # equal inputs hit the cache: no relation columns are built again
+    calls = []
+    real = cech.cech_relation_columns
+    monkeypatch.setattr(cech, "cech_relation_columns",
+                        lambda lv: calls.append(lv) or real(lv))
+    monkeypatch.setattr(gauge, "cech_relation_columns",
+                        cech.cech_relation_columns)
+    again = [cech_cohomology_dim(cotangent_sheaf(ProjectiveSpace(m.nvars - 1)),
+                                 i, cache=cache) for m, i in cases]
+    assert again == plain_h
+    assert [atiyah_class_line_bundle(a, p, cache=cache) for p in spaces[:2]
+            for a in twists] == plain_a
+    assert calls == []
+
+
+def test_line_bundles_and_the_cotangent_sheaf_share_a_cache():
+    # on the line Omega1 is presented exactly as O(-2): one set of entries;
+    # the other twists keep their own
+    p = ProjectiveSpace(1)
+    o, om = p.structure_sheaf(-2), cotangent_sheaf(p)
+    assert o == om and hash(o) == hash(om)
+    modules = [o, om, p.structure_sheaf(0), p.structure_sheaf(-3)]
+    plain = [cech_cohomology_dim(m, i) for m in modules for i in (0, 1)]
+    cache: dict = {}
+    assert [cech_cohomology_dim(m, i, cache=cache)
+            for m in modules for i in (0, 1)] == plain
+    assert plain == [0, 1, 0, 1, 1, 0, 0, 2]
+    assert {m for m, _, _ in _keys(cache, "cech_ranks")} == set(modules)
+    assert len(cache) == 3 * 2 * len(BOUNDS)
+
+
+def test_stabilization_error_fires_again_with_a_shared_cache():
+    o = ProjectiveSpace(1).structure_sheaf(-5)
+    cache: dict = {}
+    for _ in range(2):
+        with pytest.raises(CechStabilizationError):
+            cech_cohomology_dim(o, 1, bound=2, cache=cache)
+    assert cech_cohomology_dim(o, 1, bound=4, cache=cache) == 4
+
+
+def test_corrupt_generating_cochain_is_never_cached(monkeypatch):
+    real = gauge._atiyah_vector
+
+    def corrupted(a, p):
+        vector = real(a, p)
+        spot = next(iter(vector), None)
+        if spot is not None:
+            vector[spot] *= 3  # breaks the triple-overlap condition
+        return vector
+
+    monkeypatch.setattr(gauge, "_atiyah_vector", corrupted)
+    p = ProjectiveSpace(2)
+    cache: dict = {}
+    for a in (1, 1, 2, 0):
+        with pytest.raises(NotWellDefinedError):
+            atiyah_class_line_bundle(a, p, cache=cache)
+    assert _keys(cache, "atiyah_generator") == []
+
+
 MANIFEST_HEAD = """\
 [ring]
 n = 2
@@ -123,3 +232,29 @@ def test_one_manifest_matches_one_task_per_manifest():
     assert _reports(TASKS) == together
     assert [status for _, status, _ in together] == [
         "finding", "ok", "ok", "ok"]
+
+
+CECH_MANIFEST_HEAD = "[ring]\nn = 2\n"
+
+CECH_TASKS = (
+    [f"[task atiyah]\na = {a}\n" for a in (-1, 0, 2)]
+    + [f"[task cech]\nmodule = Omega1\ni = {i}\n" for i in range(3)]
+    + ["[task cech]\nmodule = O(-3)\ni = 2\n",
+       "[task atiyah]\na = 1\n"]
+)
+
+
+def _cech_reports(tasks):
+    text = CECH_MANIFEST_HEAD + "".join("\n" + t for t in tasks)
+    return [(r.kind, r.status, r.payload)
+            for r in run_tasks(parse_manifest(text))]
+
+
+def test_cech_manifest_matches_one_task_per_manifest():
+    together = _cech_reports(CECH_TASKS)
+    apart = [_cech_reports([t])[0] for t in CECH_TASKS]
+    assert together == apart
+    assert all(status == "ok" for _, status, _ in together)
+    dims = [dict(payload).get("dim") for kind, _, payload in together
+            if kind == "cech"]
+    assert dims == ["0", "1", "0", "1"]
