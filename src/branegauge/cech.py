@@ -22,7 +22,6 @@ CechStabilizationError rather than reporting an unstable number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import CechStabilizationError, ShapeError
@@ -31,8 +30,6 @@ from .modules import GradedModule
 from .polynomials import monomials_of_degree
 
 DEFAULT_CECH_BOUND = 3
-
-_ZERO = Fraction(0)
 
 
 def chart_subsets(nvars: int, p: int) -> list[tuple[int, ...]]:
@@ -99,7 +96,7 @@ def cech_diff_columns(src: CechLevel, tgt: CechLevel) -> list[dict]:
                 continue
             bigger = tuple(sorted(charts + (j,)))
             sign = (-1) ** bigger.index(j)
-            col[tgt.index[(bigger, r, a)]] = Fraction(sign)
+            col[tgt.index[(bigger, r, a)]] = sign
         cols.append(col)
     return cols
 
@@ -119,16 +116,13 @@ def cech_relation_columns(lv: CechLevel) -> list[dict]:
         for c, s in enumerate(rel.col_twists):
             column = rel.column(c)
             for b in _exponent_vectors(nv, -s, inv, lv.bound):
+                # each term lands on its own spot (r, b + mon), so every
+                # entry is written once, as the canonical coefficient of q
                 vec = {}
                 for r, q in enumerate(column):
                     for mon, coeff in q.items():
                         a = tuple(b[i] + mon[i] for i in range(nv))
-                        key = lv.index[(charts, r, a)]
-                        cur = vec.get(key, _ZERO) + coeff
-                        if cur:
-                            vec[key] = cur
-                        else:
-                            vec.pop(key, None)
+                        vec[lv.index[(charts, r, a)]] = coeff
                 if vec:
                     cols.append(vec)
     return cols

@@ -17,7 +17,6 @@ never by choosing splittings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     NotAComplexError,
@@ -42,8 +41,6 @@ from .modules import (
 )
 from .polymatrix import PolyMatrix
 from .polynomials import Polynomial
-
-_ZERO = Fraction(0)
 
 
 class BoundedComplex:
@@ -418,8 +415,8 @@ def hom_complex(
     for m in range(lo, hi):
         src_off, src_dim = offsets(m)
         tgt_off, tgt_dim = offsets(m + 1)
-        matrix = [[_ZERO] * src_dim for _ in range(tgt_dim)]
-        sign = Fraction(-1) if (m + 1) % 2 else Fraction(1)
+        matrix = [[0] * src_dim for _ in range(tgt_dim)]
+        sign = -1 if (m + 1) % 2 else 1
         for i, off in src_off.items():
             basis = bases[(i, m)]
             for k, g in enumerate(basis.matrices()):
@@ -455,7 +452,7 @@ def hom_complex(
         mid = len(d0)
         for r in range(rows1):
             for ccol in range(cols0):
-                acc = _ZERO
+                acc = 0
                 for k in range(mid):
                     acc += d1[r][k] * d0[k][ccol]
                 if acc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cech import (
     DEFAULT_CECH_BOUND,
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .linalg import SpanTracker
 from .modules import direct_sum, tensor
+from .polynomials import Coeff, qinv, qnorm
 from .projective import (
     ProjectiveSpace,
     _pair_index,
@@ -75,7 +75,7 @@ class CechCocycle:
                 bigger = tuple(sorted(charts + (j,)))
                 sign = (-1) ** bigger.index(j)
                 key = up.index[(bigger, r, a)]
-                cur = image.get(key, Fraction(0)) + sign * coeff
+                cur = qnorm(image.get(key, 0) + sign * coeff)
                 if cur:
                     image[key] = cur
                 else:
@@ -102,7 +102,7 @@ def _atiyah_vector(a: int, p: ProjectiveSpace) -> dict:
     if a != 0:
         for (i, j), r in index.items():
             exps = tuple(-1 if k in (i, j) else 0 for k in range(nv))
-            vector[((i, j), r, exps)] = Fraction(-a)
+            vector[((i, j), r, exps)] = -a
     return vector
 
 
@@ -134,7 +134,7 @@ def _atiyah_generator(p: ProjectiveSpace, bound: int, cache: dict):
 
 
 def _class_coordinate_at(a: int, p: ProjectiveSpace, bound: int,
-                         cache: dict) -> Fraction:
+                         cache: dict) -> Coeff:
     w, r_basis = _atiyah_generator(p, bound, cache)
     if _atiyah_vector(a, p) != {s: a * c for s, c in w.items() if a}:
         raise NotWellDefinedError(
@@ -142,12 +142,12 @@ def _class_coordinate_at(a: int, p: ProjectiveSpace, bound: int,
         )
     # residual(a * w) = a * r_basis; read its coordinate at the lead entry
     lead = max(r_basis)
-    return a * r_basis[lead] / r_basis[lead]
+    return qnorm(a * r_basis[lead] * qinv(r_basis[lead]))
 
 
 def atiyah_class_line_bundle(a: int, p: ProjectiveSpace,
                              bound: int | None = None,
-                             cache: dict | None = None) -> Fraction:
+                             cache: dict | None = None) -> Coeff:
     """Coordinate of the Atiyah class of O(a) against the stored generating
     class of h^1 of the cotangent sheaf.  Stabilized across two bounds.
 
@@ -192,7 +192,7 @@ class JetSequenceRecord:
     twist: int
     left_cover_twists: tuple
     right_cover_twists: tuple
-    class_coordinate: Fraction
+    class_coordinate: Coeff
     splits: bool
 
 

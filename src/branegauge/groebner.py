@@ -23,9 +23,11 @@ import heapq
 from fractions import Fraction
 
 from .errors import ShapeError
+from .linalg import vec_axpy
 from .polymatrix import PolyMatrix
 from .polynomials import (
     GREVLEX,
+    Coeff,
     Monomial,
     MonomialOrder,
     Polynomial,
@@ -33,12 +35,12 @@ from .polynomials import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    qinv,
+    qnorm,
 )
 
 # sparse free-module vector: {(row, monomial): coefficient}
-MVec = dict[tuple[int, Monomial], Fraction]
-
-_ZERO = Fraction(0)
+MVec = dict[tuple[int, Monomial], Coeff]
 
 
 def mvec_from_polys(polys) -> MVec:
@@ -56,21 +58,26 @@ def mvec_to_polys(v: MVec, rank: int, nvars: int) -> list[Polynomial]:
     return [Polynomial(nvars, b) for b in buckets]
 
 
-def mvec_axpy(target: MVec, coeff: Fraction, mon: Monomial, source: MVec) -> None:
-    """target += coeff * x^mon * source, in place."""
+def mvec_axpy(target: MVec, coeff: Coeff, mon: Monomial, source: MVec) -> None:
+    """target += coeff * x^mon * source, in place, entries kept canonical."""
     if not coeff:
         return
     for (r, m), c in source.items():
         key = (r, monomial_mul(m, mon))
-        s = target.get(key, _ZERO) + coeff * c
+        s = target.get(key, 0) + coeff * c
         if s:
+            # qnorm inlined, as in linalg.vec_axpy
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             target[key] = s
         else:
             target.pop(key, None)
 
 
-def mvec_scale(v: MVec, coeff: Fraction) -> MVec:
-    return {k: coeff * c for k, c in v.items()}
+def mvec_scale(v: MVec, coeff: Coeff) -> MVec:
+    out: MVec = {}
+    vec_axpy(out, coeff, v)
+    return out
 
 
 def _term_key(order: MonomialOrder):
@@ -106,7 +113,7 @@ def _make_elem(vec: MVec, key, rep=None) -> GBElem:
     lead = max(vec, key=key)
     lc = vec[lead]
     if lc != 1:
-        inv = 1 / lc
+        inv = qinv(lc)
         vec = mvec_scale(vec, inv)
         if rep is not None:
             rep = mvec_scale(rep, inv)
@@ -139,7 +146,7 @@ def reduce_vec(
                 mvec_axpy(v, -c, shift, b.vec)
                 if quotients is not None:
                     qk = (k, shift)
-                    s = quotients.get(qk, _ZERO) + c
+                    s = qnorm(quotients.get(qk, 0) + c)
                     if s:
                         quotients[qk] = s
                     else:
@@ -171,7 +178,7 @@ def module_groebner(
     for i, g in enumerate(gens):
         if not g:
             continue
-        rep = {(len(basis), (0,) * _nvars_of(g)): Fraction(1)} if track else None
+        rep = {(len(basis), (0,) * _nvars_of(g)): 1} if track else None
         basis.append(_make_elem(dict(g), key, rep))
 
     pairs: list = []
@@ -213,13 +220,13 @@ def module_groebner(
         if skip:
             continue
         u: MVec = {}
-        mvec_axpy(u, Fraction(1), monomial_div(lcm, imon), basis[i].vec)
-        mvec_axpy(u, Fraction(-1), monomial_div(lcm, jmon), basis[j].vec)
+        mvec_axpy(u, 1, monomial_div(lcm, imon), basis[i].vec)
+        mvec_axpy(u, -1, monomial_div(lcm, jmon), basis[j].vec)
         rep: MVec | None = None
         if track:
             rep = {}
-            mvec_axpy(rep, Fraction(1), monomial_div(lcm, imon), basis[i].rep)
-            mvec_axpy(rep, Fraction(-1), monomial_div(lcm, jmon), basis[j].rep)
+            mvec_axpy(rep, 1, monomial_div(lcm, imon), basis[i].rep)
+            mvec_axpy(rep, -1, monomial_div(lcm, jmon), basis[j].rep)
         rem = reduce_vec(u, basis, key, rep=rep)
         if rem:
             basis.append(_make_elem(rem, key, rep))
@@ -293,19 +300,14 @@ def schreyer_syzygies(gb: list[GBElem], order: MonomialOrder = GREVLEX) -> list[
             a = monomial_div(lcm, imon)
             b = monomial_div(lcm, jmon)
             u: MVec = {}
-            mvec_axpy(u, Fraction(1), a, gb[i].vec)
-            mvec_axpy(u, Fraction(-1), b, gb[j].vec)
+            mvec_axpy(u, 1, a, gb[i].vec)
+            mvec_axpy(u, -1, b, gb[j].vec)
             quotients: MVec = {}
             rem = reduce_vec(u, gb, key, quotients=quotients)
             if rem:
                 raise AssertionError("S-vector of a Groebner basis did not reduce to zero")
-            syz: MVec = {(i, a): Fraction(1), (j, b): Fraction(-1)}
-            for (k, m), c in quotients.items():
-                s = syz.get((k, m), _ZERO) - c
-                if s:
-                    syz[(k, m)] = s
-                else:
-                    syz.pop((k, m), None)
+            syz: MVec = {(i, a): 1, (j, b): -1}
+            vec_axpy(syz, -1, quotients)
             if syz:
                 out.append(syz)
     return out
@@ -322,7 +324,7 @@ def syzygy_module(
     for k, g in enumerate(gens):
         if not g:
             # a zero generator is its own syzygy
-            result.append({(k, zero_mon): Fraction(1)})
+            result.append({(k, zero_mon): 1})
     if not nonzero:
         return result
     local = [g for _, g in nonzero]
@@ -341,14 +343,8 @@ def syzygy_module(
         rem = reduce_vec(dict(g), gb, key, quotients=quotients)
         if rem:
             raise AssertionError("generator does not reduce to zero against its own basis")
-        vec: MVec = {(t, zero_mon): Fraction(1)}
-        back = _apply_rep(quotients, gb)
-        for key2, c in back.items():
-            s = vec.get(key2, _ZERO) - c
-            if s:
-                vec[key2] = s
-            else:
-                vec.pop(key2, None)
+        vec: MVec = {(t, zero_mon): 1}
+        vec_axpy(vec, -1, _apply_rep(quotients, gb))
         if vec:
             result.append(globalize(vec))
     return result
@@ -399,7 +395,7 @@ def normal_form(
         if g.is_zero:
             continue
         mon, c = g.leading_term(order)
-        vec = _poly_to_vec(g.scale(1 / c))
+        vec = _poly_to_vec(g.scale(qinv(c)))
         elems.append(GBElem(vec, (0, mon)))
     # division must honor leading coefficients of the *given* basis; since we
     # normalized to monic above, fold the coefficient into the quotient, which

@@ -12,13 +12,9 @@ matrices, which is what the Hom-complex differential needs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import SpanTracker, nullspace
+from .linalg import SpanTracker, nullspace, vec_axpy
 from .polymatrix import PolyMatrix
-from .polynomials import Polynomial, monomial_mul, monomials_of_degree
-
-_ZERO = Fraction(0)
+from .polynomials import Coeff, Polynomial, monomial_mul, monomials_of_degree
 
 
 class HomBasis:
@@ -104,14 +100,8 @@ class HomBasis:
                         residue = tracker.residual(vec)
                         if residue:
                             slot = self._slot_index[(r, src_row, mon)]
-                            col = constraint_cols[slot]
-                            for k, v in residue.items():
-                                key = renumber[k]
-                                acc = col.get(key, _ZERO) + v
-                                if acc:
-                                    col[key] = acc
-                                else:
-                                    col.pop(key, None)
+                            vec_axpy(constraint_cols[slot], 1,
+                                     {renumber[k]: v for k, v in residue.items()})
             offset += len(index)
 
         solutions = nullspace(constraint_cols) if slots else []
@@ -125,17 +115,14 @@ class HomBasis:
                 if tc - s < 0:
                     continue
                 for mult in monomials_of_degree(nv, tc - s):
+                    # each term (r, mon) lands on its own slot, so every
+                    # entry is written once, as a canonical coefficient
                     vec = {}
                     for r, mon, coeff in rel_n_cols[col_rel]:
                         full = monomial_mul(mon, mult)
                         slot = slot_index.get((r, c, full))
-                        if slot is None:
-                            continue
-                        acc = vec.get(slot, _ZERO) + coeff
-                        if acc:
-                            vec[slot] = acc
-                        else:
-                            vec.pop(slot, None)
+                        if slot is not None:
+                            vec[slot] = coeff
                     if vec:
                         trivial.append(vec)
 
@@ -177,7 +164,7 @@ class HomBasis:
     def matrices(self) -> list[PolyMatrix]:
         return [self._matrix_from_vec(v) for v in self._basis_vecs]
 
-    def coordinates(self, mat: PolyMatrix) -> list[Fraction] | None:
+    def coordinates(self, mat: PolyMatrix) -> list[Coeff] | None:
         """Coordinates of a degree-0 hom matrix in the basis, trivial part
         projected away; None when the matrix is not in the solution span."""
         vec: dict = {}
@@ -192,7 +179,7 @@ class HomBasis:
         combo = self._tracker.coordinates(vec)
         if combo is None:
             return None
-        out = [_ZERO] * self.dim
+        out: list[Coeff] = [0] * self.dim
         for k, v in combo.items():
             pos = self._inserted[k]
             if pos is not None:

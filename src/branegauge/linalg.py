@@ -1,10 +1,12 @@
 """Exact linear algebra over Q.
 
-Vectors are sparse dicts {row_index: Fraction}; matrices are lists of such
-column vectors.  Elimination pivots on the maximum row index present, so each
-reduction step strictly lowers the leading index and terminates without any
-pivoting heuristics.  Everything is deterministic: results depend only on the
-order columns are supplied.
+Vectors are sparse dicts {row_index: coefficient}, with coefficients in the
+canonical `Coeff` form of polynomials.py (an int when integral, else a
+Fraction, never a float); matrices are lists of such column vectors.
+Elimination pivots on the maximum row index present, so each reduction step
+strictly lowers the leading index and terminates without any pivoting
+heuristics.  Everything is deterministic: results depend only on the order
+columns are supplied.
 """
 
 from __future__ import annotations
@@ -12,22 +14,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-SparseVec = dict[int, Fraction]
+from .polynomials import Coeff, qinv
+
+SparseVec = dict[int, Coeff]
 
 
-def vec_axpy(target: SparseVec, coeff: Fraction, source: SparseVec) -> None:
-    """target += coeff * source, in place, dropping zeros."""
+def vec_axpy(target: dict, coeff: Coeff, source: dict) -> None:
+    """target += coeff * source, in place, dropping zeros and keeping every
+    entry canonical.  Any key type works; groebner's MVec is one."""
     if not coeff:
         return
     for i, v in source.items():
-        s = target.get(i, _ZERO) + coeff * v
+        s = target.get(i, 0) + coeff * v
         if s:
+            # qnorm inlined: this loop is the hottest in the engine
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
             target[i] = s
         else:
             target.pop(i, None)
-
-
-_ZERO = Fraction(0)
 
 
 class SpanTracker:
@@ -72,10 +77,12 @@ class SpanTracker:
         if not vec:
             return combo
         lead = max(vec)
-        inv = 1 / vec[lead]
-        nvec = {i: inv * v for i, v in vec.items()}
-        ncombo = {i: -inv * v for i, v in combo.items()}
-        ncombo[idx] = Fraction(inv)
+        inv = qinv(vec[lead])
+        nvec: SparseVec = {}
+        vec_axpy(nvec, inv, vec)
+        ncombo: SparseVec = {}
+        vec_axpy(ncombo, -inv, combo)
+        ncombo[idx] = inv
         # stored combo satisfies: pivot_vec = sum ncombo[j] * inserted_j
         self.pivots[lead] = (nvec, ncombo)
         return None
@@ -102,9 +109,9 @@ def nullspace(columns: list[SparseVec]) -> list[SparseVec]:
     for j, col in enumerate(columns):
         combo = tracker.insert(col)
         if combo is not None:
-            rel = {k: v for k, v in combo.items()}
-            rel[j] = Fraction(-1)
-            out.append({k: -v for k, v in rel.items()})  # col_j - sum combo = 0
+            rel = {k: -v for k, v in combo.items()}
+            rel[j] = 1
+            out.append(rel)  # col_j - sum combo = 0
     return out
 
 

@@ -14,7 +14,6 @@ models R(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     NotWellDefinedError,
@@ -28,6 +27,7 @@ from .groebner import (
     buchberger,
     lift_through,
     module_groebner,
+    mvec_axpy,
     mvec_from_polys,
     mvec_member,
     mvec_to_polys,
@@ -36,7 +36,7 @@ from .groebner import (
 )
 from .linalg import SpanTracker
 from .polymatrix import PolyMatrix
-from .polynomials import Polynomial, monomial_mul, monomials_of_degree
+from .polynomials import Polynomial, monomial_mul, monomials_of_degree, qinv
 
 SATURATION_CAP = 40
 
@@ -400,7 +400,7 @@ def is_zero_module(m: GradedModule) -> bool:
         return True
     zero_mon = (0,) * m.nvars
     return all(
-        m.reduces_to_zero({(i, zero_mon): Fraction(1)}) for i in range(m.rank)
+        m.reduces_to_zero({(i, zero_mon): 1}) for i in range(m.rank)
     )
 
 
@@ -443,7 +443,7 @@ def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
         for c in sorted(live_cols):
             if c == c0 or (r0, c) not in entries:
                 continue
-            factor = entries[(r0, c)].scale(1 / u)
+            factor = entries[(r0, c)].scale(qinv(u))
             for r, p in col0.items():
                 if r == r0:
                     continue
@@ -636,13 +636,7 @@ def _intersect_submodules(a: list[MVec], b: list[MVec], nvars: int) -> list[MVec
         v: MVec = {}
         for (k, mon), c in s.items():
             if k < len(a):
-                for (r, em), ce in a[k].items():
-                    key = (r, monomial_mul(em, mon))
-                    acc = v.get(key, Fraction(0)) + c * ce
-                    if acc:
-                        v[key] = acc
-                    else:
-                        v.pop(key, None)
+                mvec_axpy(v, c, mon, a[k])
         if v:
             out.append(v)
     return out
@@ -666,20 +660,12 @@ def torsion_free_quotient(m: GradedModule) -> GradedModule:
             e = tuple(1 if k == var else 0 for k in range(nv))
             shifted: list[MVec] = []
             for i in range(m.rank):
-                shifted.append({(i, e): Fraction(1)})
+                shifted.append({(i, e): 1})
             # (S : x_var) = top block of syzygies of [x_var * I | S]
             syz = syzygy_module(shifted + current, nv)
             part: list[MVec] = []
             for s in syz:
-                v: MVec = {}
-                for (k, mon), c in s.items():
-                    if k < m.rank:
-                        key = (k, mon)
-                        acc = v.get(key, Fraction(0)) + c
-                        if acc:
-                            v[key] = acc
-                        else:
-                            v.pop(key, None)
+                v: MVec = {key: c for key, c in s.items() if key[0] < m.rank}
                 if v:
                     part.append(v)
             colon = part if colon is None else _intersect_submodules(colon, part, nv)

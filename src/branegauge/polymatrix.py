@@ -11,11 +11,10 @@ degree col_twists[c] - row_twists[r], or zero; the constructor enforces it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import HomogeneityError, RingMismatchError, ShapeError
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial, parse_polynomial, qnorm
 
 
 class PolyMatrix:
@@ -165,7 +164,7 @@ class PolyMatrix:
         return self + (-other)
 
     def scale(self, c) -> "PolyMatrix":
-        c = Fraction(c)
+        c = qnorm(c)
         return PolyMatrix(
             self.nvars,
             self.row_twists,

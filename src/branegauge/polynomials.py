@@ -1,8 +1,15 @@
 """Multivariate polynomials over Q with exact rational coefficients.
 
 The ground ring everywhere is R = Q[x0, ..., xn], graded by total degree.
-Polynomials are sparse dictionaries mapping exponent tuples to nonzero
-`fractions.Fraction` coefficients, so every computation downstream is exact.
+Polynomials are sparse dictionaries mapping exponent tuples to nonzero exact
+coefficients, so every computation downstream is exact.
+
+Coefficients have one canonical form, `Coeff`, used by every layer: an `int`
+when the value is integral and a `fractions.Fraction` only when it is not,
+never a `float`.  `qnorm` puts a scalar in that form (and rejects a float);
+`qinv` is the exact inverse, since `1 / c` on an int gives a float.  An
+integral Fraction and its int compare and hash equal and print the same, so
+the form changes no dictionary key and no report byte.
 
 Monomial orders: graded reverse lexicographic (the default) and graded
 lexicographic, both with x0 > x1 > ... > xn.  Both refine total degree, which
@@ -26,6 +33,28 @@ from typing import Iterable, Iterator, Mapping
 from .errors import PolynomialSyntaxError, RingMismatchError
 
 Monomial = tuple[int, ...]
+Coeff = int | Fraction
+
+
+def qnorm(x) -> Coeff:
+    """x in canonical form: an int when integral, else a Fraction.
+
+    Raises TypeError for anything that is not an exact rational, a float
+    included."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
+
+
+def qinv(x) -> Coeff:
+    """Exact inverse 1/x in canonical form: Fraction(1, x) for an int other
+    than +-1, which stay ints.  Raises ZeroDivisionError for zero."""
+    x = qnorm(x)
+    if type(x) is int:
+        return x if x == 1 or x == -1 else Fraction(1, x)
+    return qnorm(Fraction(x.denominator, x.numerator))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -80,15 +109,15 @@ class Polynomial:
 
     __slots__ = ("nvars", "_terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Monomial, Coeff] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Coeff] = {}
         for mon, coeff in (terms or {}).items():
             if len(mon) != nvars or any(e < 0 for e in mon):
                 raise ValueError(f"bad exponent tuple {mon} for {nvars} variables")
-            c = Fraction(coeff)
-            if c != 0:
+            c = coeff if type(coeff) is int else qnorm(coeff)
+            if c:
                 clean[tuple(mon)] = c
         self.nvars = nvars
         self._terms = clean
@@ -101,7 +130,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -112,11 +141,11 @@ class Polynomial:
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         mon = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mon: Fraction(1)})
+        return cls(nvars, {mon: 1})
 
     @classmethod
     def monomial(cls, nvars: int, mon: Monomial, coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(mon): Fraction(coeff)})
+        return cls(nvars, {tuple(mon): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -124,13 +153,13 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[tuple[Monomial, Coeff]]:
         """Terms in a fixed (grevlex-descending) order, for determinism."""
         key = GREVLEX.key
         return iter(sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=True))
 
-    def coefficient(self, mon: Monomial) -> Fraction:
-        return self._terms.get(tuple(mon), Fraction(0))
+    def coefficient(self, mon: Monomial) -> Coeff:
+        return self._terms.get(tuple(mon), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -154,7 +183,7 @@ class Polynomial:
             raise ValueError(f"inhomogeneous polynomial {self}")
         return degs.pop()
 
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Fraction]:
+    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Coeff]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         mon = max(self._terms, key=order.key)
@@ -172,7 +201,7 @@ class Polynomial:
         self._check_ring(other)
         terms = dict(self._terms)
         for mon, c in other._terms.items():
-            s = terms.get(mon, Fraction(0)) + c
+            s = terms.get(mon, 0) + c
             if s:
                 terms[mon] = s
             else:
@@ -188,11 +217,11 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_ring(other)
-            terms: dict[Monomial, Fraction] = {}
+            terms: dict[Monomial, Coeff] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     mon = monomial_mul(m1, m2)
-                    s = terms.get(mon, Fraction(0)) + c1 * c2
+                    s = terms.get(mon, 0) + c1 * c2
                     if s:
                         terms[mon] = s
                     else:
@@ -204,13 +233,13 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = qnorm(c)
         if c == 0:
             return Polynomial.zero(self.nvars)
         return Polynomial(self.nvars, {m: c * v for m, v in self._terms.items()})
 
     def mul_monomial(self, mon: Monomial, coeff=1) -> "Polynomial":
-        c = Fraction(coeff)
+        c = qnorm(coeff)
         if c == 0:
             return Polynomial.zero(self.nvars)
         return Polynomial(
@@ -236,7 +265,7 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------------
 
-    def _format_term(self, mon: Monomial, coeff: Fraction) -> str:
+    def _format_term(self, mon: Monomial, coeff: Coeff) -> str:
         factors = []
         for i, e in enumerate(mon):
             if e == 1:
@@ -271,7 +300,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     Raises PolynomialSyntaxError with the character offset of the first
     defect.  Variables must be x0..x{nvars-1}.
     """
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coeff] = {}
     pos = 0
     n = len(text)
 
@@ -294,7 +323,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         elif not first:
             raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
         first = False
-        coeff = Fraction(1)
+        coeff: Coeff = 1
         exps = [0] * nvars
         saw_factor = False
         expect_factor = True
@@ -355,7 +384,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         if not saw_factor:
             raise PolynomialSyntaxError("empty term", pos)
         mon = tuple(exps)
-        s = terms.get(mon, Fraction(0)) + sign * coeff
+        s = terms.get(mon, 0) + sign * coeff
         if s:
             terms[mon] = s
         else:
@@ -385,11 +414,11 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
 def random_homogeneous(rng, nvars: int, degree: int, max_terms: int = 3) -> Polynomial:
     """Small random homogeneous polynomial (deterministic given the rng)."""
     mons = monomials_of_degree(nvars, degree)
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, Coeff] = {}
     for _ in range(rng.randint(1, max_terms)):
         m = mons[rng.randrange(len(mons))]
-        c = Fraction(rng.choice([-2, -1, -1, 1, 1, 2]))
-        s = terms.get(m, Fraction(0)) + c
+        c = rng.choice([-2, -1, -1, 1, 1, 2])
+        s = terms.get(m, 0) + c
         if s:
             terms[m] = s
         else:
