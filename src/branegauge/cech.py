@@ -14,9 +14,15 @@ where W_i is the spot window, D the Cech differential and R_p the in-window
 relation multiples.  The ranks are per level: level p owns the triple
 (rank [D_{p-1} | R_p], rank R_p, dim W_p), so h^i reads levels i and i + 1
 and neighbouring degrees share a level (cech_level_ranks, memoized in the
-caller's cache).  Kernels truncate exactly but images need not, so every
-public dimension is recomputed at B + 1 and must agree; disagreement raises
-CechStabilizationError rather than reporting an unstable number.
+caller's cache).  One builder, cech_level_span, makes each level's span; the
+Atiyah class (gauge.py) reads its residuals at level 1.  Kernels truncate
+exactly but images need not, so every public dimension is recomputed at
+B + 1 and must agree; disagreement raises CechStabilizationError rather than
+reporting an unstable number.
+
+The window here is Laurent, its spots keyed by chart set, so it keeps its
+own builders; the polynomial degree-d window of graded pieces, piece-map
+ranks and HomBasis is linalg.degree_window.
 """
 
 from __future__ import annotations
@@ -137,20 +143,11 @@ def _checked_bound(bound: int | None) -> int:
     return bound
 
 
-def cech_level_ranks(m: GradedModule, p: int, bound: int,
-                     cache: dict | None = None) -> tuple[int, int, int]:
-    """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound.
-
-    One tracker: R_p goes in first, its rank is read off, then D_{p-1} joins
-    it.  The triple is memoized in `cache` under ("cech_ranks", m, p, bound);
-    only the three ints are stored, never the window or the tracker.  Levels
-    outside 0..n are empty.
-    """
-    if p < 0 or p >= m.nvars:
-        return 0, 0, 0
-    key = ("cech_ranks", m, p, bound)
-    if cache is not None and key in cache:
-        return cache[key]
+def cech_level_span(m: GradedModule, p: int, bound: int):
+    """The window at level p, a tracker spanning [R_p | D_{p-1}] in it, and
+    rank R_p: the in-window relation multiples go in first, their rank is
+    read off, then the coboundaries of level p - 1 join them.  Residuals
+    against the tracker decide class membership in h^p."""
     lv = cech_level(m, p, bound)
     tracker = SpanTracker()
     for col in cech_relation_columns(lv):
@@ -159,6 +156,23 @@ def cech_level_ranks(m: GradedModule, p: int, bound: int,
     if p >= 1:
         for col in cech_diff_columns(cech_level(m, p - 1, bound), lv):
             tracker.insert(col)
+    return lv, tracker, rel
+
+
+def cech_level_ranks(m: GradedModule, p: int, bound: int,
+                     cache: dict | None = None) -> tuple[int, int, int]:
+    """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound.
+
+    The memo of cech_level_span: the triple is stored in `cache` under
+    ("cech_ranks", m, p, bound); only the three ints are kept, never the
+    window or the tracker.  Levels outside 0..n are empty.
+    """
+    if p < 0 or p >= m.nvars:
+        return 0, 0, 0
+    key = ("cech_ranks", m, p, bound)
+    if cache is not None and key in cache:
+        return cache[key]
+    lv, tracker, rel = cech_level_span(m, p, bound)
     ranks = (tracker.rank, rel, lv.dim)
     if cache is not None:
         cache[key] = ranks
@@ -200,18 +214,3 @@ def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None,
             f"{bound + 1}; rerun with a larger bound"
         )
     return first
-
-
-def coboundary_tracker(m: GradedModule, p: int, bound: int):
-    """The window at level p together with a tracker spanning coboundaries
-    plus in-window relation multiples.  Residuals against it decide class
-    membership in h^p."""
-    lv = cech_level(m, p, bound)
-    tracker = SpanTracker()
-    if p >= 1:
-        below = cech_level(m, p - 1, bound)
-        for col in cech_diff_columns(below, lv):
-            tracker.insert(col)
-    for col in cech_relation_columns(lv):
-        tracker.insert(col)
-    return lv, tracker

@@ -306,17 +306,6 @@ def induced_cohomology_map(h: ComplexMap, i: int) -> GradedMap:
     return _map_into_subquotient(s.module, moved, t)
 
 
-def compare_subquotients(s: Subquotient, t: Subquotient) -> bool:
-    """Isomorphism certificate for two subquotients of the same ambient."""
-    if s.ambient.cover_twists != t.ambient.cover_twists:
-        return False
-    try:
-        comparison = _map_into_subquotient(s.module, s.gens, t)
-    except NotWellDefinedError:
-        return False
-    return is_iso(comparison)
-
-
 def is_quasi_iso(h: ComplexMap) -> bool:
     lo = min(h.source.lo, h.target.lo)
     hi = max(h.source.hi, h.target.hi)

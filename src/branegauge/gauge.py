@@ -19,8 +19,8 @@ from .cech import (
     CechStabilizationError,
     _checked_bound,
     cech_level,
+    cech_level_span,
     cech_relation_columns,
-    coboundary_tracker,
 )
 from .complexes import BoundedComplex
 from .errors import (
@@ -123,7 +123,7 @@ def _atiyah_generator(p: ProjectiveSpace, bound: int, cache: dict):
     if key in cache:
         return cache[key]
     basis = atiyah_cocycle_line_bundle(1, p, bound)
-    lv, tracker = coboundary_tracker(basis.module, 1, bound)
+    lv, tracker, _ = cech_level_span(basis.module, 1, bound)
     r_basis = tracker.residual(basis.indexed(lv))
     if not r_basis:
         raise CechStabilizationError(

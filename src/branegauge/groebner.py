@@ -270,11 +270,6 @@ def mvec_member(v: MVec, gb: list[GBElem], order: MonomialOrder = GREVLEX) -> bo
     return not reduce_vec(dict(v), gb, key)
 
 
-def mvec_normal_form(v: MVec, gb: list[GBElem], order: MonomialOrder = GREVLEX) -> MVec:
-    key = _term_key(order)
-    return reduce_vec(dict(v), gb, key)
-
-
 def _apply_rep(coords: MVec, elems: list[GBElem]) -> MVec:
     """Expand coordinates over GB indices into the tracked generator space."""
     out: MVec = {}

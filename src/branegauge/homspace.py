@@ -8,13 +8,17 @@ matrices; two matrices give the same map when they differ by a matrix whose
 columns lie in the target relation span, so the basis is taken modulo that
 subspace.  Coordinates in the basis support composing maps into rational
 matrices, which is what the Hom-complex differential needs.
+
+The target's degree-d windows come from linalg.degree_window, the kernel
+that graded_piece_dim and piece_map_rank rank too; this module imports
+nothing from groebner or modules, so it stays an independent cross-check.
 """
 
 from __future__ import annotations
 
-from .linalg import SpanTracker, nullspace, vec_axpy
+from .linalg import SpanTracker, _column_terms, _expand, degree_window, nullspace
 from .polymatrix import PolyMatrix
-from .polynomials import Coeff, Polynomial, monomial_mul, monomials_of_degree
+from .polynomials import Coeff, Polynomial, monomials_of_degree
 
 
 class HomBasis:
@@ -25,106 +29,61 @@ class HomBasis:
         self.target = target
         nv = source.nvars
         self.nvars = nv
-        # unknown coefficient slots of a candidate matrix
-        slots: list[tuple[int, int, tuple]] = []
-        slot_index: dict[tuple[int, int, tuple], int] = {}
-        for c, tc in enumerate(source.cover_twists):
-            for r, tr in enumerate(target.cover_twists):
-                d = tc - tr
-                if d < 0:
-                    continue
-                for mon in monomials_of_degree(nv, d):
-                    slot_index[(r, c, mon)] = len(slots)
-                    slots.append((r, c, mon))
-        self._slots = slots
-        self._slot_index = slot_index
-
         rel_n = target.relations
-        rel_n_cols = [
-            [(r, mon, coeff) for r in range(rel_n.rows)
-             for mon, coeff in rel_n.entries[r][c].items()]
-            for c in range(rel_n.cols)
-        ]
 
-        # span of target relations expanded into a fixed degree, per degree
-        quotient_cache: dict[int, tuple[dict, SpanTracker]] = {}
+        # target relation span in each degree, built once per degree
+        windows: dict[int, tuple] = {}
 
-        def quotient_space(d: int):
-            got = quotient_cache.get(d)
-            if got is not None:
-                return got
-            index: dict[tuple[int, tuple], int] = {}
-            for r, tr in enumerate(target.cover_twists):
-                if d - tr < 0:
-                    continue
-                for mon in monomials_of_degree(nv, d - tr):
-                    index[(r, mon)] = len(index)
-            tracker = SpanTracker()
-            for c in range(rel_n.cols):
-                s = rel_n.col_twists[c]
-                if d - s < 0:
-                    continue
-                for mult in monomials_of_degree(nv, d - s):
-                    vec = {}
-                    for r, mon, coeff in rel_n_cols[c]:
-                        vec[index[(r, monomial_mul(mon, mult))]] = coeff
-                    tracker.insert(vec)
-            quotient_cache[d] = (index, tracker)
-            return index, tracker
+        def window(d: int):
+            if d not in windows:
+                windows[d] = degree_window(rel_n, d)
+            return windows[d]
+
+        # unknown coefficient slots of a candidate matrix: the slots of source
+        # generator c are the target's degree-tc window, offset by first[c]
+        slots: list[tuple[int, int, tuple]] = []
+        first: list[int] = []
+        for c, tc in enumerate(source.cover_twists):
+            first.append(len(slots))
+            slots.extend((r, c, mon) for r, mon in window(tc)[0])
+        self._slots = slots
+        self._slot_index = {slot: k for k, slot in enumerate(slots)}
 
         # constraint rows: for each source relation column, X * rel must lie
-        # in the target relation span at the matching degree
+        # in the target relation span at the matching degree; each source
+        # relation column gets its own block of rows, starting at offset
         rel_m = source.relations
         constraint_cols: list[dict] = [{} for _ in slots]
         offset = 0
-        for c in range(rel_m.cols):
-            s = rel_m.col_twists[c]
-            index, tracker = quotient_space(s)
-            coords = sorted(index.values())
-            renumber = {v: offset + k for k, v in enumerate(coords)}
-            for src_row in range(rel_m.rows):
-                p = rel_m.entries[src_row][c]
+        for c, s in enumerate(rel_m.col_twists):
+            index, tracker = window(s)
+            for src_row, p in enumerate(rel_m.column(c)):
                 if p.is_zero:
                     continue
-                tc = source.cover_twists[src_row]
-                for r, tr in enumerate(target.cover_twists):
-                    d = tc - tr
-                    if d < 0:
-                        continue
-                    for mon in monomials_of_degree(nv, d):
-                        # contribution of slot (r, src_row, mon): entry x^mon
-                        # times the relation coefficient p, reduced mod span
-                        vec = {}
-                        for pm, pc in p.items():
-                            vec[index[(r, monomial_mul(mon, pm))]] = pc
-                        residue = tracker.residual(vec)
-                        if residue:
-                            slot = self._slot_index[(r, src_row, mon)]
-                            vec_axpy(constraint_cols[slot], 1,
-                                     {renumber[k]: v for k, v in residue.items()})
+                # contribution of slot (r, src_row, mon): entry x^mon times
+                # the relation coefficient p, reduced mod the span
+                slot_window, _ = window(source.cover_twists[src_row])
+                for (r, mon), k in slot_window.items():
+                    terms = [(r, pm, pc) for pm, pc in p.items()]
+                    residue = tracker.residual(_expand(terms, mon, index))
+                    constraint_cols[first[src_row] + k].update(
+                        (offset + i, v) for i, v in residue.items())
             offset += len(index)
 
         solutions = nullspace(constraint_cols) if slots else []
 
-        # trivial maps: columns lying in the target relation span
+        # trivial maps: columns lying in the target relation span, i.e. the
+        # relation multiples of each source generator's window
+        rel_n_terms = [_column_terms(rel_n.column(c)) for c in range(rel_n.cols)]
         trivial: list[dict] = []
         for c, tc in enumerate(source.cover_twists):
-            index, _ = quotient_space(tc)
-            for col_rel in range(rel_n.cols):
-                s = rel_n.col_twists[col_rel]
-                if tc - s < 0:
+            index, _ = window(tc)
+            for terms, s in zip(rel_n_terms, rel_n.col_twists):
+                if not terms:
                     continue
                 for mult in monomials_of_degree(nv, tc - s):
-                    # each term (r, mon) lands on its own slot, so every
-                    # entry is written once, as a canonical coefficient
-                    vec = {}
-                    for r, mon, coeff in rel_n_cols[col_rel]:
-                        full = monomial_mul(mon, mult)
-                        slot = slot_index.get((r, c, full))
-                        if slot is not None:
-                            vec[slot] = coeff
-                    if vec:
-                        trivial.append(vec)
+                    trivial.append({first[c] + k: v for k, v
+                                    in _expand(terms, mult, index).items()})
 
         # insertion-order bookkeeping: combo indices from the tracker count
         # every insert call, so record a role for each one

@@ -7,6 +7,13 @@ Elimination pivots on the maximum row index present, so each reduction step
 strictly lowers the leading index and terminates without any pivoting
 heuristics.  Everything is deterministic: results depend only on the order
 columns are supplied.
+
+The degree-d window of a presentation lives here too (degree_window): it
+numbers the cover's (row, monomial) coordinates of degree d and spans every
+relation column times every monomial that lands it there.  Graded pieces and
+piece-map ranks in modules.py and the Groebner-free HomBasis in homspace.py
+all rank that one window, so homspace needs nothing from groebner or
+modules.  The Cech window (cech.py) is Laurent and keeps its own builder.
 """
 
 from __future__ import annotations
@@ -14,9 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .polynomials import Coeff, qinv
+from .polynomials import Coeff, monomial_mul, monomials_of_degree, qinv
 
 SparseVec = dict[int, Coeff]
+# a column's terms (row, monomial, coefficient), and a window's coordinates
+Terms = list[tuple[int, tuple, Coeff]]
+WindowIndex = dict[tuple[int, tuple], int]
 
 
 def vec_axpy(target: dict, coeff: Coeff, source: dict) -> None:
@@ -121,3 +131,40 @@ def solve_in_span(columns: list[SparseVec], target: SparseVec) -> SparseVec | No
     for col in columns:
         tracker.insert(col)
     return tracker.coordinates(target)
+
+
+def _column_terms(polys) -> Terms:
+    """The (row, monomial, coefficient) terms of a column of polynomials."""
+    return [(r, mon, c) for r, p in enumerate(polys) for mon, c in p.items()]
+
+
+def _expand(terms: Terms, mult: tuple, index: WindowIndex) -> SparseVec:
+    """Window coordinates of a column times x^mult.  Each term lands on its
+    own coordinate (row, mon * mult), so every entry is written once."""
+    return {index[(r, monomial_mul(mon, mult))]: c for r, mon, c in terms}
+
+
+def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
+    """The degree-d window of the module presented by `relations`.
+
+    `index` numbers the cover's (row, monomial) pairs of degree d, rows in
+    order and monomials in monomials_of_degree order; the tracker spans every
+    relation column times every monomial that lands it in degree d, inserted
+    in column order, then in monomials_of_degree order.  An empty window
+    gets no tracker (None).
+    """
+    nv = relations.nvars
+    index: WindowIndex = {}
+    for r, t in enumerate(relations.row_twists):
+        for mon in monomials_of_degree(nv, d - t):
+            index[(r, mon)] = len(index)
+    if not index:
+        return index, None
+    tracker = SpanTracker()
+    for c, s in enumerate(relations.col_twists):
+        if d - s < 0:
+            continue
+        terms = _column_terms(relations.column(c))
+        for mult in monomials_of_degree(nv, d - s):
+            tracker.insert(_expand(terms, mult, index))
+    return index, tracker

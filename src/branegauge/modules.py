@@ -5,6 +5,9 @@ twists of that matrix are the degrees of the cover generators.  Everything
 downstream (kernels, images, Hom, resolutions, saturation) is phrased as
 syzygy or membership computations against such presentations, so the whole
 layer reduces to the Groebner kernel plus exact sparse linear algebra.
+Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
+degree-d window of a presentation, linalg.degree_window, which HomBasis
+(homspace.py) ranks too.
 
 Twist convention: twist(M, k) is M(k), with M(k)_d = M_{d+k}; cover degrees
 drop by k.  The free rank-one module with a single generator in degree -a
@@ -34,9 +37,9 @@ from .groebner import (
     syzygy_basis,
     syzygy_module,
 )
-from .linalg import SpanTracker
+from .linalg import _column_terms, _expand, degree_window
 from .polymatrix import PolyMatrix
-from .polynomials import Polynomial, monomial_mul, monomials_of_degree, qinv
+from .polynomials import Polynomial, monomials_of_degree, qinv
 
 SATURATION_CAP = 40
 
@@ -219,20 +222,6 @@ def direct_sum(*summands: GradedModule) -> GradedModule:
     )
 
 
-def direct_sum_injection(summands, i: int, total: GradedModule) -> GradedMap:
-    """Canonical inclusion of the i-th summand into a direct_sum result."""
-    src = summands[i]
-    before = sum(m.rank for m in summands[:i])
-    z = Polynomial.zero(src.nvars)
-    one = Polynomial.one(src.nvars)
-    entries = [
-        [one if r == before + c else z for c in range(src.rank)]
-        for r in range(total.rank)
-    ]
-    mat = PolyMatrix(src.nvars, total.cover_twists, src.cover_twists, entries)
-    return GradedMap(src, total, mat, check=False)
-
-
 def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
     """Tensor product of presentations: cover pairs (i, j), relations from
     each factor against the other's cover."""
@@ -362,33 +351,12 @@ def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
 def graded_piece_dim(m: GradedModule, d: int) -> int:
     """Dimension of M_d over the rationals, by exact linear algebra.
 
-    Monomial basis of the degree-d part of the cover, minus the rank of the
-    relation columns expanded into that degree.  Independent of any Groebner
+    Size of the degree-d window of the cover minus the rank of the relation
+    multiples in it (linalg.degree_window).  Independent of any Groebner
     computation.
     """
-    basis_index: dict[tuple[int, tuple], int] = {}
-    for i, t in enumerate(m.cover_twists):
-        if d - t < 0:
-            continue
-        for mon in monomials_of_degree(m.nvars, d - t):
-            basis_index[(i, mon)] = len(basis_index)
-    if not basis_index:
-        return 0
-    tracker = SpanTracker()
-    rank = 0
-    rel = m.relations
-    rel_cols = [mvec_from_polys(rel.column(c)) for c in range(rel.cols)]
-    for c in range(rel.cols):
-        t = rel.col_twists[c]
-        if d - t < 0:
-            continue
-        for mon in monomials_of_degree(m.nvars, d - t):
-            vec = {}
-            for (r, em), coeff in rel_cols[c].items():
-                vec[basis_index[(r, monomial_mul(em, mon))]] = coeff
-            if tracker.insert(vec) is None:
-                rank += 1
-    return len(basis_index) - rank
+    index, tracker = degree_window(m.relations, d)
+    return len(index) - tracker.rank if index else 0
 
 
 def hilbert_window(m: GradedModule, lo: int, hi: int) -> list[int]:
@@ -432,7 +400,7 @@ def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
         pivot = None
         for (r, c) in sorted(entries):
             p = entries[(r, c)]
-            if p.is_homogeneous() and p.homogeneous_degree() == 0:
+            if p.homogeneous_degree() == 0:
                 pivot = (r, c)
                 break
         if pivot is None:
@@ -764,48 +732,25 @@ def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
 
 
 def piece_map_rank(f: GradedMap, d: int) -> int:
-    """Rank of the induced linear map M_d -> N_d over the rationals."""
-    n = f.target
-    nv = n.nvars
-    index: dict[tuple[int, tuple], int] = {}
-    for r, tr in enumerate(n.cover_twists):
-        if d - tr < 0:
-            continue
-        for mon in monomials_of_degree(nv, d - tr):
-            index[(r, mon)] = len(index)
+    """Rank of the induced linear map M_d -> N_d over the rationals.
+
+    The map's columns times monomials join the target's degree-d window
+    after its relation multiples; the rank they add is the answer.
+    """
+    index, tracker = degree_window(f.target.relations, d)
     if not index:
         return 0
-    tracker = SpanTracker()
-    rel = n.relations
-    base = 0
-    for c in range(rel.cols):
-        s = rel.col_twists[c]
-        if d - s < 0:
-            continue
-        col = mvec_from_polys(rel.column(c))
-        for mult in monomials_of_degree(nv, d - s):
-            vec = {
-                index[(r, monomial_mul(mon, mult))]: coeff
-                for (r, mon), coeff in col.items()
-            }
-            if tracker.insert(vec) is None:
-                base += 1
-    rank = 0
+    base = tracker.rank
     mat = f.matrix
     for c, tc in enumerate(mat.col_twists):
         if d - tc < 0:
             continue
-        col = mvec_from_polys(mat.column(c))
-        if not col:
+        terms = _column_terms(mat.column(c))
+        if not terms:
             continue
-        for mult in monomials_of_degree(nv, d - tc):
-            vec = {
-                index[(r, monomial_mul(mon, mult))]: coeff
-                for (r, mon), coeff in col.items()
-            }
-            if tracker.insert(vec) is None:
-                rank += 1
-    return rank
+        for mult in monomials_of_degree(f.target.nvars, d - tc):
+            tracker.insert(_expand(terms, mult, index))
+    return tracker.rank - base
 
 
 # -- annihilator ------------------------------------------------------------

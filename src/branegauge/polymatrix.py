@@ -47,7 +47,10 @@ class PolyMatrix:
                     )
                 if not p.is_zero:
                     want = self.col_twists[c] - self.row_twists[r]
-                    got = p.homogeneous_degree() if p.is_homogeneous() else "mixed"
+                    try:
+                        got = p.homogeneous_degree()
+                    except ValueError:
+                        got = "mixed"
                     if got != want:
                         raise HomogeneityError(
                             f"entry ({r},{c}) = {p} has degree {got}, expected {want}"

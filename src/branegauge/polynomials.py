@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import PolynomialSyntaxError, RingMismatchError
 
@@ -73,10 +73,6 @@ def monomial_div(b: Monomial, a: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
 
 
 class MonomialOrder(Enum):
@@ -169,10 +165,6 @@ class Polynomial:
         if not self._terms:
             return None
         return max(sum(m) for m in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self._terms}
-        return len(degs) <= 1
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all terms; None for zero; raises if inhomogeneous."""
@@ -424,8 +416,3 @@ def random_homogeneous(rng, nvars: int, degree: int, max_terms: int = 3) -> Poly
         else:
             terms.pop(m, None)
     return Polynomial(nvars, terms)
-
-
-def all_items(polys: Iterable[Polynomial]):
-    for p in polys:
-        yield from p.items()

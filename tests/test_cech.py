@@ -6,8 +6,8 @@ from branegauge.cech import (
     DEFAULT_CECH_BOUND,
     cech_cohomology_dim,
     cech_level,
+    cech_level_span,
     chart_subsets,
-    coboundary_tracker,
 )
 from branegauge.errors import CechStabilizationError, ShapeError
 from branegauge.modules import twist
@@ -136,7 +136,7 @@ def test_default_bound_is_exported():
 def test_coboundary_tracker_level_consistency():
     p = ProjectiveSpace(1)
     o = p.structure_sheaf(-2)
-    level, tracker = coboundary_tracker(o, 1, 3)
+    level, tracker, _ = cech_level_span(o, 1, 3)
     assert level.dim > 0
     # rank of the coboundary span never exceeds the level dimension
     assert tracker.rank <= level.dim

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import branegauge.tasks as tasks
-from branegauge.cech import coboundary_tracker
+from branegauge.cech import cech_level_span
 from branegauge.groebner import (
     GBElem,
     _make_elem,
@@ -156,7 +156,7 @@ def test_no_float_in_groebner_and_syzygy_results():
 
 def test_no_float_in_span_tracker_pivots():
     p = ProjectiveSpace(2)
-    _, tracker = coboundary_tracker(cotangent_sheaf(p), 1, 2)
+    _, tracker, _ = cech_level_span(cotangent_sheaf(p), 1, 2)
     assert tracker.rank and _assert_canonical(tracker.pivots) > 0
     rng = random.Random(5)
     tracker = SpanTracker()

@@ -56,17 +56,17 @@ def test_atiyah_bound_must_be_positive():
 
 
 def test_vanishing_generating_class_is_a_structured_error(monkeypatch):
-    real = gauge.coboundary_tracker
+    real = gauge.cech_level_span
 
     def spans_the_generator(m, p, bound):
         # a coboundary span that (wrongly) contains the O(1) cochain
-        lv, tracker = real(m, p, bound)
+        lv, tracker, rel = real(m, p, bound)
         basis = atiyah_cocycle_line_bundle(1, ProjectiveSpace(m.nvars - 1),
                                            bound)
         tracker.insert(basis.indexed(lv))
-        return lv, tracker
+        return lv, tracker, rel
 
-    monkeypatch.setattr(gauge, "coboundary_tracker", spans_the_generator)
+    monkeypatch.setattr(gauge, "cech_level_span", spans_the_generator)
     p = ProjectiveSpace(1)
     cache: dict = {}
     for _ in range(2):

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branegauge.errors import NotExactError, ShapeError
 from branegauge.modules import (
@@ -36,7 +37,13 @@ from branegauge.modules import (
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial, random_homogeneous
 
-from _oracles import count_monomials, koszul_rank, omega_piece_dim
+from _oracles import (
+    count_monomials,
+    koszul_rank,
+    monomial_tuples,
+    omega_piece_dim,
+    rref_rank,
+)
 
 
 def _vars(nv):
@@ -300,3 +307,68 @@ def test_rank_nullity_property_on_random_maps():
         for d in range(-1, 3):
             assert (piece_map_rank(f, d) + graded_piece_dim(k, d)
                     == graded_piece_dim(src, d))
+
+
+# -- the degree-window kernel against a dense oracle ------------------------
+
+
+def _draw_poly(draw, nv: int, deg: int) -> Polynomial:
+    """A random homogeneous polynomial of degree deg, zero below degree 0."""
+    mons = monomial_tuples(nv, deg)
+    coeffs = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]),
+                           min_size=len(mons), max_size=len(mons)))
+    return Polynomial(nv, {m: c for m, c in zip(mons, coeffs) if c})
+
+
+def _draw_matrix(draw, nv: int, row_twists, col_twists) -> PolyMatrix:
+    return PolyMatrix(nv, row_twists, col_twists, [
+        [_draw_poly(draw, nv, s - t) for s in col_twists] for t in row_twists
+    ])
+
+
+@st.composite
+def _presentations(draw):
+    """A random homogeneous presentation over P^1 or P^2."""
+    nv = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2))
+    cols = draw(st.lists(st.integers(-1, 2), max_size=3))
+    return _draw_matrix(draw, nv, rows, cols)
+
+
+def _dense_piece_dim(rel: PolyMatrix, d: int) -> int:
+    """Window size minus the dense rank of every relation column times every
+    monomial of the complementary degree, multiplied out with Polynomial."""
+    nv = rel.nvars
+    window = [(r, mon) for r, t in enumerate(rel.row_twists)
+              for mon in monomial_tuples(nv, d - t)]
+    pos = {w: k for k, w in enumerate(window)}
+    rows = []
+    for c, s in enumerate(rel.col_twists):
+        for mult in monomial_tuples(nv, d - s):
+            x = Polynomial(nv, {mult: 1})
+            row = [Fraction(0)] * len(window)
+            for r in range(rel.rows):
+                for mon, coeff in (rel.entry(r, c) * x).items():
+                    row[pos[(r, mon)]] = Fraction(coeff)
+            rows.append(row)
+    return len(window) - rref_rank(rows)
+
+
+@given(_presentations(), st.integers(-1, 3))
+@settings(max_examples=60, deadline=None)
+def test_graded_piece_dim_matches_dense_window(rel, d):
+    assert graded_piece_dim(GradedModule(rel), d) == _dense_piece_dim(rel, d)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_piece_map_rank_is_target_minus_cokernel(data):
+    rel = data.draw(_presentations())
+    n = GradedModule(rel)
+    src_twists = data.draw(st.lists(st.integers(-1, 2), max_size=2))
+    src = GradedModule.free(rel.nvars, src_twists)
+    f = GradedMap(src, n, _draw_matrix(data.draw, rel.nvars,
+                                       rel.row_twists, src_twists))
+    for d in range(-1, 4):
+        assert piece_map_rank(f, d) == (
+            graded_piece_dim(n, d) - graded_piece_dim(cokernel(f), d))
