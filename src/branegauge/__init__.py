@@ -85,6 +85,7 @@ from .modules import (
     hilbert_window,
     hom_module,
     image,
+    is_injective,
     is_iso,
     is_zero_module,
     kernel,

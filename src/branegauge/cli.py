@@ -52,6 +52,9 @@ def main(argv=None) -> int:
     if args.cech_bound is not None and args.cech_bound < 1:
         print("brane-gauge: --cech-bound must be at least 1", file=sys.stderr)
         return 2
+    if args.max_degree < 0:
+        print("brane-gauge: --max-degree must be at least 0", file=sys.stderr)
+        return 2
     reports = run_tasks(manifest, cech_bound=args.cech_bound,
                         max_degree=args.max_degree)
     text_out = render_report(args.manifest, manifest.n, reports)

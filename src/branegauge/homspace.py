@@ -16,7 +16,14 @@ nothing from groebner or modules, so it stays an independent cross-check.
 
 from __future__ import annotations
 
-from .linalg import SpanTracker, _column_terms, _expand, degree_window, nullspace
+from .linalg import (
+    SpanTracker,
+    _column_terms,
+    _expand,
+    degree_window,
+    nullspace,
+    tag,
+)
 from .polymatrix import PolyMatrix
 from .polynomials import Coeff, Polynomial, monomials_of_degree
 
@@ -85,20 +92,15 @@ class HomBasis:
                     trivial.append({first[c] + k: v for k, v
                                     in _expand(terms, mult, index).items()})
 
-        # insertion-order bookkeeping: combo indices from the tracker count
-        # every insert call, so record a role for each one
+        # basis vector k carries tag(k), so the tracker's coordinates read
+        # basis coordinates directly; the untagged trivial maps project away
         tracker = SpanTracker()
-        self._inserted: list[int | None] = []
-        basis_vecs: list[dict] = []
         for vec in trivial:
-            tracker.insert(dict(vec))
-            self._inserted.append(None)
+            tracker.insert(vec)
+        basis_vecs: list[dict] = []
         for vec in solutions:
-            if tracker.insert(dict(vec)) is None:
-                self._inserted.append(len(basis_vecs))
+            if tracker.insert({**vec, tag(len(basis_vecs)): 1}) is None:
                 basis_vecs.append(vec)
-            else:
-                self._inserted.append(None)
         self._tracker = tracker
         self._basis_vecs = basis_vecs
 
@@ -135,12 +137,10 @@ class HomBasis:
                     if slot is None:
                         return None
                     vec[slot] = coeff
-        combo = self._tracker.coordinates(vec)
-        if combo is None:
+        coords = self._tracker.coordinates(vec)
+        if coords is None:
             return None
         out: list[Coeff] = [0] * self.dim
-        for k, v in combo.items():
-            pos = self._inserted[k]
-            if pos is not None:
-                out[pos] = v
+        for k, v in coords.items():
+            out[k] = v
         return out

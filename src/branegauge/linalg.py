@@ -8,6 +8,16 @@ strictly lowers the leading index and terminates without any pivoting
 heuristics.  Everything is deterministic: results depend only on the order
 columns are supplied.
 
+SpanTracker only ranks: it keeps reduced pivot vectors and nothing else.  A
+caller that needs coordinates tags its columns instead: column k carries one
+extra entry 1 at the negative key tag(k) = -1 - k, below every real index.
+Pivots lead on real indices only, so the tags ride along through the same
+elimination loop, and a vector whose real part reduces away is left with
+tag entries that weigh the tagged columns: nullspace, solve_in_span and
+HomBasis read relations and coordinates from them.  Untagged columns cost no
+bookkeeping, which is what the rank-only windows (degree_window, the Cech
+level spans, the cocycle check) use.
+
 The degree-d window of a presentation lives here too (degree_window): it
 numbers the cover's (row, monomial) coordinates of degree d and spans every
 relation column times every monomial that lands it there.  Graded pieces and
@@ -46,63 +56,69 @@ def vec_axpy(target: dict, coeff: Coeff, source: dict) -> None:
 
 
 class SpanTracker:
-    """Incremental echelon basis of a span, with membership coordinates.
+    """Incremental echelon basis of a span; pivot on the max row index.
 
     Columns are inserted one at a time.  `insert` returns None if the column
-    enlarged the span, else the coefficients expressing it over the previously
-    inserted columns (indexed by insertion order).  Pivot on max row index.
+    enlarged the span, else what is left of it after reduction: nothing for
+    an untagged column, its tag entries for a tagged one (see the module
+    docstring).  The tracker keeps only the reduced pivot vectors, tags and
+    all, so rank-only use pays for no bookkeeping.
     """
 
     def __init__(self):
-        self.pivots: dict[int, tuple[SparseVec, SparseVec]] = {}
-        self.count = 0
+        self.pivots: dict[int, SparseVec] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: SparseVec) -> tuple[SparseVec, SparseVec]:
-        combo: SparseVec = {}
+    def _reduce(self, vec: SparseVec) -> int | None:
+        """Reduce vec in place; its lead index if a real entry survives,
+        else None (what is left are tag entries, if any)."""
+        pivots = self.pivots
         while vec:
             lead = max(vec)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                return vec, combo
-            pvec, pcombo = hit
-            c = vec[lead]  # pivot vectors are normalized to lead coefficient 1
-            vec_axpy(vec, -c, pvec)
-            vec_axpy(combo, c, pcombo)
-        return vec, combo
+            if lead < 0:
+                return None
+            pvec = pivots.get(lead)
+            if pvec is None:
+                return lead
+            # pivot vectors are normalized to lead coefficient 1
+            vec_axpy(vec, -vec[lead], pvec)
+        return None
 
     def residual(self, column: SparseVec) -> SparseVec:
         """Remainder of column modulo the current span (column not inserted)."""
-        vec, _ = self._reduce(dict(column))
+        vec = dict(column)
+        self._reduce(vec)
         return vec
 
     def insert(self, column: SparseVec) -> SparseVec | None:
-        """Add a column; None if independent, else its coordinates in the span."""
-        vec, combo = self._reduce(dict(column))
-        idx = self.count
-        self.count += 1
-        if not vec:
-            return combo
-        lead = max(vec)
+        """Add a column; None if independent, else its leftover tag entries."""
+        vec = dict(column)
+        lead = self._reduce(vec)
+        if lead is None:
+            return vec
         inv = qinv(vec[lead])
-        nvec: SparseVec = {}
-        vec_axpy(nvec, inv, vec)
-        ncombo: SparseVec = {}
-        vec_axpy(ncombo, -inv, combo)
-        ncombo[idx] = inv
-        # stored combo satisfies: pivot_vec = sum ncombo[j] * inserted_j
-        self.pivots[lead] = (nvec, ncombo)
+        if inv != 1:
+            nvec: SparseVec = {}
+            vec_axpy(nvec, inv, vec)
+            vec = nvec
+        self.pivots[lead] = vec
         return None
 
     def coordinates(self, column: SparseVec) -> SparseVec | None:
-        """Coefficients over inserted columns if in the span, else None."""
-        vec, combo = self._reduce(dict(column))
-        if vec:
+        """{k: a_k} with column = sum a_k * (inserted column tagged k) plus
+        untagged inserted columns, if column is in the span; else None."""
+        vec = dict(column)
+        if self._reduce(vec) is not None:
             return None
-        return combo
+        return {tag(key): -v for key, v in vec.items()}
+
+
+def tag(k: int) -> int:
+    """The key of tag k, below every real index; tag(tag(k)) == k."""
+    return -1 - k
 
 
 def sparse_rank(columns: Iterable[SparseVec]) -> int:
@@ -117,19 +133,18 @@ def nullspace(columns: list[SparseVec]) -> list[SparseVec]:
     tracker = SpanTracker()
     out: list[SparseVec] = []
     for j, col in enumerate(columns):
-        combo = tracker.insert(col)
-        if combo is not None:
-            rel = {k: -v for k, v in combo.items()}
-            rel[j] = 1
-            out.append(rel)  # col_j - sum combo = 0
+        left = tracker.insert({**col, tag(j): 1})
+        if left is not None:
+            # the tags left over weigh columns 0..j into a zero real part
+            out.append({tag(key): v for key, v in left.items()})
     return out
 
 
 def solve_in_span(columns: list[SparseVec], target: SparseVec) -> SparseVec | None:
     """Coefficients a with sum a_j col_j = target, or None if unsolvable."""
     tracker = SpanTracker()
-    for col in columns:
-        tracker.insert(col)
+    for j, col in enumerate(columns):
+        tracker.insert({**col, tag(j): 1})
     return tracker.coordinates(target)
 
 

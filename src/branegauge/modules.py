@@ -272,18 +272,25 @@ def _submodule_presentation(gens: PolyMatrix, ambient: GradedModule) -> PolyMatr
     return _nonzero_columns(top)
 
 
-def kernel_with_inclusion(f: GradedMap) -> tuple[GradedModule, GradedMap]:
-    """Kernel of f as a module plus its inclusion into the source."""
-    src, tgt = f.source, f.target
-    combined = f.matrix.hstack(tgt.relations)
-    syz = syzygy_basis(combined)
+def _kernel_generators(f: GradedMap) -> PolyMatrix:
+    """Generators of ker f in the source cover: the top block of the
+    syzygies of [f | target relations], less the columns that are already
+    source relations (zero in the source)."""
+    src = f.source
+    syz = syzygy_basis(f.matrix.hstack(f.target.relations))
     u = syz.select_rows(range(src.rank))
     keep = [
         c
         for c in range(u.cols)
         if not src.reduces_to_zero(mvec_from_polys(u.column(c)))
     ]
-    u = u.select_columns(keep)
+    return u.select_columns(keep)
+
+
+def kernel_with_inclusion(f: GradedMap) -> tuple[GradedModule, GradedMap]:
+    """Kernel of f as a module plus its inclusion into the source."""
+    src = f.source
+    u = _kernel_generators(f)
     k_rel = _submodule_presentation(u, src)
     ker = GradedModule(PolyMatrix(src.nvars, u.col_twists, k_rel.col_twists,
                                   k_rel.entries))
@@ -372,10 +379,21 @@ def is_zero_module(m: GradedModule) -> bool:
     )
 
 
+def is_injective(f: GradedMap) -> bool:
+    """True iff f is injective: no kernel generator survives the
+    source-relation filter.
+
+    The answer of is_zero_module(kernel(f)), since a surviving generator is
+    a nonzero element of the source and so of the kernel, without
+    presenting the kernel: no second syzygy run for its relations and no
+    Groebner basis of them."""
+    return _kernel_generators(f).cols == 0
+
+
 def is_iso(f: GradedMap) -> bool:
     if not is_zero_module(cokernel(f)):
         return False
-    return is_zero_module(kernel(f))
+    return is_injective(f)
 
 
 # -- minimal presentations and resolutions ----------------------------------
@@ -731,15 +749,17 @@ def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
     )
 
 
-def piece_map_rank(f: GradedMap, d: int) -> int:
-    """Rank of the induced linear map M_d -> N_d over the rationals.
+def piece_dim_and_map_rank(f: GradedMap, d: int) -> tuple[int, int]:
+    """(dim N_d, rank of the induced map M_d -> N_d), for f: M -> N, from
+    one degree-d window of N.
 
-    The map's columns times monomials join the target's degree-d window
-    after its relation multiples; the rank they add is the answer.
+    The window's size less the rank of its relation multiples is dim N_d
+    (graded_piece_dim); the map's columns times monomials then join the
+    relation multiples, and the rank they add is the map's rank.
     """
     index, tracker = degree_window(f.target.relations, d)
     if not index:
-        return 0
+        return 0, 0
     base = tracker.rank
     mat = f.matrix
     for c, tc in enumerate(mat.col_twists):
@@ -750,7 +770,12 @@ def piece_map_rank(f: GradedMap, d: int) -> int:
             continue
         for mult in monomials_of_degree(f.target.nvars, d - tc):
             tracker.insert(_expand(terms, mult, index))
-    return tracker.rank - base
+    return len(index) - base, tracker.rank - base
+
+
+def piece_map_rank(f: GradedMap, d: int) -> int:
+    """Rank of the induced linear map M_d -> N_d over the rationals."""
+    return piece_dim_and_map_rank(f, d)[1]
 
 
 # -- annihilator ------------------------------------------------------------

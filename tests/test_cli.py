@@ -118,3 +118,27 @@ i = 1
 def test_bad_cech_bound_rejected(tmp_path, capsys):
     code = _run(tmp_path, OK_MANIFEST, "--cech-bound", "0")
     assert code == 2
+
+
+SES_MANIFEST = """\
+[ring]
+n = 1
+
+[task triangle-from-ses]
+source = O(-1)
+target = O(0)
+matrix = [["x0"]]
+"""
+
+
+def test_negative_max_degree_rejected(tmp_path, capsys):
+    # an empty degree window would check no rank identity and pass
+    code = _run(tmp_path, SES_MANIFEST, "--max-degree", "-1")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--max-degree" in captured.err
+    assert captured.out == ""
+    code = _run(tmp_path, SES_MANIFEST, "--max-degree", "0")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "les-window: 0..0" in out and "les-ok: true" in out

@@ -19,7 +19,7 @@ from branegauge.groebner import (
     syzygy_basis,
 )
 from branegauge.homspace import HomBasis
-from branegauge.linalg import SpanTracker
+from branegauge.linalg import SpanTracker, nullspace, solve_in_span, tag
 from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedModule, _prune_constants
 from branegauge.polymatrix import PolyMatrix
@@ -118,12 +118,16 @@ def test_normal_form_against_a_non_monic_divisor():
 
 def test_span_tracker_with_a_non_unit_pivot():
     tracker = SpanTracker()
-    assert tracker.insert({0: 2}) is None
-    vec, combo = tracker.pivots[0]
-    assert vec == {0: 1} and type(vec[0]) is int
-    assert combo == {0: Fraction(1, 2)}
-    assert tracker.insert({0: 3}) == {0: Fraction(3, 2)}
+    assert tracker.insert({0: 2, tag(0): 1}) is None
+    # the pivot leads with an int 1; its tag says it is 1/2 of column 0
+    assert tracker.pivots == {0: {0: 1, tag(0): Fraction(1, 2)}}
+    assert type(tracker.pivots[0][0]) is int
+    # column 1 = 3/2 column 0: the leftover tags weigh the two to zero
+    assert tracker.insert({0: 3, tag(1): 1}) == {tag(0): Fraction(-3, 2),
+                                                 tag(1): 1}
     assert tracker.coordinates({0: 4}) == {0: 2}
+    assert solve_in_span([{0: 2}], {0: 3}) == {0: Fraction(3, 2)}
+    assert nullspace([{0: 2}, {0: 3}]) == [{0: Fraction(-3, 2), 1: 1}]
     _assert_canonical([tracker.pivots, tracker.coordinates({0: 4})])
 
 
@@ -160,12 +164,16 @@ def test_no_float_in_span_tracker_pivots():
     assert tracker.rank and _assert_canonical(tracker.pivots) > 0
     rng = random.Random(5)
     tracker = SpanTracker()
-    for _ in range(12):
-        tracker.insert({rng.randrange(6): rng.choice([-3, 2, 5, Fraction(1, 2)])
-                        for _ in range(3)})
+    columns = [{rng.randrange(6): rng.choice([-3, 2, 5, Fraction(1, 2)])
+                for _ in range(3)} for _ in range(12)]
+    for k, col in enumerate(columns):
+        tracker.insert({**col, tag(k): 1})
     assert tracker.rank == 6
     assert any(type(c) is Fraction for c in _scalars(tracker.pivots))
     _assert_canonical(tracker.pivots)
+    relations = nullspace(columns)
+    assert len(relations) == 6
+    _assert_canonical([relations, solve_in_span(columns, columns[-1])])
 
 
 def test_no_float_in_hom_basis_coordinates():

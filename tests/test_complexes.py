@@ -1,5 +1,6 @@
 """Bounded complexes: shift, cone, cohomology, Hom complexes, triangles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from branegauge.complexes import (
     triangle_from_ses,
     triangle_les_ok,
 )
-from branegauge.errors import NotAComplexError
+from branegauge.errors import NotAComplexError, ShapeError
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -237,6 +238,46 @@ def test_triangle_from_module_ses_hyperplane():
     # H^0 of the cone part matches the quotient
     hq = cohomology(t.c, 0)
     assert hilbert_window(hq, 0, 3) == hilbert_window(q, 0, 3)
+
+
+def _hyperplane_ses_triangle():
+    """0 -> R(-1) --x0--> R -> R/x0 -> 0 as a triangle."""
+    f = GradedMap(_free(1), _free(0), _mat((0,), (1,), [["x0"]]))
+    _, proj = cokernel_with_projection(f)
+    return triangle_from_module_ses(f, proj)
+
+
+def test_les_fails_when_g_is_replaced_by_zero():
+    t = _hyperplane_ses_triangle()
+    broken = dataclasses.replace(t, g=ComplexMap.zero(t.b, t.c))
+    assert not triangle_les_ok(broken, -1, 4)
+
+
+def test_les_fails_when_delta_of_a_zero_map_cone_is_zero():
+    # the cone of the zero map R(-1) -> R; with delta zero, H(R(-1)) at the
+    # node a has no incoming rank to balance its dimension
+    src = embed_object(_free(1))
+    tgt = embed_object(_free(0))
+    t = triangle_from_cone(ComplexMap.zero(src, tgt))
+    assert triangle_les_ok(t, -1, 4)
+    broken = dataclasses.replace(
+        t, delta=ComplexMap.zero(t.c, t.delta.target))
+    assert not triangle_les_ok(broken, -1, 4)
+
+
+def test_les_of_a_rotated_triangle():
+    # rotation makes a fresh A[1]: delta's source is not g's target complex
+    t = _hyperplane_ses_triangle()
+    r = rotate_triangle(t)
+    assert r.delta.source is not r.g.target
+    assert triangle_les_ok(r, -1, 4)
+
+
+def test_les_rejects_an_empty_degree_window():
+    t = _hyperplane_ses_triangle()
+    with pytest.raises(ShapeError):
+        triangle_les_ok(t, 1, -1)
+    assert triangle_les_ok(t, 0, 0)
 
 
 def test_triangle_from_ses_rejects_non_exact():

@@ -8,9 +8,11 @@ from branegauge.modules import (
     GradedModule,
     graded_piece_dim,
     hom_module,
+    twist,
 )
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import Polynomial, parse_polynomial
+from branegauge.polynomials import Polynomial, monomials_of_degree, parse_polynomial
+from branegauge.projective import ProjectiveSpace, cotangent_sheaf
 
 
 def _quotient(nv, gens, cover=(0,)):
@@ -91,3 +93,45 @@ def test_hom_basis_zero_when_supports_disjoint():
     a = _quotient(nv, ["x0", "x1"])
     b = GradedModule.free(nv, (0,))
     assert HomBasis(a, b).dim == 0
+
+
+def _trivial_matrix(rng, source, target) -> PolyMatrix:
+    """Each column a random combination of target relation columns times
+    monomials: a matrix that represents the zero map."""
+    nv = source.nvars
+    rel = target.relations
+    cols = []
+    for tj in source.cover_twists:
+        col = [Polynomial.zero(nv)] * target.rank
+        for k, s in enumerate(rel.col_twists):
+            for mon in monomials_of_degree(nv, tj - s):
+                a = rng.choice([-3, -2, -1, 1, 2, 3])
+                x = Polynomial.monomial(nv, mon).scale(a)
+                col = [p + x * rel.entry(r, k) for r, p in enumerate(col)]
+        cols.append(col)
+    return PolyMatrix.from_columns(nv, target.cover_twists, cols,
+                                   list(source.cover_twists))
+
+
+def test_coordinates_of_a_combination_plus_a_trivial_map():
+    rng = random.Random(11)
+    p = ProjectiveSpace(2)
+    om = cotangent_sheaf(p)
+    cases = [
+        (twist(om, -1), om),
+        (p.structure_sheaf(-3), om),
+        (GradedModule.free(3, (1, 2)), _quotient(3, ["x1", "x0*x2"])),
+    ]
+    for source, target in cases:
+        hb = HomBasis(source, target)
+        mats = hb.matrices()
+        assert mats
+        for _ in range(4):
+            c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in mats]
+            trivial = _trivial_matrix(rng, source, target)
+            assert not trivial.is_zero
+            total = trivial
+            for ck, bk in zip(c, mats):
+                total = total + bk.scale(ck)
+            assert hb.coordinates(total) == c
+            assert hb.coordinates(trivial) == [0] * hb.dim

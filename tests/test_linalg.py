@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from branegauge.linalg import SpanTracker, nullspace, solve_in_span, sparse_rank
+from branegauge.linalg import SpanTracker, nullspace, solve_in_span, sparse_rank, tag
 
 from _oracles import rref_rank
 
@@ -30,13 +30,16 @@ def test_rank_matches_dense_oracle(cols):
 
 
 def test_insert_reports_combinations():
-    t = SpanTracker()
     a = {0: Fraction(1), 1: Fraction(2)}
     b = {1: Fraction(1)}
-    assert t.insert(a) is None
-    assert t.insert(b) is None
-    combo = t.insert({0: Fraction(2), 1: Fraction(5)})  # 2a + b
-    assert combo == {0: Fraction(2), 1: Fraction(1)}
+    c = {0: Fraction(2), 1: Fraction(5)}  # 2a + b
+    assert solve_in_span([a, b], c) == {0: Fraction(2), 1: Fraction(1)}
+    assert nullspace([a, b, c]) == [{0: -2, 1: -1, 2: 1}]
+    t = SpanTracker()
+    assert t.insert({**a, tag(0): 1}) is None
+    assert t.insert({**b, tag(1): 1}) is None
+    assert t.insert({**c, tag(2): 1}) == {tag(0): -2, tag(1): -1, tag(2): 1}
+    assert t.coordinates(c) == {0: Fraction(2), 1: Fraction(1)}
 
 
 def test_residual_zero_iff_in_span():

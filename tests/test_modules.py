@@ -22,6 +22,7 @@ from branegauge.modules import (
     hilbert_window,
     hom_module,
     image,
+    is_injective,
     is_iso,
     is_zero_module,
     kernel,
@@ -372,3 +373,51 @@ def test_piece_map_rank_is_target_minus_cokernel(data):
     for d in range(-1, 4):
         assert piece_map_rank(f, d) == (
             graded_piece_dim(n, d) - graded_piece_dim(cokernel(f), d))
+
+
+# -- injectivity without the kernel's presentation ----------------------------
+
+
+@st.composite
+def _module_maps(draw):
+    """A random homogeneous map M -> N between presented modules over P^1 or
+    P^2.  N's relations include the images of M's, so the map is well
+    defined; on a rank-2 source the second column is sometimes a multiple of
+    the first, which makes the map singular."""
+    nv = draw(st.sampled_from([2, 3]))
+    src_twists = sorted(draw(st.lists(st.integers(-1, 1), min_size=1,
+                                      max_size=2)))
+    src_rel = _draw_matrix(draw, nv, src_twists,
+                           draw(st.lists(st.integers(0, 2), max_size=2)))
+    tgt_twists = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2))
+    tgt_rel = _draw_matrix(draw, nv, tgt_twists,
+                           draw(st.lists(st.integers(-1, 2), max_size=2)))
+    fmat = _draw_matrix(draw, nv, tgt_twists, src_twists)
+    if len(src_twists) == 2 and draw(st.booleans()):
+        p = _draw_poly(draw, nv, src_twists[1] - src_twists[0])
+        entries = [[row[0], p * row[0]] for row in fmat.entries]
+        fmat = PolyMatrix(nv, tgt_twists, src_twists, entries)
+    tgt = GradedModule(tgt_rel.hstack(fmat * src_rel))
+    return GradedMap(GradedModule(src_rel), tgt, fmat)
+
+
+@given(_module_maps())
+@settings(max_examples=40, deadline=None)
+def test_is_injective_matches_the_kernel(f):
+    assert is_injective(f) == is_zero_module(kernel(f))
+
+
+def test_is_injective_on_known_maps():
+    nv = 2
+    x0, x1 = _vars(nv)
+    src, tgt = GradedModule.free(nv, (1,)), GradedModule.free(nv, (0,))
+    assert is_injective(GradedMap(src, tgt, PolyMatrix.from_columns(
+        nv, (0,), [[x0]], [1])))
+    # (x1, -x0) spans the kernel of [x0, x1]: R(-1)^2 -> R
+    src2 = GradedModule.free(nv, (1, 1))
+    assert not is_injective(GradedMap(src2, tgt, PolyMatrix.from_columns(
+        nv, (0,), [[x0], [x1]], [1, 1])))
+    # x0 from R/(x0) shifted by one into R/(x0): the image is zero
+    q = _quotient_by_vars(nv, 1)
+    assert not is_injective(GradedMap(_quotient_by_vars(nv, 1, 1), q,
+                                      PolyMatrix.from_columns(nv, (0,), [[x0]], [1])))
