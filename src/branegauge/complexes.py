@@ -281,8 +281,7 @@ def cohomology_subquotient(c: BoundedComplex, i: int) -> Subquotient:
     if i > c.lo:
         lifted = lift_map_through_inclusion(c.diff(i - 1), incl)
         rel = rel.hstack(lifted.matrix)
-    h = GradedModule(PolyMatrix(c.nvars, ker.cover_twists, rel.col_twists, rel.entries))
-    return Subquotient(h, term, incl.matrix)
+    return Subquotient(GradedModule(rel), term, incl.matrix)
 
 
 def cohomology(c: BoundedComplex, i: int) -> GradedModule:
@@ -343,9 +342,10 @@ class HomComplexReport:
     """Dimension table of the Hom complex, optionally with differentials.
 
     dims[m - lo] is the total dimension of the degree-m term; blocks lists
-    the nonzero (source-degree, dimension) contributions.  When materialized
-    (module-hom oracle only), differentials[m - lo] is the rational matrix of
-    d: Hom^m -> Hom^{m+1} in the recorded bases and dd_zero certifies d o d.
+    the nonzero (source-degree, dimension) contributions.  With the
+    module-hom oracle (no hom_dim), differentials[m - lo] is the rational
+    matrix of d: Hom^m -> Hom^{m+1} in the recorded bases and dd_zero
+    certifies d o d.
     """
 
     lo: int
@@ -362,22 +362,13 @@ class HomComplexReport:
         return 0
 
 
-def hom_complex(
-    b: BoundedComplex,
-    c: BoundedComplex,
-    hom_dim=None,
-    materialize: bool | None = None,
-) -> HomComplexReport:
+def hom_complex(b: BoundedComplex, c: BoundedComplex, hom_dim=None) -> HomComplexReport:
     """Hom complex of two bounded complexes.
 
     hom_dim: optional callable (M, N) -> dimension of the Hom space; when
     omitted, degree-0 module homs are used and the differential matrices are
-    materialized so d o d = 0 can be certified.
+    built so d o d = 0 can be certified.
     """
-    if materialize is None:
-        materialize = hom_dim is None
-    if materialize and hom_dim is not None:
-        raise ShapeError("cannot materialize differentials for an external oracle")
     lo = c.lo - b.hi
     hi = c.hi - b.lo
     dims = []
@@ -404,7 +395,7 @@ def hom_complex(
         blocks.append(tuple(row))
     report_dims = tuple(dims)
     zero = all(d == 0 for d in report_dims)
-    if not materialize:
+    if hom_dim is not None:
         return HomComplexReport(lo, hi, report_dims, tuple(blocks), zero)
 
     def offsets(m):
@@ -473,7 +464,7 @@ def hom_complex(
 
 @dataclass(frozen=True)
 class Triangle:
-    """Distinguished triangle a -> b -> c -> a[1] with materialized maps.
+    """Distinguished triangle a -> b -> c -> a[1] with explicit maps.
 
     For from_ses triangles c is the cone model of the inclusion and
     model_qis is the certified quasi-isomorphism onto the declared quotient.

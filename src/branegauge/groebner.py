@@ -1,20 +1,22 @@
 """Groebner bases and syzygies for submodules of free graded modules.
 
 Elements of a free module R^m are sparse vectors {(row, monomial): coeff}.
-The module order is term-over-position: monomials compare by the chosen
-order, ties broken by smaller row index first.  For homogeneous input the
-whole computation stays homogeneous, so no degree truncation is ever needed.
+There is one module order, term-over-position: monomials compare by grevlex
+(polynomials.grevlex_key), ties broken by smaller row index first.  For
+homogeneous input the whole computation stays homogeneous, so no degree
+truncation is ever needed.
 
 Buchberger runs with the normal selection strategy (smallest pair lcm first,
 ties by index) and the chain criterion; the classical coprime (product)
 criterion is additionally applied in rank one, where it is valid.  Output
 bases are reduced: interreduced, monic, sorted by leading term, hence
-canonical for a fixed order.
+canonical.
 
 Syzygies come from the Schreyer construction on the reduced basis and are
 transformed back to the original generators through the tracked
 representation matrices; `syzygy_basis` checks m * syz = 0 exactly before
-returning.
+returning.  `matrix_from_vecs` turns such vectors back into a PolyMatrix
+whose columns are sorted by degree.
 """
 
 from __future__ import annotations
@@ -22,15 +24,13 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from .errors import ShapeError
 from .linalg import vec_axpy
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, column_degree
 from .polynomials import (
-    GREVLEX,
     Coeff,
     Monomial,
-    MonomialOrder,
     Polynomial,
+    grevlex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -80,15 +80,16 @@ def mvec_scale(v: MVec, coeff: Coeff) -> MVec:
     return out
 
 
-def _term_key(order: MonomialOrder):
-    okey = order.key
+def _term_key():
+    """Term-over-position sort key on (row, monomial), with a memo of the
+    monomials' grevlex keys that lives as long as the returned function."""
     cache: dict[Monomial, tuple] = {}
 
     def key(term: tuple[int, Monomial]):
         r, m = term
         k = cache.get(m)
         if k is None:
-            k = cache[m] = okey(m)
+            k = cache[m] = grevlex_key(m)
         return (k, -r)
 
     return key
@@ -161,7 +162,6 @@ def reduce_vec(
 
 def module_groebner(
     gens: list[MVec],
-    order: MonomialOrder = GREVLEX,
     track: bool = False,
     allow_product_criterion: bool = False,
 ) -> list[GBElem]:
@@ -172,8 +172,7 @@ def module_groebner(
     representation over the *nonzero* input generators, indexed by position
     in the filtered list; use `syzygy_module` for the full bookkeeping.
     """
-    key = _term_key(order)
-    okey = order.key
+    key = _term_key()
     basis: list[GBElem] = []
     for i, g in enumerate(gens):
         if not g:
@@ -191,7 +190,7 @@ def module_groebner(
             if irow != brow:
                 continue
             lcm = monomial_lcm(imon, bmon)
-            heapq.heappush(pairs, (okey(lcm), i, j, lcm))
+            heapq.heappush(pairs, (grevlex_key(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -265,9 +264,8 @@ def _reduce_basis(basis: list[GBElem], key, track: bool) -> list[GBElem]:
     return reduced
 
 
-def mvec_member(v: MVec, gb: list[GBElem], order: MonomialOrder = GREVLEX) -> bool:
-    key = _term_key(order)
-    return not reduce_vec(dict(v), gb, key)
+def mvec_member(v: MVec, gb: list[GBElem]) -> bool:
+    return not reduce_vec(dict(v), gb, _term_key())
 
 
 def _apply_rep(coords: MVec, elems: list[GBElem]) -> MVec:
@@ -278,9 +276,9 @@ def _apply_rep(coords: MVec, elems: list[GBElem]) -> MVec:
     return out
 
 
-def schreyer_syzygies(gb: list[GBElem], order: MonomialOrder = GREVLEX) -> list[MVec]:
+def schreyer_syzygies(gb: list[GBElem]) -> list[MVec]:
     """Generators of the syzygy module of a reduced basis, over GB indices."""
-    key = _term_key(order)
+    key = _term_key()
     zero_mon = None
     out: list[MVec] = []
     for j in range(len(gb)):
@@ -308,11 +306,9 @@ def schreyer_syzygies(gb: list[GBElem], order: MonomialOrder = GREVLEX) -> list[
     return out
 
 
-def syzygy_module(
-    gens: list[MVec], nvars: int, order: MonomialOrder = GREVLEX
-) -> list[MVec]:
+def syzygy_module(gens: list[MVec], nvars: int) -> list[MVec]:
     """Generators of {a : sum a_k gens_k = 0}, indexed by position in gens."""
-    key = _term_key(order)
+    key = _term_key()
     nonzero = [(k, g) for k, g in enumerate(gens) if g]
     result: list[MVec] = []
     zero_mon: Monomial = (0,) * nvars
@@ -323,13 +319,13 @@ def syzygy_module(
     if not nonzero:
         return result
     local = [g for _, g in nonzero]
-    gb = module_groebner(local, order, track=True)
+    gb = module_groebner(local, track=True)
     to_global = {t: k for t, (k, _) in enumerate(nonzero)}
 
     def globalize(v: MVec) -> MVec:
         return {(to_global[r], m): c for (r, m), c in v.items()}
 
-    for syz in schreyer_syzygies(gb, order):
+    for syz in schreyer_syzygies(gb):
         vec = _apply_rep(syz, gb)
         if vec:
             result.append(globalize(vec))
@@ -345,17 +341,15 @@ def syzygy_module(
     return result
 
 
-def lift_through(
-    columns: list[MVec], target: MVec, order: MonomialOrder = GREVLEX
-) -> MVec | None:
+def lift_through(columns: list[MVec], target: MVec) -> MVec | None:
     """Coordinates a with sum a_k columns_k = target, or None if no solution."""
     if not target:
         return {}
-    key = _term_key(order)
+    key = _term_key()
     nonzero = [(k, g) for k, g in enumerate(columns) if g]
     if not nonzero:
         return None
-    gb = module_groebner([g for _, g in nonzero], order, track=True)
+    gb = module_groebner([g for _, g in nonzero], track=True)
     quotients: MVec = {}
     rem = reduce_vec(dict(target), gb, key, quotients=quotients)
     if rem:
@@ -376,20 +370,18 @@ def _vec_to_poly(v: MVec, nvars: int) -> Polynomial:
     return Polynomial(nvars, {mon: c for (_, mon), c in v.items()})
 
 
-def normal_form(
-    f: Polynomial, basis: list[Polynomial], order: MonomialOrder = GREVLEX
-) -> Polynomial:
-    """Remainder of multivariate division of f by basis, in the given order.
+def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    """Remainder of multivariate division of f by basis.
 
     Deterministic: always reduces by the first basis element (in list order)
     whose leading monomial divides the current leading monomial.
     """
-    key = _term_key(order)
+    key = _term_key()
     elems = []
     for g in basis:
         if g.is_zero:
             continue
-        mon, c = g.leading_term(order)
+        mon, c = g.leading_term()
         vec = _poly_to_vec(g.scale(qinv(c)))
         elems.append(GBElem(vec, (0, mon)))
     # division must honor leading coefficients of the *given* basis; since we
@@ -399,25 +391,37 @@ def normal_form(
     return _vec_to_poly(rem, f.nvars)
 
 
-def buchberger(
-    generators: list[Polynomial], order: MonomialOrder = GREVLEX
-) -> list[Polynomial]:
+def buchberger(generators: list[Polynomial]) -> list[Polynomial]:
     """Canonical reduced Groebner basis of the ideal (generators)."""
     gens = [_poly_to_vec(f) for f in generators if not f.is_zero]
     if not gens:
         return []
     nvars = generators[0].nvars
-    gb = module_groebner(gens, order, allow_product_criterion=True)
+    gb = module_groebner(gens, allow_product_criterion=True)
     return [_vec_to_poly(b.vec, nvars) for b in gb]
 
 
-def ideal_member(
-    f: Polynomial, gb_polys: list[Polynomial], order: MonomialOrder = GREVLEX
-) -> bool:
-    return normal_form(f, gb_polys, order).is_zero
+def ideal_member(f: Polynomial, gb_polys: list[Polynomial]) -> bool:
+    return normal_form(f, gb_polys).is_zero
 
 
 # -- matrix-level syzygies --------------------------------------------------
+
+
+def matrix_from_vecs(vecs: list[MVec], row_twists, nvars: int) -> PolyMatrix:
+    """The nonzero vectors as the columns of a PolyMatrix over rows of the
+    given twists, sorted by degree (ties in list order); each column's
+    degree is polymatrix.column_degree, and PolyMatrix checks the rest."""
+    columns = []
+    for v in vecs:
+        polys = mvec_to_polys(v, len(row_twists), nvars)
+        deg = column_degree(polys, row_twists)
+        if deg is not None:
+            columns.append((deg, polys))
+    columns.sort(key=lambda dc: dc[0])
+    return PolyMatrix.from_columns(
+        nvars, row_twists, [p for _, p in columns], [d for d, _ in columns]
+    )
 
 
 def syzygy_basis(m: PolyMatrix) -> PolyMatrix:
@@ -428,28 +432,7 @@ def syzygy_basis(m: PolyMatrix) -> PolyMatrix:
     """
     gens = [mvec_from_polys(m.column(c)) for c in range(m.cols)]
     syz = syzygy_module(gens, m.nvars) if m.cols else []
-    columns: list[list[Polynomial]] = []
-    col_twists: list[int] = []
-    for v in syz:
-        polys = mvec_to_polys(v, m.cols, m.nvars)
-        deg = None
-        for r, p in enumerate(polys):
-            if p.is_zero:
-                continue
-            d = p.homogeneous_degree() + m.col_twists[r]
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise ShapeError("inhomogeneous syzygy column")
-        columns.append(polys)
-        col_twists.append(deg if deg is not None else 0)
-    ordered = sorted(range(len(columns)), key=lambda i: (col_twists[i], i))
-    out = PolyMatrix.from_columns(
-        m.nvars,
-        m.col_twists,
-        [columns[i] for i in ordered],
-        [col_twists[i] for i in ordered],
-    )
+    out = matrix_from_vecs(syz, m.col_twists, m.nvars)
     if not (m * out).is_zero:
         raise AssertionError("syzygy certification failed: m * syz != 0")
     return out

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .complexes import BoundedComplex
 from .errors import BraneGaugeError, ManifestError
 from .modules import GradedMap, GradedModule
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, column_degree
 from .polynomials import Polynomial, parse_polynomial
 from .projective import ProjectiveSpace, cotangent_sheaf, generator
 
@@ -264,17 +264,10 @@ def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatri
                 f"{len(row_twists)}", line=line,
             )
         pcol = [_poly(e, nv, line) for e in col]
-        tw = None
-        for r, q in enumerate(pcol):
-            if not q.is_zero:
-                d = q.homogeneous_degree()
-                if d is None:
-                    raise ManifestError(
-                        f"{key}: column {ci} entry {r} is not homogeneous",
-                        line=line,
-                    )
-                tw = d + row_twists[r]
-                break
+        try:
+            tw = column_degree(pcol, row_twists)
+        except BraneGaugeError as e:
+            raise ManifestError(f"{key}: column {ci}: {e}", line=line) from e
         if tw is None:
             raise ManifestError(
                 f"{key}: column {ci} is identically zero; its degree cannot "
@@ -291,7 +284,13 @@ def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatri
 def parse_manifest(text) -> Manifest:
     """Parse manifest text (str or UTF-8 bytes) into a validated Manifest."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ManifestError(
+                f"not valid UTF-8: {e.reason} at byte {e.start}",
+                line=text.count(b"\n", 0, e.start) + 1,
+            ) from None
     n = None
     space = None
     modules: dict = {}

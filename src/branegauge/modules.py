@@ -25,15 +25,14 @@ from .errors import (
     ShapeError,
 )
 from .groebner import (
-    GREVLEX,
     MVec,
     buchberger,
     lift_through,
+    matrix_from_vecs,
     module_groebner,
     mvec_axpy,
     mvec_from_polys,
     mvec_member,
-    mvec_to_polys,
     syzygy_basis,
     syzygy_module,
 )
@@ -87,19 +86,6 @@ class GradedModule:
         if not vec:
             return True
         return mvec_member(vec, self.relation_gb())
-
-    def element_degree(self, polys) -> int | None:
-        """Common degree of a homogeneous cover vector, None if zero."""
-        deg = None
-        for r, p in enumerate(polys):
-            if p.is_zero:
-                continue
-            d = p.homogeneous_degree() + self.cover_twists[r]
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise ShapeError("inhomogeneous element")
-        return deg
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedModule) and self.relations == other.relations
@@ -265,11 +251,17 @@ def _nonzero_columns(m: PolyMatrix) -> PolyMatrix:
     return m.select_columns(keep)
 
 
-def _submodule_presentation(gens: PolyMatrix, ambient: GradedModule) -> PolyMatrix:
-    """Relations among the columns of gens, viewed inside ambient."""
+def _submodule(
+    gens: PolyMatrix, ambient: GradedModule
+) -> tuple[GradedModule, GradedMap]:
+    """The submodule of ambient generated by the columns of gens, presented
+    on them, with its inclusion.
+
+    Its relations are the top block of the syzygies of [gens | ambient
+    relations]; that block's row twists are the columns' degrees already."""
     syz = syzygy_basis(gens.hstack(ambient.relations))
-    top = syz.select_rows(range(gens.cols))
-    return _nonzero_columns(top)
+    sub = GradedModule(_nonzero_columns(syz.select_rows(range(gens.cols))))
+    return sub, GradedMap(sub, ambient, gens, check=False)
 
 
 def _kernel_generators(f: GradedMap) -> PolyMatrix:
@@ -289,13 +281,7 @@ def _kernel_generators(f: GradedMap) -> PolyMatrix:
 
 def kernel_with_inclusion(f: GradedMap) -> tuple[GradedModule, GradedMap]:
     """Kernel of f as a module plus its inclusion into the source."""
-    src = f.source
-    u = _kernel_generators(f)
-    k_rel = _submodule_presentation(u, src)
-    ker = GradedModule(PolyMatrix(src.nvars, u.col_twists, k_rel.col_twists,
-                                  k_rel.entries))
-    incl = GradedMap(ker, src, u, check=False)
-    return ker, incl
+    return _submodule(_kernel_generators(f), f.source)
 
 
 def kernel(f: GradedMap) -> GradedModule:
@@ -304,11 +290,7 @@ def kernel(f: GradedMap) -> GradedModule:
 
 def image(f: GradedMap) -> GradedModule:
     """Image of f, presented on the source generators."""
-    syz = syzygy_basis(f.matrix.hstack(f.target.relations))
-    u = _nonzero_columns(syz.select_rows(range(f.source.rank)))
-    return GradedModule(
-        PolyMatrix(f.source.nvars, f.source.cover_twists, u.col_twists, u.entries)
-    )
+    return _submodule(f.matrix, f.target)[0]
 
 
 def cokernel(f: GradedMap) -> GradedModule:
@@ -457,42 +439,34 @@ def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
     )
 
 
-def _minimal_columns(m: PolyMatrix, ambient_rel: PolyMatrix | None = None) -> PolyMatrix:
-    """Greedy minimal generating subset of the columns, ascending by degree.
+def _minimal_columns(m: PolyMatrix) -> PolyMatrix:
+    """Greedy minimal generating subset of the columns, in column order.
 
-    A column is dropped when it already lies in the submodule generated by
-    the kept ones (plus ambient relations, when given); for homogeneous input
-    processed in degree order this yields a minimal generating set.
+    Columns are taken in (degree, index) order, and one is kept exactly when
+    it does not lie in the submodule generated by the columns kept before
+    it; for homogeneous input this yields a minimal generating set.  The test
+    needs no Groebner basis: the input is homogeneous, so a degree-s column
+    lies in that submodule iff it lies in the submodule's degree-s piece,
+    the span of the linalg.degree_window of the columns kept so far.  The
+    degree-s columns are inserted into that window in index order, and a
+    column is kept when it adds a pivot.
     """
-    ambient = (
-        [mvec_from_polys(ambient_rel.column(c)) for c in range(ambient_rel.cols)]
-        if ambient_rel is not None
-        else []
-    )
-    ambient = [v for v in ambient if v]
-    order = sorted(range(m.cols), key=lambda c: (m.col_twists[c], c))
     kept: list[int] = []
-    kept_vecs = list(ambient)
-    gb = module_groebner(kept_vecs) if kept_vecs else []
-    for c in order:
-        vec = mvec_from_polys(m.column(c))
-        if not vec:
-            continue
-        if gb and mvec_member(vec, gb):
-            continue
-        kept.append(c)
-        kept_vecs.append(vec)
-        gb = module_groebner(kept_vecs)
+    zero_mon = (0,) * m.nvars
+    for s in sorted(set(m.col_twists)):
+        index, tracker = degree_window(m.select_columns(kept), s)
+        for c, t in enumerate(m.col_twists):
+            if t != s:
+                continue
+            vec = _expand(_column_terms(m.column(c)), zero_mon, index)
+            if vec and tracker.insert(vec) is None:
+                kept.append(c)
     kept.sort()
     return m.select_columns(kept)
 
 
 def minimal_presentation(m: GradedModule) -> GradedModule:
-    pruned = _prune_constants(m.relations)
-    slim = _minimal_columns(pruned)
-    return GradedModule(
-        PolyMatrix(m.nvars, pruned.row_twists, slim.col_twists, slim.entries)
-    )
+    return GradedModule(_minimal_columns(_prune_constants(m.relations)))
 
 
 @dataclass(frozen=True)
@@ -608,10 +582,7 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
                 columns.append(col)
                 col_twists.append(floor)
     gens = PolyMatrix.from_columns(nv, m.cover_twists, columns, col_twists)
-    rel = _submodule_presentation(gens, m)
-    sub = GradedModule(PolyMatrix(nv, gens.col_twists, rel.col_twists, rel.entries))
-    incl = GradedMap(sub, m, gens, check=False)
-    return sub, incl
+    return _submodule(gens, m)
 
 
 def _intersect_submodules(a: list[MVec], b: list[MVec], nvars: int) -> list[MVec]:
@@ -657,36 +628,12 @@ def torsion_free_quotient(m: GradedModule) -> GradedModule:
             colon = part if colon is None else _intersect_submodules(colon, part, nv)
         new = [v for v in (colon or []) if not (gb and mvec_member(v, gb))]
         if not new:
-            rel_cols = sorted(
-                current,
-                key=lambda v: sorted(v),
-            )
-            return _module_from_vec_relations(m, rel_cols)
+            rel_cols = sorted(current, key=sorted)
+            return GradedModule(matrix_from_vecs(rel_cols, m.cover_twists, nv))
         current = current + new
     raise SaturationCapError(
         f"torsion removal did not stabilize within {SATURATION_CAP} rounds"
     )
-
-
-def _module_from_vec_relations(m: GradedModule, vecs: list[MVec]) -> GradedModule:
-    nv = m.nvars
-    columns = []
-    twists = []
-    for v in vecs:
-        polys = mvec_to_polys(v, m.rank, nv)
-        deg = m.element_degree(polys)
-        if deg is None:
-            continue
-        columns.append(polys)
-        twists.append(deg)
-    order = sorted(range(len(columns)), key=lambda i: (twists[i], i))
-    rel = PolyMatrix.from_columns(
-        nv,
-        m.cover_twists,
-        [columns[i] for i in order],
-        [twists[i] for i in order],
-    )
-    return GradedModule(rel)
 
 
 def _irrelevant_ideal_module(nvars: int) -> GradedModule:
@@ -697,10 +644,7 @@ def _irrelevant_ideal_module(nvars: int) -> GradedModule:
         [[Polynomial.variable(nvars, i)] for i in range(nvars)],
         [1] * nvars,
     )
-    koszul = syzygy_basis(one_row)
-    return GradedModule(
-        PolyMatrix(nvars, (1,) * nvars, koszul.col_twists, koszul.entries)
-    )
+    return GradedModule(syzygy_basis(one_row))
 
 
 def saturation_floor(m: GradedModule) -> int:

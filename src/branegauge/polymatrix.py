@@ -7,6 +7,8 @@ A PolyMatrix records a degree-zero map of free graded modules
 column c holds the image of the c-th source generator in target cover
 coordinates.  The graded contract is that entry (r, c) is homogeneous of
 degree col_twists[c] - row_twists[r], or zero; the constructor enforces it.
+`column_degree` is the one place that infers a column's twist from its
+entries: it reads the first nonzero entry and leaves the rest to that check.
 """
 
 from __future__ import annotations
@@ -15,6 +17,19 @@ from typing import Iterable, Sequence
 
 from .errors import HomogeneityError, RingMismatchError, ShapeError
 from .polynomials import Polynomial, parse_polynomial, qnorm
+
+
+def column_degree(polys: Sequence[Polynomial], row_twists: Sequence[int]) -> int | None:
+    """Degree of a column over rows of the given twists, read off its first
+    nonzero entry; None for a zero column.  Raises HomogeneityError when that
+    entry is inhomogeneous; PolyMatrix checks the other entries."""
+    for r, p in enumerate(polys):
+        if not p.is_zero:
+            try:
+                return p.homogeneous_degree() + row_twists[r]
+            except ValueError:
+                raise HomogeneityError(f"entry {r} = {p} is not homogeneous") from None
+    return None
 
 
 class PolyMatrix:
@@ -108,9 +123,6 @@ class PolyMatrix:
     def column(self, c: int) -> list[Polynomial]:
         return [self.entries[r][c] for r in range(self.rows)]
 
-    def columns(self) -> list[list[Polynomial]]:
-        return [self.column(c) for c in range(self.cols)]
-
     def entry(self, r: int, c: int) -> Polynomial:
         return self.entries[r][c]
 
@@ -174,20 +186,6 @@ class PolyMatrix:
             self.col_twists,
             [[p.scale(c) for p in row] for row in self.entries],
         )
-
-    def apply(self, vector: Sequence[Polynomial]) -> list[Polynomial]:
-        """Matrix times a column vector of polynomials."""
-        if len(vector) != self.cols:
-            raise ShapeError("vector length does not match column count")
-        out = []
-        for r in range(self.rows):
-            acc = Polynomial.zero(self.nvars)
-            for c in range(self.cols):
-                e = self.entries[r][c]
-                if not e.is_zero and not vector[c].is_zero:
-                    acc = acc + e * vector[c]
-            out.append(acc)
-        return out
 
     def twist_all(self, k: int) -> "PolyMatrix":
         """Shift every row and column twist by -k (entries unchanged)."""

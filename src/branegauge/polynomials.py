@@ -11,9 +11,10 @@ never a `float`.  `qnorm` puts a scalar in that form (and rejects a float);
 integral Fraction and its int compare and hash equal and print the same, so
 the form changes no dictionary key and no report byte.
 
-Monomial orders: graded reverse lexicographic (the default) and graded
-lexicographic, both with x0 > x1 > ... > xn.  Both refine total degree, which
-is what keeps Groebner bases of homogeneous inputs homogeneous.
+There is one monomial order, graded reverse lexicographic with
+x0 > x1 > ... > xn, and `grevlex_key` is its sort key.  It refines total
+degree, which is what keeps Groebner bases of homogeneous inputs homogeneous;
+term printing, `monomials_of_degree` and the Groebner engine all use it.
 
 Text syntax, used by the CLI manifests and the printers::
 
@@ -26,7 +27,6 @@ with `^` for exponents and `*` optional between a coefficient and a monomial.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -75,23 +75,13 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-class MonomialOrder(Enum):
-    """Total orders on monomials refining total degree, x0 > x1 > ... > xn."""
+def grevlex_key(m: Monomial):
+    """Grevlex sort key, x0 > x1 > ... > xn: larger key, larger monomial.
 
-    GREVLEX = "grevlex"
-    GRLEX = "grlex"
+    Ties in degree: the monomial whose *last* nonzero difference is negative
+    wins, i.e. compare negated exponents right to left."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
-    def key(self, m: Monomial):
-        """Sort key: larger key means larger monomial."""
-        if self is MonomialOrder.GREVLEX:
-            # Ties in degree: the monomial whose *last* nonzero difference is
-            # negative wins, i.e. compare negated exponents right to left.
-            return (sum(m), tuple(-e for e in reversed(m)))
-        return (sum(m), m)
-
-
-GREVLEX = MonomialOrder.GREVLEX
-GRLEX = MonomialOrder.GRLEX
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
 
@@ -151,20 +141,14 @@ class Polynomial:
 
     def items(self) -> Iterator[tuple[Monomial, Coeff]]:
         """Terms in a fixed (grevlex-descending) order, for determinism."""
-        key = GREVLEX.key
-        return iter(sorted(self._terms.items(), key=lambda kv: key(kv[0]), reverse=True))
+        return iter(sorted(self._terms.items(), key=lambda kv: grevlex_key(kv[0]),
+                           reverse=True))
 
     def coefficient(self, mon: Monomial) -> Coeff:
         return self._terms.get(tuple(mon), 0)
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def total_degree(self) -> int | None:
-        """Maximum term degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(m) for m in self._terms)
 
     def homogeneous_degree(self) -> int | None:
         """Common degree of all terms; None for zero; raises if inhomogeneous."""
@@ -175,10 +159,10 @@ class Polynomial:
             raise ValueError(f"inhomogeneous polynomial {self}")
         return degs.pop()
 
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, Coeff]:
+    def leading_term(self) -> tuple[Monomial, Coeff]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        mon = max(self._terms, key=order.key)
+        mon = max(self._terms, key=grevlex_key)
         return mon, self._terms[mon]
 
     # -- arithmetic --------------------------------------------------------
@@ -399,7 +383,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
             rec(prefix + [e], remaining - e, slots - 1)
 
     rec([], d, nvars)
-    out.sort(key=GREVLEX.key, reverse=True)
+    out.sort(key=grevlex_key, reverse=True)
     return out
 
 

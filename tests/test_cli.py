@@ -77,6 +77,20 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_malformed_manifest_bytes_exit_two(tmp_path, capsys):
+    # an inhomogeneous relation entry (line 6), then a 0xff byte (line 2)
+    inhomogeneous = OK_MANIFEST.replace('[["x0"], ["x1"]]', '[["x0 + x1^2"]]')
+    for data, line in ((inhomogeneous.encode(), 6),
+                       (b"[ring]\n# \xff\nn = 1\n", 2)):
+        p = tmp_path / "in.bg"
+        p.write_bytes(data)
+        assert main(["run", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"(line {line})" in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_report_file_matches_stdout(tmp_path, capsys):
     rp = tmp_path / "out.report"
     code = _run(tmp_path, OK_MANIFEST, "--report", str(rp))

@@ -24,7 +24,6 @@ from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedModule, _prune_constants
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import (
-    GREVLEX,
     Polynomial,
     parse_polynomial,
     qinv,
@@ -133,7 +132,7 @@ def test_span_tracker_with_a_non_unit_pivot():
 
 def test_make_elem_with_leading_coefficient_three():
     vec = {(0, (1, 0, 0)): 3, (0, (0, 1, 0)): 6, (0, (0, 0, 1)): 1}
-    elem = _make_elem(vec, _term_key(GREVLEX), rep={(0, (0, 0, 0)): 1})
+    elem = _make_elem(vec, _term_key(), rep={(0, (0, 0, 0)): 1})
     assert elem.lead == (0, (1, 0, 0))
     assert elem.vec == {(0, (1, 0, 0)): 1, (0, (0, 1, 0)): 2,
                         (0, (0, 0, 1)): Fraction(1, 3)}

@@ -1,8 +1,11 @@
 """Manifest parsing: grammar, diagnostics, reference resolution, round trip."""
 
-import pytest
+import re
 
-from branegauge.errors import ManifestError
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from branegauge.errors import BraneGaugeError, ManifestError
 from branegauge.manifest import (
     TASK_KINDS,
     parse_manifest,
@@ -180,3 +183,77 @@ term 2 = O(3)
     g = m.complexes["G"]
     assert g.term(1).rank == 0
     assert g.term(0).rank == 1
+
+
+# -- malformed input ends in a ManifestError with its line --------------------
+
+
+def _module_manifest(twists: str, relations: str) -> str:
+    return (f"[ring]\nn = 2\n\n[module M]\ntwists = {twists}\n"
+            f"relations = {relations}\n")
+
+
+@pytest.mark.parametrize("twists, relations", [
+    ("[0]", '[["x0 + x1^2"]]'),            # the first entry is inhomogeneous
+    ("[0, 0]", '[["0", "x0 + x1^2"]]'),    # so is the first nonzero one
+])
+def test_inhomogeneous_relation_entry_is_a_manifest_error(twists, relations):
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(_module_manifest(twists, relations))
+    assert "not homogeneous" in str(e.value)
+    assert e.value.line == 6
+
+
+def test_invalid_utf8_is_a_manifest_error():
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(b"[ring]\nn = 2\n# a comment with \xff in it\n")
+    assert "UTF-8" in str(e.value)
+    assert e.value.line == 3
+
+
+# -- fuzzing: parse_manifest returns or raises a BraneGaugeError --------------
+
+
+def _parses_or_raises_structured(text) -> None:
+    try:
+        parse_manifest(text)
+    except BraneGaugeError:
+        pass
+
+
+@given(st.binary(max_size=300))
+@example(b"[ring]\nn = 2\n# \xff\n")
+@settings(max_examples=150, deadline=None)
+def test_fuzz_arbitrary_bytes(data):
+    _parses_or_raises_structured(data)
+
+
+_TOKEN_RE = re.compile(r"\s+|\w+|\.\.|.")
+_GOOD_TOKENS = _TOKEN_RE.findall(GOOD)
+_VOCAB = sorted(set(_GOOD_TOKENS) | {
+    "+", "-", "*", "/", "^", "(", ")", "#", "..", "x3", "-1", "3", "S(1)",
+    "Omega1", "[task cone]", "[complex C]", "level 0", "\n",
+})
+_MUTATION = st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+                      st.integers(0, len(_GOOD_TOKENS)),
+                      st.sampled_from(_VOCAB))
+
+
+def _mutate(tokens: list[str], mutations) -> str:
+    out = list(tokens)
+    for op, pos, token in mutations:
+        if op == "insert":
+            out.insert(pos % (len(out) + 1), token)
+        elif out and op == "delete":
+            del out[pos % len(out)]
+        elif out:
+            out[pos % len(out)] = token
+    return "".join(out)
+
+
+@given(st.lists(_MUTATION, min_size=1, max_size=4))
+# "x0^2" -> "x0+2": an inhomogeneous first relation entry
+@example([("replace", _GOOD_TOKENS.index("^"), "+")])
+@settings(max_examples=200, deadline=None)
+def test_fuzz_token_mutations_of_a_valid_manifest(mutations):
+    _parses_or_raises_structured(_mutate(_GOOD_TOKENS, mutations))

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branegauge.errors import NotExactError, ShapeError
+from branegauge.groebner import module_groebner, mvec_from_polys, mvec_member
 from branegauge.modules import (
     GradedMap,
     GradedModule,
+    _minimal_columns,
     annihilator,
     cokernel,
     direct_sum,
@@ -421,3 +423,63 @@ def test_is_injective_on_known_maps():
     q = _quotient_by_vars(nv, 1)
     assert not is_injective(GradedMap(_quotient_by_vars(nv, 1, 1), q,
                                       PolyMatrix.from_columns(nv, (0,), [[x0]], [1])))
+
+
+# -- minimal generators against the Groebner engine --------------------------
+
+
+@st.composite
+def _generator_matrices(draw):
+    """Random homogeneous columns over P^1 or P^2 plus redundant ones: a
+    multiple of one column, the sum of two (the lower one lifted by a
+    polynomial) and a zero column, all in a random column order."""
+    nv = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2))
+    m = _draw_matrix(draw, nv, rows,
+                     draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    cols = [(m.column(c), m.col_twists[c]) for c in range(m.cols)]
+    pick = st.integers(0, m.cols - 1)
+    col, t = cols[draw(pick)]
+    k = draw(st.integers(0, 1))
+    p = _draw_poly(draw, nv, k)
+    cols.append(([p * e for e in col], t + k))
+    (lo, tlo), (hi, thi) = sorted((cols[draw(pick)], cols[draw(pick)]),
+                                  key=lambda ct: ct[1])
+    q = _draw_poly(draw, nv, thi - tlo)
+    cols.append(([q * a + b for a, b in zip(lo, hi)], thi))
+    cols.append(([Polynomial.zero(nv)] * len(rows), draw(st.integers(0, 2))))
+    cols = draw(st.permutations(cols))
+    return PolyMatrix.from_columns(nv, rows, [c for c, _ in cols],
+                                   [t for _, t in cols])
+
+
+def _kept_indices(m: PolyMatrix, kept: PolyMatrix) -> list[int]:
+    """Indices of kept's columns in m: kept is a subsequence of m's columns
+    and keeps the first of equal columns."""
+    out: list[int] = []
+    for c in range(m.cols):
+        k = len(out)
+        if (k < kept.cols and kept.column(k) == m.column(c)
+                and kept.col_twists[k] == m.col_twists[c]):
+            out.append(c)
+    assert len(out) == kept.cols
+    return out
+
+
+@given(_generator_matrices())
+@settings(max_examples=40, deadline=None)
+def test_minimal_columns_against_the_groebner_engine(m):
+    kept = _kept_indices(m, _minimal_columns(m))
+    vec = [mvec_from_polys(m.column(c)) for c in range(m.cols)]
+    kept_vecs = [vec[c] for c in kept]
+    gb = module_groebner(kept_vecs) if kept_vecs else []
+    # every dropped column lies in the submodule of the kept ones
+    for c in set(range(m.cols)) - set(kept):
+        assert mvec_member(vec[c], gb)
+    # no kept column lies in the submodule of the kept ones before it in
+    # (degree, index) order
+    for c in kept:
+        before = [vec[k] for k in kept
+                  if (m.col_twists[k], k) < (m.col_twists[c], c)]
+        assert vec[c]
+        assert not (before and mvec_member(vec[c], module_groebner(before)))
