@@ -4,16 +4,18 @@
     python .github/scripts/report_digest.py --write   # record the digests
 
 Run from the root of a checkout.  Each workload of perfbench/workloads.py
-(imported read-only, no bytecode written) gives its seed-1 manifest; the
-script writes it under a fixed relative name in a temporary directory, runs
-`python -m branegauge.cli run <name>` there on this checkout's `src/`, and
-takes the sha256 of the report on stdout together with the exit code.  The
-manifest name is printed in the report, hence the fixed name.
+(imported read-only, no bytecode written) gives its seed-1 manifest, and
+complex-batch, the only workload that draws its manifest from the seed,
+also its seed-2 manifest; the script writes each under a fixed relative name
+in a temporary directory, runs `python -m branegauge.cli run <name>` there on
+this checkout's `src/`, and takes the sha256 of the report on stdout together
+with the exit code.  The manifest name is printed in the report, hence the
+fixed name.
 
-`.github/report-digests.txt` holds one line per workload,
-`<workload> <exit code> <sha256>`.  The check exits 1 when a workload's
-report or exit code differs from its line, or when a workload or a line is
-missing; otherwise 0.
+`.github/report-digests.txt` holds one line per (workload, seed),
+`<workload> <seed> <exit code> <sha256>`.  The check exits 1 when a report
+or exit code differs from its line, or when a run or a line is missing;
+otherwise 0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 DIGESTS = ROOT / ".github" / "report-digests.txt"
-SEED = 1
+SEEDS = (1,)
+EXTRA_SEEDS = {"complex-batch": (2,)}
 
 
 def _workloads() -> dict:
@@ -55,16 +58,18 @@ def digest(name: str, manifest: str) -> tuple[int, str]:
 
 
 def current() -> dict:
-    return {name: digest(name, w.manifest(SEED))
-            for name, w in _workloads().items()}
+    """{(workload, seed): (exit code, sha256)} of every digested run."""
+    return {(name, seed): digest(name, w.manifest(seed))
+            for name, w in _workloads().items()
+            for seed in SEEDS + EXTRA_SEEDS.get(name, ())}
 
 
 def recorded() -> dict:
     out = {}
     for line in DIGESTS.read_text(encoding="utf-8").splitlines():
         if line.strip() and not line.startswith("#"):
-            name, code, sha = line.split()
-            out[name] = (int(code), sha)
+            name, seed, code, sha = line.split()
+            out[name, int(seed)] = (int(code), sha)
     return out
 
 
@@ -74,24 +79,26 @@ def main(argv: list[str]) -> int:
         return 2
     now = current()
     if argv:
-        lines = [f"{name} {code} {sha}" for name, (code, sha) in now.items()]
+        lines = [f"{name} {seed} {code} {sha}"
+                 for (name, seed), (code, sha) in now.items()]
         DIGESTS.write_text(
-            f"# <workload> <exit code> <sha256 of the seed-{SEED} report>\n"
+            "# <workload> <seed> <exit code> <sha256 of the report>\n"
             + "\n".join(lines) + "\n", encoding="utf-8")
         print("\n".join(lines))
         return 0
     want = recorded()
     problems = []
-    for name in sorted(set(now) | set(want)):
-        if name not in want:
-            problems.append(f"{name}: no recorded digest")
-        elif name not in now:
-            problems.append(f"{name}: recorded but no such workload")
-        elif now[name] != want[name]:
-            problems.append(f"{name}: got exit {now[name][0]} {now[name][1]}, "
-                            f"recorded exit {want[name][0]} {want[name][1]}")
+    for key in sorted(set(now) | set(want)):
+        label = f"{key[0]} seed {key[1]}"
+        if key not in want:
+            problems.append(f"{label}: no recorded digest")
+        elif key not in now:
+            problems.append(f"{label}: recorded but not run")
+        elif now[key] != want[key]:
+            problems.append(f"{label}: got exit {now[key][0]} {now[key][1]}, "
+                            f"recorded exit {want[key][0]} {want[key][1]}")
         else:
-            print(f"{name}: ok (exit {now[name][0]})")
+            print(f"{label}: ok (exit {now[key][0]})")
     for line in problems:
         print(f"report digest: {line}")
     return 1 if problems else 0

@@ -34,7 +34,6 @@ from .complexes import (
     triangle_from_module_ses,
     triangle_from_ses,
     triangle_les_ok,
-    zero_complex,
 )
 from .errors import (
     BraneGaugeError,

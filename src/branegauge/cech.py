@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CechStabilizationError, ShapeError
-from .linalg import SpanTracker
+from .linalg import SpanTracker, _column_terms
 from .modules import GradedModule
-from .polynomials import monomials_of_degree
+from .polynomials import monomial_mul, monomials_of_degree
 
 DEFAULT_CECH_BOUND = 3
 
@@ -116,21 +116,20 @@ def cech_relation_columns(lv: CechLevel) -> list[dict]:
     m = lv.module
     nv = m.nvars
     rel = m.relations
+    index = lv.index
+    # each column's (row, monomial, coefficient) terms, built once
+    terms = [_column_terms(rel.column(c)) for c in range(rel.cols)]
     cols = []
     for charts in chart_subsets(nv, lv.p):
         inv = set(charts)
-        for c, s in enumerate(rel.col_twists):
-            column = rel.column(c)
+        for s, col_terms in zip(rel.col_twists, terms):
+            if not col_terms:
+                continue
             for b in _exponent_vectors(nv, -s, inv, lv.bound):
                 # each term lands on its own spot (r, b + mon), so every
-                # entry is written once, as the canonical coefficient of q
-                vec = {}
-                for r, q in enumerate(column):
-                    for mon, coeff in q.items():
-                        a = tuple(b[i] + mon[i] for i in range(nv))
-                        vec[lv.index[(charts, r, a)]] = coeff
-                if vec:
-                    cols.append(vec)
+                # entry is written once, as the canonical coefficient
+                cols.append({index[(charts, r, monomial_mul(b, mon))]: coeff
+                             for r, mon, coeff in col_terms})
     return cols
 
 

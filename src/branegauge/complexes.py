@@ -96,10 +96,6 @@ def embed_object(m: GradedModule, at: int = 0) -> BoundedComplex:
     return BoundedComplex(m.nvars, at, [m], [])
 
 
-def zero_complex(nvars: int) -> BoundedComplex:
-    return embed_object(GradedModule.zero(nvars))
-
-
 class ComplexMap:
     """Map of complexes; levels commute with the differentials."""
 

@@ -5,6 +5,10 @@ twists of that matrix are the degrees of the cover generators.  Everything
 downstream (kernels, images, Hom, resolutions, saturation) is phrased as
 syzygy or membership computations against such presentations, so the whole
 layer reduces to the Groebner kernel plus exact sparse linear algebra.
+Every kernel goes through one path, _kernel_generators, whose syzygy run
+carries the m * syz = 0 certificate; torsion removal is that kernel applied
+to multiplication by the variables (_times_variables), and saturation
+extends sections along the same map.
 Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
 degree-d window of a presentation, linalg.degree_window, which HomBasis
 (homspace.py) ranks too.
@@ -28,13 +32,11 @@ from .groebner import (
     MVec,
     buchberger,
     lift_through,
-    matrix_from_vecs,
     module_groebner,
-    mvec_axpy,
     mvec_from_polys,
     mvec_member,
+    mvec_to_polys,
     syzygy_basis,
-    syzygy_module,
 )
 from .linalg import _column_terms, _expand, degree_window
 from .polymatrix import PolyMatrix
@@ -100,6 +102,14 @@ class GradedModule:
         )
 
 
+def _outside(m: GradedModule, mat: PolyMatrix):
+    """The indices of the columns of mat that are not in m's relation
+    submodule, lazily, in column order."""
+    for c in range(mat.cols):
+        if not m.reduces_to_zero(mvec_from_polys(mat.column(c))):
+            yield c
+
+
 class GradedMap:
     """Degree-0 homogeneous map between graded modules, on cover generators.
 
@@ -119,13 +129,11 @@ class GradedMap:
         if matrix.col_twists != source.cover_twists:
             raise ShapeError("matrix column twists do not match source cover")
         if check and source.relations.cols:
-            moved = matrix * source.relations
-            for c in range(moved.cols):
-                vec = mvec_from_polys(moved.column(c))
-                if not target.reduces_to_zero(vec):
-                    raise NotWellDefinedError(
-                        f"image of source relation {c} is not a target relation"
-                    )
+            bad = next(_outside(target, matrix * source.relations), None)
+            if bad is not None:
+                raise NotWellDefinedError(
+                    f"image of source relation {bad} is not a target relation"
+                )
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -167,16 +175,10 @@ class GradedMap:
         if self.matrix.row_twists != other.matrix.row_twists:
             return False
         diff = self.matrix - other.matrix
-        return all(
-            self.target.reduces_to_zero(mvec_from_polys(diff.column(c)))
-            for c in range(diff.cols)
-        )
+        return next(_outside(self.target, diff), None) is None
 
     def is_zero_map(self) -> bool:
-        return all(
-            self.target.reduces_to_zero(mvec_from_polys(self.matrix.column(c)))
-            for c in range(self.matrix.cols)
-        )
+        return next(_outside(self.target, self.matrix), None) is None
 
     def __repr__(self):
         return f"GradedMap({self.source!r} -> {self.target!r})"
@@ -268,15 +270,9 @@ def _kernel_generators(f: GradedMap) -> PolyMatrix:
     """Generators of ker f in the source cover: the top block of the
     syzygies of [f | target relations], less the columns that are already
     source relations (zero in the source)."""
-    src = f.source
     syz = syzygy_basis(f.matrix.hstack(f.target.relations))
-    u = syz.select_rows(range(src.rank))
-    keep = [
-        c
-        for c in range(u.cols)
-        if not src.reduces_to_zero(mvec_from_polys(u.column(c)))
-    ]
-    return u.select_columns(keep)
+    u = syz.select_rows(range(f.source.rank))
+    return u.select_columns(_outside(f.source, u))
 
 
 def kernel_with_inclusion(f: GradedMap) -> tuple[GradedModule, GradedMap]:
@@ -317,17 +313,16 @@ def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
         mvec_from_polys(incl.matrix.column(c)) for c in range(incl.matrix.cols)
     ] + [mvec_from_polys(tgt.relations.column(c)) for c in range(tgt.relations.cols)]
     nv = f.source.nvars
+    rank = incl.matrix.cols
     out_cols: list[list[Polynomial]] = []
     for c in range(f.matrix.cols):
         target_vec = mvec_from_polys(f.matrix.column(c))
         sol = lift_through(cols, target_vec)
         if sol is None:
             raise NotWellDefinedError(f"column {c} does not factor through the inclusion")
-        buckets: list[dict] = [{} for _ in range(incl.matrix.cols)]
-        for (k, mon), coeff in sol.items():
-            if k < incl.matrix.cols:
-                buckets[k][mon] = coeff
-        out_cols.append([Polynomial(nv, b) for b in buckets])
+        # coordinates past the inclusion's columns weigh target relations
+        own = {key: coeff for key, coeff in sol.items() if key[0] < rank}
+        out_cols.append(mvec_to_polys(own, rank, nv))
     mat = PolyMatrix.from_columns(
         nv, incl.source.cover_twists, out_cols, f.matrix.col_twists
     )
@@ -585,52 +580,39 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
     return _submodule(gens, m)
 
 
-def _intersect_submodules(a: list[MVec], b: list[MVec], nvars: int) -> list[MVec]:
-    """Generators of span(a) intersect span(b) inside the common ambient."""
-    syz = syzygy_module(a + b, nvars)
-    out: list[MVec] = []
-    for s in syz:
-        v: MVec = {}
-        for (k, mon), c in s.items():
-            if k < len(a):
-                mvec_axpy(v, c, mon, a[k])
-        if v:
-            out.append(v)
-    return out
+def _times_variables(m: GradedModule) -> GradedMap:
+    """The map M -> M(1)^(n+1), v |-> (x_0 v, ..., x_n v).
+
+    Its kernel is the colon (relations : (x0..xn)) modulo the relations, and
+    its target is Hom((x0..xn), M) on the ideal's cover (saturate)."""
+    nv = m.nvars
+    big = _direct_sum_of_twists(m, (1,) * nv)
+    z = Polynomial.zero(nv)
+    entries = [[z] * m.rank for _ in range(big.rank)]
+    for i in range(nv):
+        xi = Polynomial.variable(nv, i)
+        for r in range(m.rank):
+            entries[i * m.rank + r][r] = xi
+    return GradedMap(
+        m, big, PolyMatrix(nv, big.cover_twists, m.cover_twists, entries),
+        check=False,
+    )
 
 
 def torsion_free_quotient(m: GradedModule) -> GradedModule:
     """Quotient by the irrelevant-ideal torsion submodule.
 
-    Iterates relations := (relations : (x0..xn)) until stable; the colon is
-    the intersection over the variables, each computed by a syzygy run.
+    Each round adds to the relations the generators of the kernel of
+    multiplication by the variables (_times_variables), the elements that
+    every x_i sends into the relations; when that kernel is zero the module
+    has no torsion left.  Each round is one certified kernel run.
     """
-    nv = m.nvars
-    current = [
-        mvec_from_polys(m.relations.column(c)) for c in range((m.relations).cols)
-    ]
-    current = [v for v in current if v]
+    current = m
     for _ in range(SATURATION_CAP):
-        gb = module_groebner(current) if current else []
-        colon: list[MVec] | None = None
-        for var in range(nv):
-            e = tuple(1 if k == var else 0 for k in range(nv))
-            shifted: list[MVec] = []
-            for i in range(m.rank):
-                shifted.append({(i, e): 1})
-            # (S : x_var) = top block of syzygies of [x_var * I | S]
-            syz = syzygy_module(shifted + current, nv)
-            part: list[MVec] = []
-            for s in syz:
-                v: MVec = {key: c for key, c in s.items() if key[0] < m.rank}
-                if v:
-                    part.append(v)
-            colon = part if colon is None else _intersect_submodules(colon, part, nv)
-        new = [v for v in (colon or []) if not (gb and mvec_member(v, gb))]
-        if not new:
-            rel_cols = sorted(current, key=sorted)
-            return GradedModule(matrix_from_vecs(rel_cols, m.cover_twists, nv))
-        current = current + new
+        new = _kernel_generators(_times_variables(current))
+        if not new.cols:
+            return current
+        current = GradedModule(current.relations.hstack(new))
     raise SaturationCapError(
         f"torsion removal did not stabilize within {SATURATION_CAP} rounds"
     )
@@ -654,8 +636,10 @@ def saturation_floor(m: GradedModule) -> int:
 def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
     """Saturation with respect to the irrelevant ideal, truncated at floor.
 
-    Torsion is removed by iterated colon; sections are extended by iterating
-    the natural map M -> Hom((x0..xn), M) until it is an isomorphism.  The
+    Torsion is removed as the kernel of multiplication by the variables
+    (torsion_free_quotient); sections are extended by iterating the natural
+    map M -> Hom((x0..xn), M), multiplication by the variables lifted
+    through Hom's inclusion, until it is an isomorphism.  The
     result agrees with the full saturation in all degrees >= floor (default:
     min(0, cover degrees)); point-supported sheaves have sections in every
     low degree, so some floor is forced on any finitely generated answer.
@@ -668,21 +652,7 @@ def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
     ideal = _irrelevant_ideal_module(m.nvars)
     for _ in range(SATURATION_CAP):
         hom, incl = hom_module_with_inclusion(ideal, current)
-        # natural map m |-> (x_i m)_i into Hom(cover of ideal, current)
-        big0 = incl.target
-        z = Polynomial.zero(m.nvars)
-        entries = [[z] * current.rank for _ in range(big0.rank)]
-        for i in range(m.nvars):
-            xi = Polynomial.variable(m.nvars, i)
-            for r in range(current.rank):
-                entries[i * current.rank + r][r] = xi
-        into_big = GradedMap(
-            current,
-            big0,
-            PolyMatrix(m.nvars, big0.cover_twists, current.cover_twists, entries),
-            check=False,
-        )
-        nat = lift_map_through_inclusion(into_big, incl)
+        nat = lift_map_through_inclusion(_times_variables(current), incl)
         trunc, tr_incl = truncate_module(hom, floor)
         nat_t = lift_map_through_inclusion(nat, tr_incl)
         if is_iso(nat_t):

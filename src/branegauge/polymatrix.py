@@ -140,18 +140,24 @@ class PolyMatrix:
                 f"cannot compose: inner twists {self.col_twists} vs {other.row_twists}"
             )
         z = Polynomial.zero(self.nvars)
+        # the nonzero entries of each column of other, listed once, k ascending;
+        # only nonzero pairs are multiplied, summed in that order
+        other_cols = [
+            [(k, row[c]) for k, row in enumerate(other.entries) if not row[c].is_zero]
+            for c in range(other.cols)
+        ]
         entries = []
-        for r in range(self.rows):
-            row = []
-            for c in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[r][k]
-                    b = other.entries[k][c]
-                    if not a.is_zero and not b.is_zero:
-                        acc = acc + a * b
-                row.append(acc)
-            entries.append(row)
+        for row in self.entries:
+            live = {k: a for k, a in enumerate(row) if not a.is_zero}
+            out = []
+            for col in other_cols:
+                acc = None
+                for k, b in col:
+                    a = live.get(k)
+                    if a is not None:
+                        acc = a * b if acc is None else acc + a * b
+                out.append(z if acc is None else acc)
+            entries.append(out)
         return PolyMatrix(self.nvars, self.row_twists, other.col_twists, entries)
 
     def __neg__(self) -> "PolyMatrix":

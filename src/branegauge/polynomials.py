@@ -214,14 +214,6 @@ class Polynomial:
             return Polynomial.zero(self.nvars)
         return Polynomial(self.nvars, {m: c * v for m, v in self._terms.items()})
 
-    def mul_monomial(self, mon: Monomial, coeff=1) -> "Polynomial":
-        c = qnorm(coeff)
-        if c == 0:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(
-            self.nvars, {monomial_mul(m, mon): c * v for m, v in self._terms.items()}
-        )
-
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")

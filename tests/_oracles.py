@@ -34,6 +34,33 @@ def dict_mul_monomial(poly: dict, mon: tuple) -> dict:
     return {tuple(a + b for a, b in zip(m, mon)): c for m, c in poly.items()}
 
 
+def dict_poly_mul(p: dict, q: dict) -> dict:
+    """Product of two polynomials given as {monomial: coefficient} dicts."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def dense_matrix_product(a: list, b: list, cols: int) -> list:
+    """a times b, matrices given as lists of rows of dict polynomials, b with
+    `cols` columns: entry (r, c) sums a[r][k] * b[k][c] over every k, zero
+    entries included (the dense triple loop)."""
+    out = []
+    for row in a:
+        out_row = []
+        for c in range(cols):
+            acc: dict = {}
+            for k, p in enumerate(row):
+                for m, v in dict_poly_mul(p, b[k][c]).items():
+                    acc[m] = acc.get(m, 0) + v
+            out_row.append({m: v for m, v in acc.items() if v})
+        out.append(out_row)
+    return out
+
+
 def poly_degree(poly: dict) -> int:
     degs = {sum(m) for m in poly}
     assert len(degs) == 1, "oracle expects homogeneous input"

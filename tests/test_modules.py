@@ -10,12 +10,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branegauge.errors import NotExactError, ShapeError
+from branegauge import modules
+from branegauge.errors import NotExactError, SaturationCapError, ShapeError
 from branegauge.groebner import module_groebner, mvec_from_polys, mvec_member
 from branegauge.modules import (
     GradedMap,
     GradedModule,
     _minimal_columns,
+    _times_variables,
     annihilator,
     cokernel,
     direct_sum,
@@ -42,6 +44,7 @@ from branegauge.polynomials import Polynomial, parse_polynomial, random_homogene
 
 from _oracles import (
     count_monomials,
+    dense_matrix_product,
     koszul_rank,
     monomial_tuples,
     omega_piece_dim,
@@ -248,6 +251,54 @@ def test_torsion_free_quotient_kills_skyscraper():
     # and leaves a torsion-free module alone in large degrees
     tf = torsion_free_quotient(_quotient_by_vars(nv, 1))
     assert hilbert_window(tf, 0, 3) == [1, 1, 1, 1]
+
+
+def _finite_length(nv):
+    """T = R(1)/(x)^2: Q in degree -1, Q^(n+1) in degree 0, zero above."""
+    xs = _vars(nv)
+    squares = [xs[i] * xs[j] for i in range(nv) for j in range(i, nv)]
+    return GradedModule(PolyMatrix.from_columns(
+        nv, (-1,), [[q] for q in squares], [1] * len(squares)))
+
+
+def _planted_torsion(nv, f):
+    """N = R/(f), and M = R/(f x_0, ..., f x_n), N + T and M + T with the
+    finite-length T (_finite_length): each has torsion-free quotient N.  In
+    M the class of f is torsion (every x_i kills it); T is all torsion."""
+    n = GradedModule(PolyMatrix.from_columns(nv, (0,), [[f]], [1]))
+    m = GradedModule(PolyMatrix.from_columns(
+        nv, (0,), [[f * x] for x in _vars(nv)], [2] * nv))
+    t = _finite_length(nv)
+    return n, [m, direct_sum(n, t), direct_sum(m, t)]
+
+
+@pytest.mark.parametrize("nv,form", [
+    (2, "x0"), (2, "x0 - 2*x1"), (3, "x1"), (3, "x0 + 2*x1 - x2"),
+])
+def test_torsion_free_quotient_removes_planted_torsion(nv, form):
+    n, planted = _planted_torsion(nv, parse_polynomial(form, nv))
+    degrees = range(-2, 5)
+    for x in planted:
+        # the torsion is there: multiplication by the variables is not
+        # injective on x in some degree
+        assert any(piece_map_rank(_times_variables(x), d)
+                   < graded_piece_dim(x, d) for d in degrees)
+        tf = torsion_free_quotient(x)
+        for d in degrees:
+            assert graded_piece_dim(tf, d) == graded_piece_dim(n, d)
+            # and it is gone: multiplication by the variables is injective
+            assert (piece_map_rank(_times_variables(tf), d)
+                    == graded_piece_dim(tf, d))
+
+
+def test_torsion_removal_cap_is_a_structured_error(monkeypatch):
+    # R(1)/(x)^2 takes three rounds: the colon gives (x), then R, then the
+    # zero module shows no torsion is left
+    t = _finite_length(2)
+    assert is_zero_module(torsion_free_quotient(t))
+    monkeypatch.setattr(modules, "SATURATION_CAP", 2)
+    with pytest.raises(SaturationCapError, match="torsion removal"):
+        torsion_free_quotient(t)
 
 
 def test_annihilator_values():
@@ -483,3 +534,36 @@ def test_minimal_columns_against_the_groebner_engine(m):
                   if (m.col_twists[k], k) < (m.col_twists[c], c)]
         assert vec[c]
         assert not (before and mvec_member(vec[c], module_groebner(before)))
+
+
+# -- the sparse matrix product against the dense triple loop -----------------
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Composable random matrices over P^1 or P^2, each dimension possibly
+    zero, and either operand possibly all zero."""
+    nv = draw(st.sampled_from([2, 3]))
+    twists = st.lists(st.integers(-1, 2), max_size=3)
+    rows, cols = draw(twists), draw(twists)
+    inner = draw(st.lists(st.integers(-1, 1), max_size=4))
+    a = _draw_matrix(draw, nv, rows, inner)
+    b = _draw_matrix(draw, nv, inner, cols)
+    if draw(st.booleans()):
+        a = PolyMatrix.zero(nv, rows, inner)
+    if draw(st.booleans()):
+        b = PolyMatrix.zero(nv, inner, cols)
+    return a, b
+
+
+def _dicts(m: PolyMatrix) -> list:
+    return [[dict(p.items()) for p in row] for row in m.entries]
+
+
+@given(_matrix_pairs())
+@settings(max_examples=80, deadline=None)
+def test_matrix_product_matches_the_dense_loop(pair):
+    a, b = pair
+    prod = a * b
+    assert (prod.row_twists, prod.col_twists) == (a.row_twists, b.col_twists)
+    assert _dicts(prod) == dense_matrix_product(_dicts(a), _dicts(b), b.cols)
