@@ -1,14 +1,21 @@
-"""Unused-import check for the package modules.
+"""Unused-import and dead-definition checks for the package modules.
 
     python .github/scripts/unused_imports.py [FILE ...]
 
-With no arguments it checks every `src/branegauge/*.py` except
-`__init__.py`, whose imports are the package's public names.  A name bound
-by an `import` or `from ... import` statement fails the check when the
+Unused imports: with no arguments it checks every `src/branegauge/*.py`
+except `__init__.py`, whose imports are the package's public names.  A name
+bound by an `import` or `from ... import` statement fails the check when the
 module never reads it anywhere, annotations included (`import a.b` binds
-and is read as `a`).  `from __future__` imports are exempt.  Prints one
-`path:line: name` line per unused import and exits 1 if there is any,
-else 0.  Standard library only.
+and is read as `a`).  `from __future__` imports are exempt.
+
+Dead definitions: every top-level function or class and every method of a
+top-level class in `src/branegauge/*.py` (or in the given files) fails the
+check when no file under `src/` or `tests/` names it: as a name, as an
+attribute, or in an import.  Dunder methods are exempt; Python calls them.
+
+Prints one `path:line: name` line per unused import and one
+`path:line: dead definition qualname` line per dead definition, and exits 1
+if there is any, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -17,12 +24,19 @@ import ast
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[2] / "src" / "branegauge"
+ROOT = Path(__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "branegauge"
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def unused_imports(path: Path) -> list[tuple[int, str]]:
     """(line, name) of every import in path whose name is never read."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(path)
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -41,15 +55,54 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
                   if name not in used)
 
 
+def definitions(path: Path) -> list[tuple[int, str, str]]:
+    """(line, qualname, name) of path's top-level functions and classes and
+    of the non-dunder methods of its top-level classes."""
+    out = []
+    for node in _tree(path).body:
+        if not isinstance(node, _DEFS):
+            continue
+        out.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend(
+                (item.lineno, f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if isinstance(item, _FUNCS)
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return out
+
+
+def named(paths) -> set[str]:
+    """Every identifier the files name: names, attributes and imports."""
+    out: set[str] = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.split(".")[-1])
+    return out
+
+
 def main(argv: list[str]) -> int:
-    paths = [Path(a) for a in argv] or sorted(
-        p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
-    )
+    paths = [Path(a) for a in argv] or sorted(PACKAGE.glob("*.py"))
     bad = 0
     for path in paths:
+        if not argv and path.name == "__init__.py":
+            continue
         for line, name in unused_imports(path):
             print(f"{path}:{line}: {name}")
             bad += 1
+    used = named(sorted((ROOT / "src").rglob("*.py"))
+                 + sorted((ROOT / "tests").rglob("*.py")))
+    for path in paths:
+        for line, qualname, name in definitions(path):
+            if name not in used:
+                print(f"{path}:{line}: dead definition {qualname}")
+                bad += 1
     return 1 if bad else 0
 
 

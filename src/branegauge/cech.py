@@ -15,10 +15,11 @@ relation multiples.  The ranks are per level: level p owns the triple
 (rank [D_{p-1} | R_p], rank R_p, dim W_p), so h^i reads levels i and i + 1
 and neighbouring degrees share a level (cech_level_ranks, memoized in the
 caller's cache).  One builder, cech_level_span, makes each level's span; the
-Atiyah class (gauge.py) reads its residuals at level 1.  Kernels truncate
-exactly but images need not, so every public dimension is recomputed at
-B + 1 and must agree; disagreement raises CechStabilizationError rather than
-reporting an unstable number.
+Atiyah class (gauge.py) reads its residuals at level 1.  One incidence
+rule, _cofaces, gives D and the cocycle check of gauge.CechCocycle.
+Kernels truncate exactly but images need not, so every public dimension is
+recomputed at B + 1 and must agree; disagreement raises
+CechStabilizationError rather than reporting an unstable number.
 
 The window here is Laurent, its spots keyed by chart set, so it keeps its
 own builders; the polynomial degree-d window of graded pieces, piece-map
@@ -87,6 +88,15 @@ def cech_level(m: GradedModule, p: int, bound: int) -> CechLevel:
     return CechLevel(m, p, bound, tuple(spots), index)
 
 
+def _cofaces(charts: tuple[int, ...], nvars: int):
+    """The incidence rule of the Cech differential: each chart set one
+    chart bigger, with the sign (-1)^(position of the added chart)."""
+    for j in range(nvars):
+        if j not in charts:
+            bigger = tuple(sorted(charts + (j,)))
+            yield bigger, (-1) ** bigger.index(j)
+
+
 def cech_diff_columns(src: CechLevel, tgt: CechLevel) -> list[dict]:
     """One column per source spot: the alternating-sum incidence map.
 
@@ -94,17 +104,9 @@ def cech_diff_columns(src: CechLevel, tgt: CechLevel) -> list[dict]:
     coordinates only relaxes the exponent constraints.
     """
     nv = src.module.nvars
-    cols = []
-    for (charts, r, a) in src.spots:
-        col = {}
-        for j in range(nv):
-            if j in charts:
-                continue
-            bigger = tuple(sorted(charts + (j,)))
-            sign = (-1) ** bigger.index(j)
-            col[tgt.index[(bigger, r, a)]] = sign
-        cols.append(col)
-    return cols
+    return [{tgt.index[(bigger, r, a)]: sign
+             for bigger, sign in _cofaces(charts, nv)}
+            for (charts, r, a) in src.spots]
 
 
 def cech_relation_columns(lv: CechLevel) -> list[dict]:

@@ -11,7 +11,9 @@ stays total.  Sign conventions, fixed once:
 Cohomology objects are subquotient presentations: the kernel's generators
 inside the term's cover, with the lifted image columns appended to the
 relations.  Induced maps are computed by lifting through those generators,
-never by choosing splittings.
+never by choosing splittings.  Cone differentials and the inclusion,
+projection, comparison and rotation maps are PolyMatrix.blocks over the
+summands' twist groups.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .modules import (
     piece_map_rank,
 )
 from .polymatrix import PolyMatrix
-from .polynomials import Polynomial
 
 
 class BoundedComplex:
@@ -176,30 +177,6 @@ def negate_map(h: ComplexMap) -> ComplexMap:
     return ComplexMap(h.source, h.target, levels, check=False)
 
 
-# -- block assembly ---------------------------------------------------------
-
-
-def _assemble(nvars, row_groups, col_groups, blocks) -> PolyMatrix:
-    """Block matrix from twist groups and a {(gi, gj): PolyMatrix} dict."""
-    row_twists = [t for g in row_groups for t in g]
-    col_twists = [t for g in col_groups for t in g]
-    z = Polynomial.zero(nvars)
-    entries = [[z] * len(col_twists) for _ in row_twists]
-    row_off = [0]
-    for g in row_groups:
-        row_off.append(row_off[-1] + len(g))
-    col_off = [0]
-    for g in col_groups:
-        col_off.append(col_off[-1] + len(g))
-    for (gi, gj), m in blocks.items():
-        if m.row_twists != tuple(row_groups[gi]) or m.col_twists != tuple(col_groups[gj]):
-            raise ShapeError(f"block ({gi},{gj}) twist mismatch")
-        for r in range(m.rows):
-            for c in range(m.cols):
-                entries[row_off[gi] + r][col_off[gj] + c] = m.entries[r][c]
-    return PolyMatrix(nvars, row_twists, col_twists, entries)
-
-
 # -- cone -------------------------------------------------------------------
 
 
@@ -217,7 +194,7 @@ def cone_with_maps(h: ComplexMap):
         da = a.diff(i + 1)
         db = b.diff(i)
         hi_lvl = h.level(i + 1)
-        mat = _assemble(
+        mat = PolyMatrix.blocks(
             nv,
             [a.term(i + 2).cover_twists, b.term(i + 1).cover_twists],
             [a.term(i + 1).cover_twists, b.term(i).cover_twists],
@@ -228,7 +205,7 @@ def cone_with_maps(h: ComplexMap):
 
     incl_levels = {}
     for i in range(b.lo, b.hi + 1):
-        mat = _assemble(
+        mat = PolyMatrix.blocks(
             nv,
             [a.term(i + 1).cover_twists, b.term(i).cover_twists],
             [b.term(i).cover_twists],
@@ -240,7 +217,7 @@ def cone_with_maps(h: ComplexMap):
     a1 = shift(a, 1)
     proj_levels = {}
     for i in range(lo, hi + 1):
-        mat = _assemble(
+        mat = PolyMatrix.blocks(
             nv,
             [a.term(i + 1).cover_twists],
             [a.term(i + 1).cover_twists, b.term(i).cover_twists],
@@ -511,7 +488,7 @@ def triangle_from_ses(f: ComplexMap, g: ComplexMap) -> Triangle:
     con, incl_b, proj = cone_with_maps(f)
     qis_levels = {}
     for i in range(con.lo, con.hi + 1):
-        mat = _assemble(
+        mat = PolyMatrix.blocks(
             a.nvars,
             [c.term(i).cover_twists],
             [a.term(i + 1).cover_twists, b.term(i).cover_twists],
@@ -557,7 +534,7 @@ def cone_rotation_equiv(h: ComplexMap) -> bool:
     for i in range(con2.lo, con2.hi + 1):
         # Con(i(h))^i = B^{i+1} (+) (A^{i+1} (+) B^i); comparison sends it to -a
         target_cover = a.term(i + 1).cover_twists
-        mat = _assemble(
+        mat = PolyMatrix.blocks(
             a.nvars,
             [target_cover],
             [b.term(i + 1).cover_twists, a.term(i + 1).cover_twists,

@@ -18,6 +18,7 @@ from .cech import (
     DEFAULT_CECH_BOUND,
     CechStabilizationError,
     _checked_bound,
+    _cofaces,
     cech_level,
     cech_level_span,
     cech_relation_columns,
@@ -69,11 +70,7 @@ class CechCocycle:
         up = cech_level(self.module, 2, bound=self.bound)
         image = {}
         for (charts, r, a), coeff in self.vector.items():
-            for j in range(nv):
-                if j in charts:
-                    continue
-                bigger = tuple(sorted(charts + (j,)))
-                sign = (-1) ** bigger.index(j)
+            for bigger, sign in _cofaces(charts, nv):
                 key = up.index[(bigger, r, a)]
                 cur = qnorm(image.get(key, 0) + sign * coeff)
                 if cur:

@@ -43,30 +43,26 @@ _BLOCK_RE = re.compile(r"^\[([a-z-]+)(?:\s+([A-Za-z_][\w.()-]*))?\]$")
 _KEY_RE = re.compile(r"^([a-z][a-z-]*)(?:\s+(-?\d+))?\s*=\s*(.*)$")
 _BUILTIN_RE = re.compile(r"^(O|S)\((-?\d+)\)$")
 
-TASK_KINDS = (
-    "resolve", "shift", "cone", "hom-complex", "triangle-from-ses",
-    "generators", "disjointness", "sheaf-hom", "cech", "lem1-check",
-    "atiyah", "gauge-bound", "quasi-iso", "annihilator",
-)
-
-# required / optional plain parameters per task kind; matrices live under
-# the "matrix" key or per-degree "level N" keys and are checked separately
+# per task kind: required and optional plain parameters, and the matrix
+# keys it takes: "matrix" (one required matrix = ..), "level N" (optional
+# per-degree level N = .. keys) or None (no matrix key at all)
 _TASK_PARAMS = {
-    "resolve": (("module",), ("max-length",)),
-    "shift": (("complex", "k"), ()),
-    "cone": (("source", "target"), ()),
-    "hom-complex": (("source", "target"), ("oracle",)),
-    "triangle-from-ses": (("source", "target"), ()),
-    "generators": ((), ()),
-    "disjointness": (("i", "j"), ()),
-    "sheaf-hom": (("source", "target"), ()),
-    "cech": (("module", "i"), ()),
-    "lem1-check": ((), ()),
-    "atiyah": (("a",), ()),
-    "gauge-bound": (("complex",), ("brane-id",)),
-    "quasi-iso": (("source", "target"), ()),
-    "annihilator": (("module",), ()),
+    "resolve": (("module",), ("max-length",), None),
+    "shift": (("complex", "k"), (), None),
+    "cone": (("source", "target"), (), "level N"),
+    "hom-complex": (("source", "target"), ("oracle",), None),
+    "triangle-from-ses": (("source", "target"), (), "matrix"),
+    "generators": ((), (), None),
+    "disjointness": (("i", "j"), (), None),
+    "sheaf-hom": (("source", "target"), (), None),
+    "cech": (("module", "i"), (), None),
+    "lem1-check": ((), (), None),
+    "atiyah": (("a",), (), None),
+    "gauge-bound": (("complex",), ("brane-id",), None),
+    "quasi-iso": (("source", "target"), (), "level N"),
+    "annihilator": (("module",), (), None),
 }
+TASK_KINDS = tuple(_TASK_PARAMS)
 
 _MODULE_REF_PARAMS = {
     "resolve": ("module",),
@@ -105,7 +101,6 @@ class Manifest:
     n: int
     space: ProjectiveSpace
     modules: dict  # name -> GradedModule
-    module_columns: dict  # name -> (twists, list of column string lists)
     complexes: dict  # name -> BoundedComplex
     complex_layout: dict  # name -> dict with degrees/terms/maps/generators
     tasks: list
@@ -294,7 +289,6 @@ def parse_manifest(text) -> Manifest:
     n = None
     space = None
     modules: dict = {}
-    module_columns: dict = {}
     complex_blocks: list = []
     tasks: list = []
     block = None  # ("ring"|"module"|"complex"|"task", name, line, data)
@@ -340,19 +334,26 @@ def parse_manifest(text) -> Manifest:
             else:
                 rel = PolyMatrix.zero(nv, covers, ())
             modules[name] = GradedModule(rel)
-            module_columns[name] = (covers, cols)
         elif kind == "complex":
             complex_blocks.append((name, bline, data))
         else:
             task = TaskDef(kind=name, index=len(tasks) + 1, line=bline)
+            takes = _TASK_PARAMS[name][2]
             for key, (value, kline) in data.items():
-                if key.startswith("level "):
-                    task.matrices[("level", int(key.split()[1]))] = \
-                        _matrix_value(value, key, kline)
-                elif key == "matrix":
-                    task.matrices["matrix"] = _matrix_value(value, key, kline)
+                if key == "matrix":
+                    mkey, family = "matrix", "matrix"
+                elif key.startswith("level "):
+                    mkey, family = ("level", int(key.split()[1])), "level N"
                 else:
                     task.params[key] = (value, kline)
+                    continue
+                if family != takes:
+                    raise ManifestError(
+                        f"task {name!r} does not take {key!r}; it takes "
+                        + (f"{takes} keys" if takes else "no matrix"),
+                        line=kline,
+                    )
+                task.matrices[mkey] = _matrix_value(value, key, kline)
             tasks.append(task)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -423,8 +424,7 @@ def parse_manifest(text) -> Manifest:
         _validate_task(task, space, modules, complexes)
 
     return Manifest(
-        n=space.n, space=space, modules=modules,
-        module_columns=module_columns, complexes=complexes,
+        n=space.n, space=space, modules=modules, complexes=complexes,
         complex_layout=complex_layout, tasks=tasks,
     )
 
@@ -517,12 +517,16 @@ def _columns_for_map(nv, row_twists, col_twists, cols, key, line):
 
 
 def _validate_task(task: TaskDef, space, modules, complexes):
-    required, optional = _TASK_PARAMS[task.kind]
+    required, optional, takes = _TASK_PARAMS[task.kind]
     for p in required:
         if p not in task.params:
             raise ManifestError(
                 f"task {task.kind!r} needs {p} = ...", line=task.line
             )
+    if takes == "matrix" and "matrix" not in task.matrices:
+        raise ManifestError(
+            f"task {task.kind!r} needs matrix = [[..]]", line=task.line
+        )
     allowed = set(required) | set(optional)
     for p in task.params:
         if p not in allowed:
@@ -579,14 +583,12 @@ def print_manifest(m: Manifest) -> str:
     structures (round-trip normal form)."""
     out = ["[ring]", f"n = {m.n}", ""]
     for name, module in m.modules.items():
-        covers, cols = m.module_columns[name]
         out.append(f"[module {name}]")
-        out.append(f"twists = {_fmt_int_list(covers)}")
-        if cols:
-            canonical = [
-                [str(q) for q in module.relations.column(c)]
-                for c in range(len(module.relations.col_twists))
-            ]
+        out.append(f"twists = {_fmt_int_list(module.cover_twists)}")
+        rel = module.relations
+        if rel.cols:
+            canonical = [[str(q) for q in rel.column(c)]
+                         for c in range(rel.cols)]
             out.append(f"relations = {_fmt_matrix(canonical)}")
         out.append("")
     for name, cx in m.complexes.items():

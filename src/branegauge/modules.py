@@ -12,6 +12,10 @@ extends sections along the same map.
 Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
 degree-d window of a presentation, linalg.degree_window, which HomBasis
 (homspace.py) ranks too.
+Direct sums, tensor products, twisted sums (+)_k N(t_k), Hom's
+composition-with-relations map and multiplication by the variables are
+PolyMatrix.blocks, kron and dual (see polymatrix.py for the layout); no
+function here computes a flattened cover index.
 
 Twist convention: twist(M, k) is M(k), with M(k)_d = M_{d+k}; cover degrees
 drop by k.  The free rank-one module with a single generator in degree -a
@@ -205,44 +209,24 @@ def direct_sum(*summands: GradedModule) -> GradedModule:
     for m in summands:
         if m.nvars != nvars:
             raise RingMismatchError("direct sum over mismatched rings")
-    return GradedModule(
-        PolyMatrix.block_diag(nvars, [m.relations for m in summands])
-    )
+    return GradedModule(PolyMatrix.blocks(
+        nvars,
+        [m.cover_twists for m in summands],
+        [m.relations.col_twists for m in summands],
+        {(k, k): m.relations for k, m in enumerate(summands)},
+    ))
 
 
 def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
-    """Tensor product of presentations: cover pairs (i, j), relations from
-    each factor against the other's cover."""
+    """Tensor product of presentations: cover pairs (i, j), relations
+    rel_M (x) I_N | I_M (x) rel_N."""
     if m.nvars != n.nvars:
         raise RingMismatchError("tensor over mismatched rings")
     nv = m.nvars
-    z = Polynomial.zero(nv)
-    cover = [ti + uj for ti in m.cover_twists for uj in n.cover_twists]
-    nrank = n.rank
-    columns: list[list[Polynomial]] = []
-    col_twists: list[int] = []
-    relm = m.relations
-    for c in range(relm.cols):
-        for j in range(nrank):
-            col = [z] * len(cover)
-            for r in range(relm.rows):
-                p = relm.entries[r][c]
-                if not p.is_zero:
-                    col[r * nrank + j] = p
-            columns.append(col)
-            col_twists.append(relm.col_twists[c] + n.cover_twists[j])
-    reln = n.relations
-    for i in range(m.rank):
-        for c in range(reln.cols):
-            col = [z] * len(cover)
-            for r in range(reln.rows):
-                p = reln.entries[r][c]
-                if not p.is_zero:
-                    col[i * nrank + r] = p
-            columns.append(col)
-            col_twists.append(m.cover_twists[i] + reln.col_twists[c])
-    rel = PolyMatrix.from_columns(nv, cover, columns, col_twists)
-    return GradedModule(rel)
+    return GradedModule(
+        m.relations.kron(PolyMatrix.identity(nv, n.cover_twists)).hstack(
+            PolyMatrix.identity(nv, m.cover_twists).kron(n.relations))
+    )
 
 
 # -- kernel / image / cokernel ---------------------------------------------
@@ -511,9 +495,10 @@ def free_resolution(m: GradedModule, max_len: int | None = None) -> Resolution:
 
 
 def _direct_sum_of_twists(n: GradedModule, twists) -> GradedModule:
-    if not twists:
-        return GradedModule.zero(n.nvars)
-    return direct_sum(*[twist(n, t) for t in twists])
+    """(+)_k N(t_k), presented as I(-t) (x) rel_N."""
+    return GradedModule(
+        PolyMatrix.identity(n.nvars, [-t for t in twists]).kron(n.relations)
+    )
 
 
 def hom_module(m: GradedModule, n: GradedModule) -> GradedModule:
@@ -535,21 +520,10 @@ def hom_module_with_inclusion(
     if m.relations.cols == 0 or n.rank == 0:
         return big0, GradedMap.identity(big0)
     big1 = _direct_sum_of_twists(n, m.relations.col_twists)
-    z = Polynomial.zero(m.nvars)
-    nrank = n.rank
-    entries = [[z] * big0.rank for _ in range(big1.rank)]
-    relm = m.relations
-    for j in range(relm.cols):
-        for i in range(relm.rows):
-            p = relm.entries[i][j]
-            if p.is_zero:
-                continue
-            for r in range(nrank):
-                entries[j * nrank + r][i * nrank + r] = p
     phi = GradedMap(
         big0,
         big1,
-        PolyMatrix(m.nvars, big1.cover_twists, big0.cover_twists, entries),
+        m.relations.dual().kron(PolyMatrix.identity(m.nvars, n.cover_twists)),
         check=False,
     )
     return kernel_with_inclusion(phi)
@@ -561,22 +535,15 @@ def hom_module_with_inclusion(
 def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMap]:
     """Submodule generated by all elements of degree >= floor, with inclusion."""
     nv = m.nvars
-    z = Polynomial.zero(nv)
-    columns: list[list[Polynomial]] = []
-    col_twists: list[int] = []
+    # generator i times each monomial that lifts it to degree max(t_i, floor)
+    parts = {}
     for i, t in enumerate(m.cover_twists):
-        if t >= floor:
-            col = [z] * m.rank
-            col[i] = Polynomial.one(nv)
-            columns.append(col)
-            col_twists.append(t)
-        else:
-            for mon in monomials_of_degree(nv, floor - t):
-                col = [z] * m.rank
-                col[i] = Polynomial.monomial(nv, mon)
-                columns.append(col)
-                col_twists.append(floor)
-    gens = PolyMatrix.from_columns(nv, m.cover_twists, columns, col_twists)
+        mons = monomials_of_degree(nv, max(floor - t, 0))
+        parts[(i, i)] = PolyMatrix(
+            nv, (t,), (max(t, floor),) * len(mons),
+            [[Polynomial.monomial(nv, mon) for mon in mons]])
+    gens = PolyMatrix.blocks(nv, [b.row_twists for b in parts.values()],
+                             [b.col_twists for b in parts.values()], parts)
     return _submodule(gens, m)
 
 
@@ -586,15 +553,10 @@ def _times_variables(m: GradedModule) -> GradedMap:
     Its kernel is the colon (relations : (x0..xn)) modulo the relations, and
     its target is Hom((x0..xn), M) on the ideal's cover (saturate)."""
     nv = m.nvars
-    big = _direct_sum_of_twists(m, (1,) * nv)
-    z = Polynomial.zero(nv)
-    entries = [[z] * m.rank for _ in range(big.rank)]
-    for i in range(nv):
-        xi = Polynomial.variable(nv, i)
-        for r in range(m.rank):
-            entries[i * m.rank + r][r] = xi
     return GradedMap(
-        m, big, PolyMatrix(nv, big.cover_twists, m.cover_twists, entries),
+        m, _direct_sum_of_twists(m, (1,) * nv),
+        PolyMatrix.variables(nv).dual().kron(
+            PolyMatrix.identity(nv, m.cover_twists)),
         check=False,
     )
 
@@ -620,13 +582,7 @@ def torsion_free_quotient(m: GradedModule) -> GradedModule:
 
 def _irrelevant_ideal_module(nvars: int) -> GradedModule:
     """(x0..xn) as a module: covers in degree 1, Koszul relations."""
-    one_row = PolyMatrix.from_columns(
-        nvars,
-        (0,),
-        [[Polynomial.variable(nvars, i)] for i in range(nvars)],
-        [1] * nvars,
-    )
-    return GradedModule(syzygy_basis(one_row))
+    return GradedModule(syzygy_basis(PolyMatrix.variables(nvars)))
 
 
 def saturation_floor(m: GradedModule) -> int:
@@ -700,19 +656,14 @@ def annihilator(m: GradedModule) -> list[Polynomial]:
     nv = m.nvars
     if m.rank == 0:
         return [Polynomial.one(nv)]
+    # R -> (+)_i M(t_i), 1 |-> (e_0, ..., e_{rank-1})
     big = _direct_sum_of_twists(m, m.cover_twists)
-    z = Polynomial.zero(nv)
-    one = Polynomial.one(nv)
-    col = [z] * big.rank
-    for i in range(m.rank):
-        col[i * m.rank + i] = one
-    r1 = GradedModule.free(nv, (0,))
-    f = GradedMap(
-        r1,
-        big,
-        PolyMatrix.from_columns(nv, big.cover_twists, [col], [0]),
-        check=False,
-    )
+    ident = PolyMatrix.identity(nv, m.cover_twists)
+    parts = {(i, 0): ident.twist_all(t).select_columns([i])
+             for i, t in enumerate(m.cover_twists)}
+    col = PolyMatrix.blocks(nv, [b.row_twists for b in parts.values()],
+                            [(0,)], parts)
+    f = GradedMap(GradedModule.free(nv, (0,)), big, col, check=False)
     _, incl = kernel_with_inclusion(f)
     gens = [incl.matrix.entry(0, c) for c in range(incl.matrix.cols)]
     return buchberger(gens)

@@ -9,10 +9,21 @@ coordinates.  The graded contract is that entry (r, c) is homogeneous of
 degree col_twists[c] - row_twists[r], or zero; the constructor enforces it.
 `column_degree` is the one place that infers a column's twist from its
 entries: it reads the first nonzero entry and leaves the rest to that check.
+
+Block layout, fixed here and nowhere else.  A direct sum of free modules
+lists its summands' generators one group after another (`blocks`).  A
+tensor product of free modules indexes its generators by pairs (i, p),
+i outer and p inner, with twist s_i + t_p: `kron` puts entry A[i][c] *
+B[p][q] at row (i, p) and column (c, q).  Hom(F, R) of a free module has
+the negated twists, and a map's induced map on it is the transpose
+(`dual`).  So M (+) N, F (x) N, Hom(F, N) = F^dual (x) N and the
+multiplication maps of the module layer are all built from these three
+methods, and no other module computes a flattened cover index.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import HomogeneityError, RingMismatchError, ShapeError
@@ -98,6 +109,30 @@ class PolyMatrix:
             twists,
             [[one if r == c else z for c in range(n)] for r in range(n)],
         )
+
+    @classmethod
+    def variables(cls, nvars: int) -> "PolyMatrix":
+        """The row [x0 .. x_{nvars-1}]: R(-1)^nvars -> R."""
+        return cls(nvars, (0,), (1,) * nvars,
+                   [[Polynomial.variable(nvars, i) for i in range(nvars)]])
+
+    @classmethod
+    def blocks(cls, nvars: int, row_groups, col_groups, parts) -> "PolyMatrix":
+        """Block matrix over twist groups from a {(gi, gj): PolyMatrix} dict;
+        block (gi, gj) must carry the twists of its row and column groups,
+        and absent blocks are zero."""
+        row_off = [0, *accumulate(map(len, row_groups))]
+        col_off = [0, *accumulate(map(len, col_groups))]
+        z = Polynomial.zero(nvars)
+        entries = [[z] * col_off[-1] for _ in range(row_off[-1])]
+        for (gi, gj), m in parts.items():
+            if (m.row_twists != tuple(row_groups[gi])
+                    or m.col_twists != tuple(col_groups[gj])):
+                raise ShapeError(f"block ({gi},{gj}) twist mismatch")
+            for r, row in enumerate(m.entries):
+                entries[row_off[gi] + r][col_off[gj]:col_off[gj] + m.cols] = row
+        return cls(nvars, [t for g in row_groups for t in g],
+                   [t for g in col_groups for t in g], entries)
 
     @classmethod
     def from_columns(
@@ -212,23 +247,42 @@ class PolyMatrix:
             [ra + rb for ra, rb in zip(self.entries, other.entries)],
         )
 
-    @classmethod
-    def block_diag(cls, nvars: int, blocks: Sequence["PolyMatrix"]) -> "PolyMatrix":
-        row_twists: list[int] = []
-        col_twists: list[int] = []
-        for b in blocks:
-            row_twists.extend(b.row_twists)
-            col_twists.extend(b.col_twists)
-        z = Polynomial.zero(nvars)
-        entries = [[z] * len(col_twists) for _ in row_twists]
-        r0 = c0 = 0
-        for b in blocks:
-            for r in range(b.rows):
-                for c in range(b.cols):
-                    entries[r0 + r][c0 + c] = b.entries[r][c]
-            r0 += b.rows
-            c0 += b.cols
-        return cls(nvars, row_twists, col_twists, entries)
+    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Kronecker product: entry ((i, p), (c, q)) is self[i][c] *
+        other[p][q], the twists add.  Where one factor is the constant 1 the
+        other entry is copied, not multiplied."""
+        if self.nvars != other.nvars:
+            raise RingMismatchError("Kronecker product across rings")
+        one = Polynomial.one(self.nvars)
+        z = Polynomial.zero(self.nvars)
+        live = [(p, q, b, b == one) for p, row in enumerate(other.entries)
+                for q, b in enumerate(row) if not b.is_zero]
+        entries = [[z] * (self.cols * other.cols)
+                   for _ in range(self.rows * other.rows)]
+        for i, row in enumerate(self.entries):
+            for c, a in enumerate(row):
+                if a.is_zero:
+                    continue
+                a_one = a == one
+                for p, q, b, b_one in live:
+                    entries[i * other.rows + p][c * other.cols + q] = (
+                        b if a_one else a if b_one else a * b
+                    )
+        return PolyMatrix(
+            self.nvars,
+            [s + t for s in self.row_twists for t in other.row_twists],
+            [s + t for s in self.col_twists for t in other.col_twists],
+            entries,
+        )
+
+    def dual(self) -> "PolyMatrix":
+        """The transpose with negated twists: the map Hom(-, R) induces."""
+        return PolyMatrix(
+            self.nvars,
+            tuple(-t for t in self.col_twists),
+            tuple(-t for t in self.row_twists),
+            [self.column(c) for c in range(self.cols)],
+        )
 
     def select_columns(self, indices: Iterable[int]) -> "PolyMatrix":
         idx = list(indices)

@@ -92,17 +92,11 @@ def generator(k: int, p: ProjectiveSpace) -> GeneratorSheaf:
     n = p.n
     if not 1 <= k <= n + 1:
         raise ShapeError(f"generator index {k} outside 1..{n + 1}")
-    nv = p.nvars
+    xs = PolyMatrix.variables(p.nvars)
     if k <= n:
-        cover = (1,)
-        cut = k - 1  # x0..x_{k-2}
-        cols = [[Polynomial.variable(nv, i)] for i in range(cut)]
-        rel = PolyMatrix.from_columns(nv, cover, cols, [2] * cut)
+        rel = xs.select_columns(range(k - 1)).twist_all(-1)  # x0..x_{k-2}
     else:
-        cover = (0,)
-        cut = n
-        cols = [[Polynomial.variable(nv, i)] for i in range(cut)]
-        rel = PolyMatrix.from_columns(nv, cover, cols, [1] * cut)
+        rel = xs.select_columns(range(n))
     locus = Locus(n, frozenset(range(k - 1)), k - 1)
     return GeneratorSheaf(k, GradedModule(rel), locus)
 
@@ -169,10 +163,7 @@ def euler_map(p: ProjectiveSpace) -> GradedMap:
     nv = p.nvars
     middle = GradedModule.free(nv, (1,) * nv)
     target = GradedModule.free(nv, (0,))
-    mat = PolyMatrix.from_columns(
-        nv, (0,), [[Polynomial.variable(nv, i)] for i in range(nv)], [1] * nv
-    )
-    return GradedMap(middle, target, mat, check=False)
+    return GradedMap(middle, target, PolyMatrix.variables(nv), check=False)
 
 
 # -- sheaf Hom --------------------------------------------------------------
@@ -229,15 +220,9 @@ def hyperplane_ses(s: GradedModule) -> tuple[GradedMap, GradedMap]:
     the kernel of the projection through multiplication.
     """
     nv = s.nvars
-    x0 = Polynomial.variable(nv, 0)
-    shifted = twist(s, -1)
-    z = Polynomial.zero(nv)
-    entries = [
-        [x0 if r == c else z for c in range(s.rank)] for r in range(s.rank)
-    ]
+    x0 = PolyMatrix.variables(nv).select_columns([0])
     mul = GradedMap(
-        shifted, s,
-        PolyMatrix(nv, s.cover_twists, shifted.cover_twists, entries),
+        twist(s, -1), s, x0.kron(PolyMatrix.identity(nv, s.cover_twists)),
         check=False,
     )
     ker, incl = kernel_with_inclusion(mul)

@@ -174,11 +174,8 @@ def _run_triangle_from_ses(task, ctx):
     m = ctx.manifest
     src = m.resolve_module(_param(task, "source"), task.line)
     tgt = m.resolve_module(_param(task, "target"), task.line)
-    cols = task.matrices.get("matrix")
-    if cols is None:
-        raise BraneGaugeError("triangle-from-ses needs matrix = [[..]]")
     mat = _columns_for_map(m.space.nvars, tgt.cover_twists, src.cover_twists,
-                           cols, "matrix", task.line)
+                           task.matrices["matrix"], "matrix", task.line)
     f = GradedMap(src, tgt, mat, check=True)
     _, proj = cokernel_with_projection(f)
     tri = triangle_from_module_ses(f, proj)

@@ -61,6 +61,37 @@ def dense_matrix_product(a: list, b: list, cols: int) -> list:
     return out
 
 
+def dense_kron(a: list, b: list, b_cols: int) -> list:
+    """The Kronecker product of a and b (lists of rows of dict polynomials,
+    b with `b_cols` columns): entry (i * rows_b + p, c * b_cols + q) is
+    a[i][c] * b[p][q], every pair multiplied."""
+    a_cols = len(a[0]) if a else 0
+    out = [[{} for _ in range(a_cols * b_cols)] for _ in range(len(a) * len(b))]
+    for i, arow in enumerate(a):
+        for c, x in enumerate(arow):
+            for p, brow in enumerate(b):
+                for q, y in enumerate(brow):
+                    out[i * len(b) + p][c * b_cols + q] = dict_poly_mul(x, y)
+    return out
+
+
+def dense_transpose(a: list, cols: int) -> list:
+    """The transpose of a matrix of `cols` columns given as a list of rows."""
+    return [[row[c] for row in a] for c in range(cols)]
+
+
+def dense_blocks(row_sizes: list, col_sizes: list, parts: dict) -> list:
+    """Block matrix of dict polynomials: block (gi, gj) starts at row
+    sum(row_sizes[:gi]) and column sum(col_sizes[:gj]); the rest is zero."""
+    out = [[{} for _ in range(sum(col_sizes))] for _ in range(sum(row_sizes))]
+    for (gi, gj), block in parts.items():
+        r0, c0 = sum(row_sizes[:gi]), sum(col_sizes[:gj])
+        for r, row in enumerate(block):
+            for c, x in enumerate(row):
+                out[r0 + r][c0 + c] = x
+    return out
+
+
 def poly_degree(poly: dict) -> int:
     degs = {sum(m) for m in poly}
     assert len(degs) == 1, "oracle expects homogeneous input"

@@ -156,3 +156,25 @@ def test_negative_max_degree_rejected(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "les-window: 0..0" in out and "les-ok: true" in out
+
+
+def test_matrix_key_on_a_task_that_takes_none_exits_two(tmp_path, capsys):
+    # a shift never reads a matrix; the key is an error, not ignored
+    text = """\
+[ring]
+n = 1
+
+[complex K]
+degrees = 0..0
+term 0 = O(0)
+
+[task shift]
+complex = K
+k = 1
+matrix = [["1"]]
+"""
+    code = _run(tmp_path, text)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'matrix'" in captured.err and "(line 11)" in captured.err
+    assert captured.out == ""

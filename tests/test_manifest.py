@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from branegauge.errors import BraneGaugeError, ManifestError
 from branegauge.manifest import (
+    _TASK_PARAMS,
     TASK_KINDS,
     parse_manifest,
     print_manifest,
@@ -141,6 +142,51 @@ def test_task_kind_vocabulary_is_complete():
     assert "gauge-bound" in TASK_KINDS
     assert "lem1-check" in TASK_KINDS
     assert len(TASK_KINDS) == 14
+
+
+_COMPLEX_K = """\
+[ring]
+n = 1
+
+[complex K]
+degrees = 0..1
+term 0 = O(-1)
+term 1 = O(0)
+map 0 = [["x0"]]
+
+"""
+
+
+@pytest.mark.parametrize("task, key", [
+    ("[task shift]\ncomplex = K\nk = 1", "matrix"),
+    ("[task resolve]\nmodule = O(0)", "level 0"),
+    ("[task hom-complex]\nsource = K\ntarget = K", "level 1"),
+    ("[task cone]\nsource = K\ntarget = K", "matrix"),
+    ("[task triangle-from-ses]\nsource = O(-1)\ntarget = O(0)\n"
+     'matrix = [["x0"]]', "level 0"),
+], ids=["shift-matrix", "resolve-level", "hom-complex-level", "cone-matrix",
+        "triangle-from-ses-level"])
+def test_matrix_key_outside_the_task_schema_is_rejected(task, key):
+    text = _COMPLEX_K + task + f'\n{key} = [["1"]]\n'
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text)
+    assert repr(key) in str(e.value)
+    assert e.value.line == text.count("\n")  # the key's own line
+
+
+def test_triangle_from_ses_needs_its_matrix_at_parse_time():
+    text = _COMPLEX_K + "[task triangle-from-ses]\nsource = O(-1)\ntarget = O(0)\n"
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text)
+    assert "matrix" in str(e.value)
+    assert e.value.line == _COMPLEX_K.count("\n") + 1  # the task header
+
+
+def test_task_kinds_come_from_the_parameter_table():
+    assert TASK_KINDS == tuple(_TASK_PARAMS)
+    takes = {k: v[2] for k, v in _TASK_PARAMS.items() if v[2]}
+    assert takes == {"triangle-from-ses": "matrix", "cone": "level N",
+                     "quasi-iso": "level N"}
 
 
 def test_print_parse_round_trip():

@@ -44,7 +44,10 @@ from branegauge.polynomials import Polynomial, parse_polynomial, random_homogene
 
 from _oracles import (
     count_monomials,
+    dense_blocks,
+    dense_kron,
     dense_matrix_product,
+    dense_transpose,
     koszul_rank,
     monomial_tuples,
     omega_piece_dim,
@@ -567,3 +570,91 @@ def test_matrix_product_matches_the_dense_loop(pair):
     prod = a * b
     assert (prod.row_twists, prod.col_twists) == (a.row_twists, b.col_twists)
     assert _dicts(prod) == dense_matrix_product(_dicts(a), _dicts(b), b.cols)
+
+
+# -- the block layout: kron, dual and blocks against dense oracles -----------
+
+
+@st.composite
+def _kron_quads(draw):
+    """(A, C, B, D) over P^1 or P^2 with A*C and B*D defined; every
+    dimension may be zero and entries include the constant 1."""
+    nv = draw(st.sampled_from([2, 3]))
+    twists = st.lists(st.integers(-1, 1), max_size=3)
+    r1, k1, c1, r2, k2, c2 = (draw(twists) for _ in range(6))
+    return (_draw_matrix(draw, nv, r1, k1), _draw_matrix(draw, nv, k1, c1),
+            _draw_matrix(draw, nv, r2, k2), _draw_matrix(draw, nv, k2, c2))
+
+
+@given(_kron_quads())
+@settings(max_examples=60, deadline=None)
+def test_kron_matches_the_dense_oracle_and_the_mixed_product(quad):
+    a, c, b, d = quad
+    ab = a.kron(b)
+    assert ab.row_twists == tuple(s + t for s in a.row_twists
+                                  for t in b.row_twists)
+    assert ab.col_twists == tuple(s + t for s in a.col_twists
+                                  for t in b.col_twists)
+    assert _dicts(ab) == dense_kron(_dicts(a), _dicts(b), b.cols)
+    # (A (x) B)(C (x) D) = (AC) (x) (BD)
+    assert ab * c.kron(d) == (a * c).kron(b * d)
+
+
+@given(_matrix_pairs())
+@settings(max_examples=60, deadline=None)
+def test_dual_is_the_transpose_with_negated_twists(pair):
+    a, b = pair
+    da = a.dual()
+    assert da.row_twists == tuple(-t for t in a.col_twists)
+    assert da.col_twists == tuple(-t for t in a.row_twists)
+    assert _dicts(da) == dense_transpose(_dicts(a), a.cols)
+    assert da.dual() == a
+    assert (a * b).dual() == b.dual() * a.dual()
+
+
+@st.composite
+def _block_layouts(draw):
+    """Twist groups, some of them empty, and a random subset of blocks."""
+    nv = draw(st.sampled_from([2, 3]))
+    groups = st.lists(st.lists(st.integers(-1, 1), max_size=2), max_size=3)
+    rows, cols = draw(groups), draw(groups)
+    parts = {(gi, gj): _draw_matrix(draw, nv, rg, cg)
+             for gi, rg in enumerate(rows) for gj, cg in enumerate(cols)
+             if draw(st.booleans())}
+    return nv, rows, cols, parts
+
+
+@given(_block_layouts())
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_the_dense_oracle(layout):
+    nv, rows, cols, parts = layout
+    m = PolyMatrix.blocks(nv, rows, cols, parts)
+    assert m.row_twists == tuple(t for g in rows for t in g)
+    assert m.col_twists == tuple(t for g in cols for t in g)
+    assert _dicts(m) == dense_blocks(
+        [len(g) for g in rows], [len(g) for g in cols],
+        {k: _dicts(b) for k, b in parts.items()})
+    for key, b in parts.items():
+        if b.rows or b.cols:
+            bad = dict(parts)
+            bad[key] = b.twist_all(1)
+            with pytest.raises(ShapeError):
+                PolyMatrix.blocks(nv, rows, cols, bad)
+
+
+def test_block_layout_on_zero_rows_and_columns():
+    x0 = Polynomial.variable(2, 0)
+    row = PolyMatrix(2, (0,), (1, 1), [[x0, x0]])  # 1 x 2
+    empty = PolyMatrix.zero(2, (), (0, 1))          # 0 x 2
+    tall = PolyMatrix.zero(2, (0, 1), ())           # 2 x 0
+    for a, b in ((row, empty), (empty, row), (row, tall), (tall, row)):
+        k = a.kron(b)
+        assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    assert (empty.dual().rows, empty.dual().cols) == (2, 0)
+    assert (tall.dual().rows, tall.dual().cols) == (0, 2)
+    assert empty.dual().dual() == empty and tall.dual().dual() == tall
+    m = PolyMatrix.blocks(2, [(), (0,)], [(1, 1), ()],
+                          {(1, 0): row, (0, 1): PolyMatrix.zero(2, (), ())})
+    assert m == row
+    with pytest.raises(ShapeError):
+        PolyMatrix.blocks(2, [(0,)], [(1, 1)], {(0, 0): row.twist_all(1)})

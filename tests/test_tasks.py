@@ -1,8 +1,8 @@
 """Task execution over parsed manifests, one exercise per task kind."""
 
-from branegauge.manifest import parse_manifest
+from branegauge.manifest import TASK_KINDS, parse_manifest
 from branegauge.reports import exit_code, render_report
-from branegauge.tasks import run_tasks
+from branegauge.tasks import _HANDLERS, run_tasks
 
 
 FULL = """\
@@ -151,3 +151,7 @@ def test_deterministic_render():
     a = render_report("mem", m.n, run_tasks(m))
     b = render_report("mem", m.n, run_tasks(m))
     assert a == b
+
+
+def test_every_task_kind_has_exactly_one_handler():
+    assert sorted(_HANDLERS) == sorted(TASK_KINDS)
