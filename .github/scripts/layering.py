@@ -1,0 +1,82 @@
+"""Layering check for the package modules.
+
+    python .github/scripts/layering.py
+
+Reads the package-internal imports of every `src/branegauge/*.py` (relative
+`from .x import ...` and `from . import x`, and absolute `branegauge.x`)
+and follows them transitively.  It fails when
+
+- `homspace` reaches `groebner` or `modules`: `HomBasis` is the Groebner-free
+  cross-check of the module-Hom path, so it must not depend on that path;
+- `polymatrix` or `linalg` reaches any module but `errors`, `polynomials`,
+  `linalg` and `polymatrix`: the matrix form and the sparse algebra sit
+  below the Groebner engine, which builds on them.
+
+Prints one line per broken rule, with the import chain that breaks it, and
+exits 1 if there is any, else 0.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "branegauge"
+
+BASE = {"errors", "polynomials", "linalg", "polymatrix"}
+# module -> the modules it must not reach, directly or through others
+RULES = {
+    "homspace": {"groebner", "modules"},
+    "polymatrix": None,  # None: anything outside BASE
+    "linalg": None,
+}
+
+
+def direct_imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that path imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1:
+                out.update(a.name for a in node.names)
+            elif node.level == 0 and (node.module or "").startswith("branegauge."):
+                out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("branegauge."):
+                    out.add(a.name.split(".")[1])
+    return out & modules
+
+
+def chains(start: str, graph: dict) -> dict[str, list[str]]:
+    """Every module start reaches, with one import chain to it."""
+    seen = {start: [start]}
+    todo = [start]
+    while todo:
+        mod = todo.pop()
+        for dep in sorted(graph[mod]):
+            if dep not in seen:
+                seen[dep] = seen[mod] + [dep]
+                todo.append(dep)
+    del seen[start]
+    return seen
+
+
+def main() -> int:
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    graph = {m: direct_imports(PACKAGE / f"{m}.py", modules) for m in modules}
+    broken = []
+    for mod, banned in RULES.items():
+        for dep, chain in sorted(chains(mod, graph).items()):
+            if (dep not in BASE) if banned is None else (dep in banned):
+                broken.append(f"{mod} reaches {dep}: {' -> '.join(chain)}")
+    for line in broken:
+        print(line)
+    return 1 if broken else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

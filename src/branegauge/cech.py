@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CechStabilizationError, ShapeError
-from .linalg import SpanTracker, _column_terms
+from .linalg import SpanTracker
 from .modules import GradedModule
 from .polynomials import monomial_mul, monomials_of_degree
 
@@ -119,19 +119,17 @@ def cech_relation_columns(lv: CechLevel) -> list[dict]:
     nv = m.nvars
     rel = m.relations
     index = lv.index
-    # each column's (row, monomial, coefficient) terms, built once
-    terms = [_column_terms(rel.column(c)) for c in range(rel.cols)]
     cols = []
     for charts in chart_subsets(nv, lv.p):
         inv = set(charts)
-        for s, col_terms in zip(rel.col_twists, terms):
-            if not col_terms:
+        for s, vec in zip(rel.col_twists, rel.vecs):
+            if not vec:
                 continue
             for b in _exponent_vectors(nv, -s, inv, lv.bound):
                 # each term lands on its own spot (r, b + mon), so every
                 # entry is written once, as the canonical coefficient
                 cols.append({index[(charts, r, monomial_mul(b, mon))]: coeff
-                             for r, mon, coeff in col_terms})
+                             for (r, mon), coeff in vec.items()})
     return cols
 
 

@@ -1,7 +1,9 @@
 """Groebner bases and syzygies for submodules of free graded modules.
 
-Elements of a free module R^m are sparse vectors {(row, monomial): coeff}.
-There is one module order, term-over-position: monomials compare by grevlex
+Elements of a free module R^m are sparse vectors {(row, monomial): coeff}
+(linalg.MVec), the form in which PolyMatrix stores its columns, so a
+matrix's columns are the engine's generators as they stand.  There is one
+module order, term-over-position: monomials compare by grevlex
 (polynomials.grevlex_key), ties broken by smaller row index first.  For
 homogeneous input the whole computation stays homogeneous, so no degree
 truncation is ever needed.
@@ -15,16 +17,14 @@ canonical.
 Syzygies come from the Schreyer construction on the reduced basis and are
 transformed back to the original generators through the tracked
 representation matrices; `syzygy_basis` checks m * syz = 0 exactly before
-returning.  `matrix_from_vecs` turns such vectors back into a PolyMatrix
-whose columns are sorted by degree.
+returning.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
-from .linalg import vec_axpy
+from .linalg import MVec, _mvec_axpy, vec_axpy
 from .polymatrix import PolyMatrix, column_degree
 from .polynomials import (
     Coeff,
@@ -38,40 +38,6 @@ from .polynomials import (
     qinv,
     qnorm,
 )
-
-# sparse free-module vector: {(row, monomial): coefficient}
-MVec = dict[tuple[int, Monomial], Coeff]
-
-
-def mvec_from_polys(polys) -> MVec:
-    v: MVec = {}
-    for r, p in enumerate(polys):
-        for mon, c in p.items():
-            v[(r, mon)] = c
-    return v
-
-
-def mvec_to_polys(v: MVec, rank: int, nvars: int) -> list[Polynomial]:
-    buckets: list[dict] = [{} for _ in range(rank)]
-    for (r, mon), c in v.items():
-        buckets[r][mon] = c
-    return [Polynomial(nvars, b) for b in buckets]
-
-
-def mvec_axpy(target: MVec, coeff: Coeff, mon: Monomial, source: MVec) -> None:
-    """target += coeff * x^mon * source, in place, entries kept canonical."""
-    if not coeff:
-        return
-    for (r, m), c in source.items():
-        key = (r, monomial_mul(m, mon))
-        s = target.get(key, 0) + coeff * c
-        if s:
-            # qnorm inlined, as in linalg.vec_axpy
-            if type(s) is Fraction and s.denominator == 1:
-                s = s.numerator
-            target[key] = s
-        else:
-            target.pop(key, None)
 
 
 def mvec_scale(v: MVec, coeff: Coeff) -> MVec:
@@ -144,7 +110,7 @@ def reduce_vec(
             if brow == row and monomial_divides(bmon, mon):
                 c = v[lt]
                 shift = monomial_div(mon, bmon)
-                mvec_axpy(v, -c, shift, b.vec)
+                _mvec_axpy(v, -c, shift, b.vec)
                 if quotients is not None:
                     qk = (k, shift)
                     s = qnorm(quotients.get(qk, 0) + c)
@@ -153,7 +119,7 @@ def reduce_vec(
                     else:
                         quotients.pop(qk, None)
                 if rep is not None and b.rep is not None:
-                    mvec_axpy(rep, -c, shift, b.rep)
+                    _mvec_axpy(rep, -c, shift, b.rep)
                 break
         else:
             rem[lt] = v.pop(lt)
@@ -219,13 +185,13 @@ def module_groebner(
         if skip:
             continue
         u: MVec = {}
-        mvec_axpy(u, 1, monomial_div(lcm, imon), basis[i].vec)
-        mvec_axpy(u, -1, monomial_div(lcm, jmon), basis[j].vec)
+        _mvec_axpy(u, 1, monomial_div(lcm, imon), basis[i].vec)
+        _mvec_axpy(u, -1, monomial_div(lcm, jmon), basis[j].vec)
         rep: MVec | None = None
         if track:
             rep = {}
-            mvec_axpy(rep, 1, monomial_div(lcm, imon), basis[i].rep)
-            mvec_axpy(rep, -1, monomial_div(lcm, jmon), basis[j].rep)
+            _mvec_axpy(rep, 1, monomial_div(lcm, imon), basis[i].rep)
+            _mvec_axpy(rep, -1, monomial_div(lcm, jmon), basis[j].rep)
         rem = reduce_vec(u, basis, key, rep=rep)
         if rem:
             basis.append(_make_elem(rem, key, rep))
@@ -272,7 +238,7 @@ def _apply_rep(coords: MVec, elems: list[GBElem]) -> MVec:
     """Expand coordinates over GB indices into the tracked generator space."""
     out: MVec = {}
     for (k, mon), c in coords.items():
-        mvec_axpy(out, c, mon, elems[k].rep)
+        _mvec_axpy(out, c, mon, elems[k].rep)
     return out
 
 
@@ -293,8 +259,8 @@ def schreyer_syzygies(gb: list[GBElem]) -> list[MVec]:
             a = monomial_div(lcm, imon)
             b = monomial_div(lcm, jmon)
             u: MVec = {}
-            mvec_axpy(u, 1, a, gb[i].vec)
-            mvec_axpy(u, -1, b, gb[j].vec)
+            _mvec_axpy(u, 1, a, gb[i].vec)
+            _mvec_axpy(u, -1, b, gb[j].vec)
             quotients: MVec = {}
             rem = reduce_vec(u, gb, key, quotients=quotients)
             if rem:
@@ -341,22 +307,25 @@ def syzygy_module(gens: list[MVec], nvars: int) -> list[MVec]:
     return result
 
 
-def lift_through(columns: list[MVec], target: MVec) -> MVec | None:
-    """Coordinates a with sum a_k columns_k = target, or None if no solution."""
-    if not target:
-        return {}
+def lift_through(columns: list[MVec], targets: list[MVec]) -> list[MVec | None]:
+    """For each target, coordinates a with sum a_k columns_k = target, or
+    None if there is no solution.  Every target is reduced against one
+    tracked basis of the columns, computed only when some target is
+    nonzero."""
     key = _term_key()
     nonzero = [(k, g) for k, g in enumerate(columns) if g]
-    if not nonzero:
-        return None
-    gb = module_groebner([g for _, g in nonzero], track=True)
-    quotients: MVec = {}
-    rem = reduce_vec(dict(target), gb, key, quotients=quotients)
-    if rem:
-        return None
-    back = _apply_rep(quotients, gb)
+    gb = (module_groebner([g for _, g in nonzero], track=True)
+          if nonzero and any(targets) else [])
     to_global = {t: k for t, (k, _) in enumerate(nonzero)}
-    return {(to_global[r], m): c for (r, m), c in back.items()}
+    out: list[MVec | None] = []
+    for target in targets:
+        quotients: MVec = {}
+        if reduce_vec(dict(target), gb, key, quotients=quotients):
+            out.append(None)
+            continue
+        back = _apply_rep(quotients, gb)
+        out.append({(to_global[r], m): c for (r, m), c in back.items()})
+    return out
 
 
 # -- polynomial (rank one) interface --------------------------------------
@@ -408,31 +377,18 @@ def ideal_member(f: Polynomial, gb_polys: list[Polynomial]) -> bool:
 # -- matrix-level syzygies --------------------------------------------------
 
 
-def matrix_from_vecs(vecs: list[MVec], row_twists, nvars: int) -> PolyMatrix:
-    """The nonzero vectors as the columns of a PolyMatrix over rows of the
-    given twists, sorted by degree (ties in list order); each column's
-    degree is polymatrix.column_degree, and PolyMatrix checks the rest."""
-    columns = []
-    for v in vecs:
-        polys = mvec_to_polys(v, len(row_twists), nvars)
-        deg = column_degree(polys, row_twists)
-        if deg is not None:
-            columns.append((deg, polys))
-    columns.sort(key=lambda dc: dc[0])
-    return PolyMatrix.from_columns(
-        nvars, row_twists, [p for _, p in columns], [d for d, _ in columns]
-    )
-
-
 def syzygy_basis(m: PolyMatrix) -> PolyMatrix:
     """First syzygy matrix of the columns of m.
 
     Returns s with row twists = column twists of m, columns generating
-    {v : m v = 0}; the product m * s is checked to vanish identically.
+    {v : m v = 0} sorted by degree (ties in the order syzygy_module gives
+    them); the product m * s is checked to vanish identically.
     """
-    gens = [mvec_from_polys(m.column(c)) for c in range(m.cols)]
-    syz = syzygy_module(gens, m.nvars) if m.cols else []
-    out = matrix_from_vecs(syz, m.col_twists, m.nvars)
+    syz = syzygy_module(list(m.vecs), m.nvars) if m.cols else []
+    cols = sorted(((column_degree(v, m.col_twists), v) for v in syz),
+                  key=lambda dv: dv[0])
+    out = PolyMatrix(m.nvars, m.col_twists, [d for d, _ in cols],
+                     [v for _, v in cols])
     if not (m * out).is_zero:
         raise AssertionError("syzygy certification failed: m * syz != 0")
     return out

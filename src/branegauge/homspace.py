@@ -16,16 +16,9 @@ nothing from groebner or modules, so it stays an independent cross-check.
 
 from __future__ import annotations
 
-from .linalg import (
-    SpanTracker,
-    _column_terms,
-    _expand,
-    degree_window,
-    nullspace,
-    tag,
-)
+from .linalg import SpanTracker, _expand, degree_window, nullspace, tag
 from .polymatrix import PolyMatrix
-from .polynomials import Coeff, Polynomial, monomials_of_degree
+from .polynomials import Coeff, monomials_of_degree
 
 
 class HomBasis:
@@ -64,14 +57,15 @@ class HomBasis:
         offset = 0
         for c, s in enumerate(rel_m.col_twists):
             index, tracker = window(s)
-            for src_row, p in enumerate(rel_m.column(c)):
-                if p.is_zero:
-                    continue
+            by_row: dict[int, list] = {}
+            for (src_row, pm), pc in rel_m.vecs[c].items():
+                by_row.setdefault(src_row, []).append((pm, pc))
+            for src_row, p in sorted(by_row.items()):
                 # contribution of slot (r, src_row, mon): entry x^mon times
                 # the relation coefficient p, reduced mod the span
                 slot_window, _ = window(source.cover_twists[src_row])
                 for (r, mon), k in slot_window.items():
-                    terms = [(r, pm, pc) for pm, pc in p.items()]
+                    terms = {(r, pm): pc for pm, pc in p}
                     residue = tracker.residual(_expand(terms, mon, index))
                     constraint_cols[first[src_row] + k].update(
                         (offset + i, v) for i, v in residue.items())
@@ -81,16 +75,15 @@ class HomBasis:
 
         # trivial maps: columns lying in the target relation span, i.e. the
         # relation multiples of each source generator's window
-        rel_n_terms = [_column_terms(rel_n.column(c)) for c in range(rel_n.cols)]
         trivial: list[dict] = []
         for c, tc in enumerate(source.cover_twists):
             index, _ = window(tc)
-            for terms, s in zip(rel_n_terms, rel_n.col_twists):
-                if not terms:
+            for vec, s in zip(rel_n.vecs, rel_n.col_twists):
+                if not vec:
                     continue
                 for mult in monomials_of_degree(nv, tc - s):
                     trivial.append({first[c] + k: v for k, v
-                                    in _expand(terms, mult, index).items()})
+                                    in _expand(vec, mult, index).items()})
 
         # basis vector k carries tag(k), so the tracker's coordinates read
         # basis coordinates directly; the untagged trivial maps project away
@@ -109,18 +102,12 @@ class HomBasis:
         return len(self._basis_vecs)
 
     def _matrix_from_vec(self, vec: dict) -> PolyMatrix:
-        nv = self.nvars
-        grid = [
-            [dict() for _ in self.source.cover_twists]
-            for _ in self.target.cover_twists
-        ]
+        cols: list[dict] = [{} for _ in self.source.cover_twists]
         for slot, coeff in vec.items():
             r, c, mon = self._slots[slot]
-            grid[r][c][mon] = coeff
-        entries = [[Polynomial(nv, cell) for cell in row] for row in grid]
-        return PolyMatrix(
-            nv, self.target.cover_twists, self.source.cover_twists, entries
-        )
+            cols[c][(r, mon)] = coeff
+        return PolyMatrix(self.nvars, self.target.cover_twists,
+                          self.source.cover_twists, cols)
 
     def matrices(self) -> list[PolyMatrix]:
         return [self._matrix_from_vec(v) for v in self._basis_vecs]
@@ -129,14 +116,12 @@ class HomBasis:
         """Coordinates of a degree-0 hom matrix in the basis, trivial part
         projected away; None when the matrix is not in the solution span."""
         vec: dict = {}
-        for c in range(mat.cols):
-            for r in range(mat.rows):
-                p = mat.entries[r][c]
-                for mon, coeff in p.items():
-                    slot = self._slot_index.get((r, c, mon))
-                    if slot is None:
-                        return None
-                    vec[slot] = coeff
+        for c, col in enumerate(mat.vecs):
+            for (r, mon), coeff in col.items():
+                slot = self._slot_index.get((r, c, mon))
+                if slot is None:
+                    return None
+                vec[slot] = coeff
         coords = self._tracker.coordinates(vec)
         if coords is None:
             return None

@@ -18,6 +18,12 @@ HomBasis read relations and coordinates from them.  Untagged columns cost no
 bookkeeping, which is what the rank-only windows (degree_window, the Cech
 level spans, the cocycle check) use.
 
+Matrix columns and the Groebner engine's module elements share one form,
+MVec: a sparse vector {(row, monomial): coefficient} of a free module.
+_mvec_axpy is its shifted axpy, the product step of PolyMatrix and the
+reduction step of groebner; _expand lays such a column, times a monomial,
+into a degree window.
+
 The degree-d window of a presentation lives here too (degree_window): it
 numbers the cover's (row, monomial) coordinates of degree d and spans every
 relation column times every monomial that lands it there.  Graded pieces and
@@ -31,17 +37,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .polynomials import Coeff, monomial_mul, monomials_of_degree, qinv
+from .polynomials import Coeff, Monomial, monomial_mul, monomials_of_degree, qinv
 
 SparseVec = dict[int, Coeff]
-# a column's terms (row, monomial, coefficient), and a window's coordinates
-Terms = list[tuple[int, tuple, Coeff]]
+# a free-module vector {(row, monomial): coefficient}, and a window's
+# coordinates
+MVec = dict[tuple[int, Monomial], Coeff]
 WindowIndex = dict[tuple[int, tuple], int]
 
 
 def vec_axpy(target: dict, coeff: Coeff, source: dict) -> None:
     """target += coeff * source, in place, dropping zeros and keeping every
-    entry canonical.  Any key type works; groebner's MVec is one."""
+    entry canonical.  Any key type works; MVec is one."""
     if not coeff:
         return
     for i, v in source.items():
@@ -53,6 +60,22 @@ def vec_axpy(target: dict, coeff: Coeff, source: dict) -> None:
             target[i] = s
         else:
             target.pop(i, None)
+
+
+def _mvec_axpy(target: MVec, coeff: Coeff, mon: Monomial, source: MVec) -> None:
+    """target += coeff * x^mon * source, in place, entries kept canonical."""
+    if not coeff:
+        return
+    for (r, m), c in source.items():
+        key = (r, monomial_mul(m, mon))
+        s = target.get(key, 0) + coeff * c
+        if s:
+            # qnorm inlined, as in vec_axpy
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
+            target[key] = s
+        else:
+            target.pop(key, None)
 
 
 class SpanTracker:
@@ -148,15 +171,10 @@ def solve_in_span(columns: list[SparseVec], target: SparseVec) -> SparseVec | No
     return tracker.coordinates(target)
 
 
-def _column_terms(polys) -> Terms:
-    """The (row, monomial, coefficient) terms of a column of polynomials."""
-    return [(r, mon, c) for r, p in enumerate(polys) for mon, c in p.items()]
-
-
-def _expand(terms: Terms, mult: tuple, index: WindowIndex) -> SparseVec:
+def _expand(vec: MVec, mult: Monomial, index: WindowIndex) -> SparseVec:
     """Window coordinates of a column times x^mult.  Each term lands on its
     own coordinate (row, mon * mult), so every entry is written once."""
-    return {index[(r, monomial_mul(mon, mult))]: c for r, mon, c in terms}
+    return {index[(r, monomial_mul(mon, mult))]: c for (r, mon), c in vec.items()}
 
 
 def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
@@ -179,7 +197,7 @@ def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
     for c, s in enumerate(relations.col_twists):
         if d - s < 0:
             continue
-        terms = _column_terms(relations.column(c))
+        vec = relations.vecs[c]
         for mult in monomials_of_degree(nv, d - s):
-            tracker.insert(_expand(terms, mult, index))
+            tracker.insert(_expand(vec, mult, index))
     return index, tracker

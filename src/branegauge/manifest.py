@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .complexes import BoundedComplex
 from .errors import BraneGaugeError, ManifestError
 from .modules import GradedMap, GradedModule
-from .polymatrix import PolyMatrix, column_degree
+from .polymatrix import PolyMatrix, column_degree, column_vec
 from .polynomials import Polynomial, parse_polynomial
 from .projective import ProjectiveSpace, cotangent_sheaf, generator
 
@@ -94,6 +94,7 @@ class TaskDef:
     line: int
     params: dict = field(default_factory=dict)
     matrices: dict = field(default_factory=dict)  # "matrix" or ("level", i)
+    matrix_lines: dict = field(default_factory=dict)  # the line of each key
 
 
 @dataclass
@@ -250,7 +251,7 @@ def _poly(text: str, nv: int, line: int) -> Polynomial:
 def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatrix:
     """Column-major string data to a PolyMatrix, inferring column twists
     from the first nonzero entry of each column."""
-    polys = []
+    vecs = []
     col_twists = []
     for ci, col in enumerate(cols):
         if len(col) != len(row_twists):
@@ -258,9 +259,9 @@ def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatri
                 f"{key}: column {ci} has {len(col)} entries, expected "
                 f"{len(row_twists)}", line=line,
             )
-        pcol = [_poly(e, nv, line) for e in col]
+        vec = column_vec([_poly(e, nv, line) for e in col])
         try:
-            tw = column_degree(pcol, row_twists)
+            tw = column_degree(vec, row_twists)
         except BraneGaugeError as e:
             raise ManifestError(f"{key}: column {ci}: {e}", line=line) from e
         if tw is None:
@@ -268,10 +269,10 @@ def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatri
                 f"{key}: column {ci} is identically zero; its degree cannot "
                 "be inferred", line=line,
             )
-        polys.append(pcol)
+        vecs.append(vec)
         col_twists.append(tw)
     try:
-        return PolyMatrix.from_columns(nv, tuple(row_twists), polys, col_twists)
+        return PolyMatrix(nv, tuple(row_twists), col_twists, vecs)
     except BraneGaugeError as e:
         raise ManifestError(f"{key}: {e}", line=line) from e
 
@@ -354,6 +355,7 @@ def parse_manifest(text) -> Manifest:
                         line=kline,
                     )
                 task.matrices[mkey] = _matrix_value(value, key, kline)
+                task.matrix_lines[mkey] = kline
             tasks.append(task)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -548,6 +550,15 @@ def _validate_task(task: TaskDef, space, modules, complexes):
             raise ManifestError(
                 f"{p} must name a declared complex", line=line
             )
+    if takes == "level N":
+        src = complexes[task.params["source"][0]]
+        tgt = complexes[task.params["target"][0]]
+        for (_, i), kline in task.matrix_lines.items():
+            if i not in src.window() and i not in tgt.window():
+                raise ManifestError(
+                    f"level {i} outside the source degrees {src.lo}..{src.hi}"
+                    f" and the target degrees {tgt.lo}..{tgt.hi}", line=kline,
+                )
     if task.kind == "hom-complex" and "oracle" in task.params:
         value, line = task.params["oracle"]
         if value not in ("module", "sheaf"):

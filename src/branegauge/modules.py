@@ -33,16 +33,13 @@ from .errors import (
     ShapeError,
 )
 from .groebner import (
-    MVec,
     buchberger,
     lift_through,
     module_groebner,
-    mvec_from_polys,
     mvec_member,
-    mvec_to_polys,
     syzygy_basis,
 )
-from .linalg import _column_terms, _expand, degree_window
+from .linalg import MVec, _expand, degree_window
 from .polymatrix import PolyMatrix
 from .polynomials import Polynomial, monomials_of_degree, qinv
 
@@ -80,11 +77,7 @@ class GradedModule:
 
     def relation_gb(self):
         if self._gb is None:
-            gens = [
-                mvec_from_polys(self.relations.column(c))
-                for c in range(self.relations.cols)
-            ]
-            self._gb = module_groebner([g for g in gens if g])
+            self._gb = module_groebner([g for g in self.relations.vecs if g])
         return self._gb
 
     def reduces_to_zero(self, vec: MVec) -> bool:
@@ -109,8 +102,8 @@ class GradedModule:
 def _outside(m: GradedModule, mat: PolyMatrix):
     """The indices of the columns of mat that are not in m's relation
     submodule, lazily, in column order."""
-    for c in range(mat.cols):
-        if not m.reduces_to_zero(mvec_from_polys(mat.column(c))):
+    for c, vec in enumerate(mat.vecs):
+        if not m.reduces_to_zero(vec):
             yield c
 
 
@@ -233,8 +226,7 @@ def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
 
 
 def _nonzero_columns(m: PolyMatrix) -> PolyMatrix:
-    keep = [c for c in range(m.cols) if any(not p.is_zero for p in m.column(c))]
-    return m.select_columns(keep)
+    return m.select_columns(c for c, vec in enumerate(m.vecs) if vec)
 
 
 def _submodule(
@@ -289,27 +281,20 @@ def cokernel_with_projection(f: GradedMap) -> tuple[GradedModule, GradedMap]:
 def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
     """The map g with incl * g = f, for injective incl sharing f's target.
 
-    Solved column by column against [incl.matrix | target.relations]; raises
-    if some column of f does not factor.
+    Every column of f is solved against one basis of [incl.matrix |
+    target.relations]; raises if some column of f does not factor.
     """
-    tgt = f.target
-    cols = [
-        mvec_from_polys(incl.matrix.column(c)) for c in range(incl.matrix.cols)
-    ] + [mvec_from_polys(tgt.relations.column(c)) for c in range(tgt.relations.cols)]
-    nv = f.source.nvars
     rank = incl.matrix.cols
-    out_cols: list[list[Polynomial]] = []
-    for c in range(f.matrix.cols):
-        target_vec = mvec_from_polys(f.matrix.column(c))
-        sol = lift_through(cols, target_vec)
+    sols = lift_through(list(incl.matrix.vecs + f.target.relations.vecs),
+                        list(f.matrix.vecs))
+    out_cols: list[MVec] = []
+    for c, sol in enumerate(sols):
         if sol is None:
             raise NotWellDefinedError(f"column {c} does not factor through the inclusion")
         # coordinates past the inclusion's columns weigh target relations
-        own = {key: coeff for key, coeff in sol.items() if key[0] < rank}
-        out_cols.append(mvec_to_polys(own, rank, nv))
-    mat = PolyMatrix.from_columns(
-        nv, incl.source.cover_twists, out_cols, f.matrix.col_twists
-    )
+        out_cols.append({key: coeff for key, coeff in sol.items() if key[0] < rank})
+    mat = PolyMatrix(f.source.nvars, incl.source.cover_twists,
+                     f.matrix.col_twists, out_cols)
     return GradedMap(f.source, incl.source, mat, check=False)
 
 
@@ -367,12 +352,11 @@ def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
     others; substituting removes row r and column c.  The result presents an
     isomorphic module with no unit entries.
     """
-    entries = {
-        (r, c): rel.entries[r][c]
-        for r in range(rel.rows)
-        for c in range(rel.cols)
-        if not rel.entries[r][c].is_zero
-    }
+    terms: dict = {}
+    for c, vec in enumerate(rel.vecs):
+        for (r, mon), v in vec.items():
+            terms.setdefault((r, c), {})[mon] = v
+    entries = {rc: Polynomial(rel.nvars, t) for rc, t in terms.items()}
     live_rows = set(range(rel.rows))
     live_cols = set(range(rel.cols))
     while True:
@@ -408,13 +392,15 @@ def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
         live_cols.discard(c0)
     rows = sorted(live_rows)
     cols = sorted(live_cols)
-    z = Polynomial.zero(rel.nvars)
-    grid = [[entries.get((r, c), z) for c in cols] for r in rows]
+    row_pos = {r: k for k, r in enumerate(rows)}
+    vecs: dict[int, MVec] = {c: {} for c in cols}
+    for (r, c), p in entries.items():
+        vecs[c].update(((row_pos[r], mon), v) for mon, v in p.items())
     return PolyMatrix(
         rel.nvars,
         [rel.row_twists[r] for r in rows],
         [rel.col_twists[c] for c in cols],
-        grid,
+        list(vecs.values()),
     )
 
 
@@ -437,7 +423,7 @@ def _minimal_columns(m: PolyMatrix) -> PolyMatrix:
         for c, t in enumerate(m.col_twists):
             if t != s:
                 continue
-            vec = _expand(_column_terms(m.column(c)), zero_mon, index)
+            vec = _expand(m.vecs[c], zero_mon, index)
             if vec and tracker.insert(vec) is None:
                 kept.append(c)
     kept.sort()
@@ -539,9 +525,8 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
     parts = {}
     for i, t in enumerate(m.cover_twists):
         mons = monomials_of_degree(nv, max(floor - t, 0))
-        parts[(i, i)] = PolyMatrix(
-            nv, (t,), (max(t, floor),) * len(mons),
-            [[Polynomial.monomial(nv, mon) for mon in mons]])
+        parts[(i, i)] = PolyMatrix(nv, (t,), (max(t, floor),) * len(mons),
+                                   [{(0, mon): 1} for mon in mons])
     gens = PolyMatrix.blocks(nv, [b.row_twists for b in parts.values()],
                              [b.col_twists for b in parts.values()], parts)
     return _submodule(gens, m)
@@ -635,11 +620,11 @@ def piece_dim_and_map_rank(f: GradedMap, d: int) -> tuple[int, int]:
     for c, tc in enumerate(mat.col_twists):
         if d - tc < 0:
             continue
-        terms = _column_terms(mat.column(c))
-        if not terms:
+        vec = mat.vecs[c]
+        if not vec:
             continue
         for mult in monomials_of_degree(f.target.nvars, d - tc):
-            tracker.insert(_expand(terms, mult, index))
+            tracker.insert(_expand(vec, mult, index))
     return len(index) - base, tracker.rank - base
 
 

@@ -6,9 +6,19 @@ A PolyMatrix records a degree-zero map of free graded modules
 
 column c holds the image of the c-th source generator in target cover
 coordinates.  The graded contract is that entry (r, c) is homogeneous of
-degree col_twists[c] - row_twists[r], or zero; the constructor enforces it.
+degree col_twists[c] - row_twists[r], or zero; the constructor enforces it
+on every stored term.
+
+There is one matrix form: column c is `vecs[c]`, a sparse vector
+{(row, monomial): coefficient} (linalg.MVec), the same form the Groebner
+engine computes with, so syzygies, kernels and lifts read and write columns
+without any conversion.  Zero entries take no space.  The product is the
+engine's axpy: column c of A * B adds coeff * x^mon times column k of A for
+each term (k, mon, coeff) of column c of B.  `column`, `entry` and the
+`entries` grid build Polynomials on demand, for printing and cold paths.
 `column_degree` is the one place that infers a column's twist from its
-entries: it reads the first nonzero entry and leaves the rest to that check.
+terms: it reads the first nonzero entry and leaves the rest to the
+constructor's check.
 
 Block layout, fixed here and nowhere else.  A direct sum of free modules
 lists its summands' generators one group after another (`blocks`).  A
@@ -27,24 +37,32 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import HomogeneityError, RingMismatchError, ShapeError
-from .polynomials import Polynomial, parse_polynomial, qnorm
+from .linalg import MVec, _mvec_axpy, vec_axpy
+from .polynomials import Polynomial, qnorm
 
 
-def column_degree(polys: Sequence[Polynomial], row_twists: Sequence[int]) -> int | None:
+def column_vec(polys: Sequence[Polynomial]) -> MVec:
+    """A column of polynomials as a vector {(row, monomial): coefficient}."""
+    return {(r, mon): c for r, p in enumerate(polys) for mon, c in p.terms.items()}
+
+
+def column_degree(vec: MVec, row_twists: Sequence[int]) -> int | None:
     """Degree of a column over rows of the given twists, read off its first
     nonzero entry; None for a zero column.  Raises HomogeneityError when that
     entry is inhomogeneous; PolyMatrix checks the other entries."""
-    for r, p in enumerate(polys):
-        if not p.is_zero:
-            try:
-                return p.homogeneous_degree() + row_twists[r]
-            except ValueError:
-                raise HomogeneityError(f"entry {r} = {p} is not homogeneous") from None
-    return None
+    if not vec:
+        return None
+    first = min(r for r, _ in vec)
+    entry = {mon: c for (r, mon), c in vec.items() if r == first}
+    degs = {sum(mon) for mon in entry}
+    if len(degs) > 1:
+        p = Polynomial(len(next(iter(entry))), entry)
+        raise HomogeneityError(f"entry {first} = {p} is not homogeneous")
+    return degs.pop() + row_twists[first]
 
 
 class PolyMatrix:
-    __slots__ = ("nvars", "rows", "cols", "row_twists", "col_twists", "entries",
+    __slots__ = ("nvars", "rows", "cols", "row_twists", "col_twists", "vecs",
                  "_hash")
 
     def __init__(
@@ -52,69 +70,70 @@ class PolyMatrix:
         nvars: int,
         row_twists: Sequence[int],
         col_twists: Sequence[int],
-        entries: Sequence[Sequence[Polynomial]],
+        vecs: Sequence[MVec],
     ):
+        """The matrix whose column c is vecs[c]; the vectors are shared,
+        never copied, and nothing may mutate them afterwards."""
         self.nvars = nvars
-        self.row_twists = tuple(row_twists)
-        self.col_twists = tuple(col_twists)
-        self.rows = len(self.row_twists)
-        self.cols = len(self.col_twists)
-        if len(entries) != self.rows or any(len(row) != self.cols for row in entries):
+        self.row_twists = rt = tuple(row_twists)
+        self.col_twists = ct = tuple(col_twists)
+        self.rows = rows = len(rt)
+        self.cols = len(ct)
+        self.vecs = tuple(vecs)
+        if len(self.vecs) != self.cols:
             raise ShapeError(
-                f"entry grid {len(entries)}x? does not match {self.rows}x{self.cols}"
+                f"{len(self.vecs)} columns do not match {rows}x{self.cols}"
             )
-        grid = []
-        for r, row in enumerate(entries):
-            new_row = []
-            for c, p in enumerate(row):
-                if p.nvars != nvars:
-                    raise RingMismatchError(
-                        f"entry ({r},{c}) lives in {p.nvars} variables, matrix in {nvars}"
-                    )
-                if not p.is_zero:
-                    want = self.col_twists[c] - self.row_twists[r]
-                    try:
-                        got = p.homogeneous_degree()
-                    except ValueError:
-                        got = "mixed"
-                    if got != want:
-                        raise HomogeneityError(
-                            f"entry ({r},{c}) = {p} has degree {got}, expected {want}"
-                        )
-                new_row.append(p)
-            grid.append(tuple(new_row))
-        self.entries = tuple(grid)
+        for c, vec in enumerate(self.vecs):
+            t = ct[c]
+            for r, mon in vec:
+                if (len(mon) != nvars or not 0 <= r < rows
+                        or sum(mon) != t - rt[r]):
+                    self._reject()
         self._hash = None
+
+    def _reject(self) -> None:
+        """Raise for the first entry, in row-major order, with a term of the
+        wrong ring or degree (a term outside the rows is a ShapeError)."""
+        nv, bad = self.nvars, []
+        for c, vec in enumerate(self.vecs):
+            for r, mon in vec:
+                if not 0 <= r < self.rows:
+                    raise ShapeError(f"column {c} has a term in row {r} of {self.rows}")
+                if len(mon) != nv or sum(mon) != self.col_twists[c] - self.row_twists[r]:
+                    bad.append((r, c))
+        r, c = min(bad)
+        lengths = {len(mon) for k, mon in self.vecs[c] if k == r} - {nv}
+        if lengths:
+            raise RingMismatchError(
+                f"entry ({r},{c}) lives in {lengths.pop()} variables, matrix in {nv}"
+            )
+        p = self.entry(r, c)
+        try:
+            got = p.homogeneous_degree()
+        except ValueError:
+            got = "mixed"
+        want = self.col_twists[c] - self.row_twists[r]
+        raise HomogeneityError(f"entry ({r},{c}) = {p} has degree {got}, expected {want}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int, row_twists, col_twists) -> "PolyMatrix":
-        z = Polynomial.zero(nvars)
-        return cls(
-            nvars,
-            row_twists,
-            col_twists,
-            [[z] * len(col_twists) for _ in row_twists],
-        )
+        return cls(nvars, row_twists, col_twists, [{} for _ in col_twists])
 
     @classmethod
     def identity(cls, nvars: int, twists) -> "PolyMatrix":
-        z = Polynomial.zero(nvars)
-        one = Polynomial.one(nvars)
-        n = len(twists)
-        return cls(
-            nvars,
-            twists,
-            twists,
-            [[one if r == c else z for c in range(n)] for r in range(n)],
-        )
+        one = (0,) * nvars
+        return cls(nvars, twists, twists,
+                   [{(c, one): 1} for c in range(len(twists))])
 
     @classmethod
     def variables(cls, nvars: int) -> "PolyMatrix":
         """The row [x0 .. x_{nvars-1}]: R(-1)^nvars -> R."""
         return cls(nvars, (0,), (1,) * nvars,
-                   [[Polynomial.variable(nvars, i) for i in range(nvars)]])
+                   [{(0, tuple(int(j == i) for j in range(nvars))): 1}
+                    for i in range(nvars)])
 
     @classmethod
     def blocks(cls, nvars: int, row_groups, col_groups, parts) -> "PolyMatrix":
@@ -123,47 +142,59 @@ class PolyMatrix:
         and absent blocks are zero."""
         row_off = [0, *accumulate(map(len, row_groups))]
         col_off = [0, *accumulate(map(len, col_groups))]
-        z = Polynomial.zero(nvars)
-        entries = [[z] * col_off[-1] for _ in range(row_off[-1])]
+        vecs: list[MVec] = [{} for _ in range(col_off[-1])]
         for (gi, gj), m in parts.items():
             if (m.row_twists != tuple(row_groups[gi])
                     or m.col_twists != tuple(col_groups[gj])):
                 raise ShapeError(f"block ({gi},{gj}) twist mismatch")
-            for r, row in enumerate(m.entries):
-                entries[row_off[gi] + r][col_off[gj]:col_off[gj] + m.cols] = row
+            off = row_off[gi]
+            for c, vec in enumerate(m.vecs, start=col_off[gj]):
+                vecs[c].update(((r + off, mon), v) for (r, mon), v in vec.items())
         return cls(nvars, [t for g in row_groups for t in g],
-                   [t for g in col_groups for t in g], entries)
+                   [t for g in col_groups for t in g], vecs)
 
     @classmethod
     def from_columns(
         cls, nvars: int, row_twists, columns: Sequence[Sequence[Polynomial]], col_twists
     ) -> "PolyMatrix":
+        """The matrix with the given columns of polynomials."""
         rows = len(row_twists)
         if any(len(col) != rows for col in columns):
             raise ShapeError("column length does not match row twist count")
-        entries = [[columns[c][r] for c in range(len(columns))] for r in range(rows)]
-        return cls(nvars, row_twists, col_twists, entries)
-
-    @classmethod
-    def from_strings(
-        cls, nvars: int, row_twists, col_twists, grid: Sequence[Sequence[str]]
-    ) -> "PolyMatrix":
-        entries = [
-            [parse_polynomial(s, nvars) for s in row] for row in grid
-        ]
-        return cls(nvars, row_twists, col_twists, entries)
+        if len(columns) != len(col_twists):
+            raise ShapeError(
+                f"entry grid {rows}x? does not match {rows}x{len(col_twists)}"
+            )
+        for r in range(rows):
+            for c, col in enumerate(columns):
+                p = col[r]
+                if p.nvars != nvars:
+                    raise RingMismatchError(
+                        f"entry ({r},{c}) lives in {p.nvars} variables, matrix in {nvars}"
+                    )
+        return cls(nvars, row_twists, col_twists, [column_vec(col) for col in columns])
 
     # -- access ------------------------------------------------------------
 
     def column(self, c: int) -> list[Polynomial]:
-        return [self.entries[r][c] for r in range(self.rows)]
+        rows: list[dict] = [{} for _ in range(self.rows)]
+        for (r, mon), v in self.vecs[c].items():
+            rows[r][mon] = v
+        return [Polynomial(self.nvars, terms) for terms in rows]
 
     def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries[r][c]
+        return Polynomial(self.nvars, {mon: v for (k, mon), v in self.vecs[c].items()
+                                       if k == r})
+
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The dense grid of entries, row by row, built on each access."""
+        columns = [self.column(c) for c in range(self.cols)]
+        return tuple(tuple(col[r] for col in columns) for r in range(self.rows))
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
+        return not any(self.vecs)
 
     # -- algebra -----------------------------------------------------------
 
@@ -174,59 +205,39 @@ class PolyMatrix:
             raise ShapeError(
                 f"cannot compose: inner twists {self.col_twists} vs {other.row_twists}"
             )
-        z = Polynomial.zero(self.nvars)
-        # the nonzero entries of each column of other, listed once, k ascending;
-        # only nonzero pairs are multiplied, summed in that order
-        other_cols = [
-            [(k, row[c]) for k, row in enumerate(other.entries) if not row[c].is_zero]
-            for c in range(other.cols)
-        ]
-        entries = []
-        for row in self.entries:
-            live = {k: a for k, a in enumerate(row) if not a.is_zero}
-            out = []
-            for col in other_cols:
-                acc = None
-                for k, b in col:
-                    a = live.get(k)
-                    if a is not None:
-                        acc = a * b if acc is None else acc + a * b
-                out.append(z if acc is None else acc)
-            entries.append(out)
-        return PolyMatrix(self.nvars, self.row_twists, other.col_twists, entries)
+        left = self.vecs
+        out = []
+        for vec in other.vecs:
+            acc: MVec = {}
+            for (k, mon), c in vec.items():
+                _mvec_axpy(acc, c, mon, left[k])
+            out.append(acc)
+        return PolyMatrix(self.nvars, self.row_twists, other.col_twists, out)
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.nvars,
-            self.row_twists,
-            self.col_twists,
-            [[-p for p in row] for row in self.entries],
-        )
+        return self.scale(-1)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.row_twists, self.col_twists) != (other.row_twists, other.col_twists):
             raise ShapeError("matrix sum with mismatched twists")
-        return PolyMatrix(
-            self.nvars,
-            self.row_twists,
-            self.col_twists,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        out = []
+        for a, b in zip(self.vecs, other.vecs):
+            acc = dict(a)
+            vec_axpy(acc, 1, b)
+            out.append(acc)
+        return PolyMatrix(self.nvars, self.row_twists, self.col_twists, out)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + (-other)
 
     def scale(self, c) -> "PolyMatrix":
         c = qnorm(c)
-        return PolyMatrix(
-            self.nvars,
-            self.row_twists,
-            self.col_twists,
-            [[p.scale(c) for p in row] for row in self.entries],
-        )
+        out = []
+        for vec in self.vecs:
+            acc: MVec = {}
+            vec_axpy(acc, c, vec)
+            out.append(acc)
+        return PolyMatrix(self.nvars, self.row_twists, self.col_twists, out)
 
     def twist_all(self, k: int) -> "PolyMatrix":
         """Shift every row and column twist by -k (entries unchanged)."""
@@ -234,73 +245,65 @@ class PolyMatrix:
             self.nvars,
             tuple(t - k for t in self.row_twists),
             tuple(t - k for t in self.col_twists),
-            self.entries,
+            self.vecs,
         )
 
     def hstack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.row_twists != other.row_twists:
             raise ShapeError("hstack with mismatched row twists")
-        return PolyMatrix(
-            self.nvars,
-            self.row_twists,
-            self.col_twists + other.col_twists,
-            [ra + rb for ra, rb in zip(self.entries, other.entries)],
-        )
+        return PolyMatrix(self.nvars, self.row_twists,
+                          self.col_twists + other.col_twists,
+                          self.vecs + other.vecs)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product: entry ((i, p), (c, q)) is self[i][c] *
-        other[p][q], the twists add.  Where one factor is the constant 1 the
-        other entry is copied, not multiplied."""
+        other[p][q], the twists add."""
         if self.nvars != other.nvars:
             raise RingMismatchError("Kronecker product across rings")
-        one = Polynomial.one(self.nvars)
-        z = Polynomial.zero(self.nvars)
-        live = [(p, q, b, b == one) for p, row in enumerate(other.entries)
-                for q, b in enumerate(row) if not b.is_zero]
-        entries = [[z] * (self.cols * other.cols)
-                   for _ in range(self.rows * other.rows)]
-        for i, row in enumerate(self.entries):
-            for c, a in enumerate(row):
-                if a.is_zero:
-                    continue
-                a_one = a == one
-                for p, q, b, b_one in live:
-                    entries[i * other.rows + p][c * other.cols + q] = (
-                        b if a_one else a if b_one else a * b
-                    )
+        n = other.rows
+        out = []
+        for a in self.vecs:
+            for b in other.vecs:
+                acc: MVec = {}
+                for (i, mon), c in a.items():
+                    _mvec_axpy(acc, c, mon,
+                               {(i * n + p, m): v for (p, m), v in b.items()})
+                out.append(acc)
         return PolyMatrix(
             self.nvars,
             [s + t for s in self.row_twists for t in other.row_twists],
             [s + t for s in self.col_twists for t in other.col_twists],
-            entries,
+            out,
         )
 
     def dual(self) -> "PolyMatrix":
         """The transpose with negated twists: the map Hom(-, R) induces."""
+        out: list[MVec] = [{} for _ in range(self.rows)]
+        for c, vec in enumerate(self.vecs):
+            for (r, mon), v in vec.items():
+                out[r][(c, mon)] = v
         return PolyMatrix(
             self.nvars,
             tuple(-t for t in self.col_twists),
             tuple(-t for t in self.row_twists),
-            [self.column(c) for c in range(self.cols)],
+            out,
         )
 
     def select_columns(self, indices: Iterable[int]) -> "PolyMatrix":
         idx = list(indices)
-        return PolyMatrix.from_columns(
-            self.nvars,
-            self.row_twists,
-            [self.column(c) for c in idx],
-            [self.col_twists[c] for c in idx],
-        )
+        return PolyMatrix(self.nvars, self.row_twists,
+                          [self.col_twists[c] for c in idx],
+                          [self.vecs[c] for c in idx])
 
     def select_rows(self, indices: Iterable[int]) -> "PolyMatrix":
         idx = list(indices)
-        return PolyMatrix(
-            self.nvars,
-            [self.row_twists[r] for r in idx],
-            self.col_twists,
-            [self.entries[r] for r in idx],
-        )
+        places: dict[int, list[int]] = {}
+        for k, r in enumerate(idx):
+            places.setdefault(r, []).append(k)
+        out = [{(k, mon): v for (r, mon), v in vec.items() for k in places.get(r, ())}
+               for vec in self.vecs]
+        return PolyMatrix(self.nvars, [self.row_twists[r] for r in idx],
+                          self.col_twists, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -308,16 +311,17 @@ class PolyMatrix:
             and self.nvars == other.nvars
             and self.row_twists == other.row_twists
             and self.col_twists == other.col_twists
-            and self.entries == other.entries
+            and self.vecs == other.vecs
         )
 
     def __hash__(self) -> int:
         """Hash of the canonical presentation, built once per instance; it
-        agrees with __eq__, so equal matrices built apart share cache keys."""
+        agrees with __eq__ whatever order the terms were stored in, so equal
+        matrices built apart share cache keys."""
         if self._hash is None:
             self._hash = hash((
                 self.nvars, self.row_twists, self.col_twists,
-                tuple(tuple(p.items()) for row in self.entries for p in row),
+                tuple(frozenset(vec.items()) for vec in self.vecs),
             ))
         return self._hash
 

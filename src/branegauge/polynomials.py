@@ -139,6 +139,12 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
+    @property
+    def terms(self) -> Mapping[Monomial, Coeff]:
+        """The {monomial: coefficient} dict itself, in no fixed order, for
+        callers that only copy it; it must not be mutated."""
+        return self._terms
+
     def items(self) -> Iterator[tuple[Monomial, Coeff]]:
         """Terms in a fixed (grevlex-descending) order, for determinism."""
         return iter(sorted(self._terms.items(), key=lambda kv: grevlex_key(kv[0]),

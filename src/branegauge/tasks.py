@@ -114,7 +114,7 @@ def _complex_map_from_task(task: TaskDef, ctx: RunContext):
         _, i = key
         a, b = src.term(i), tgt.term(i)
         mat = _columns_for_map(nv, b.cover_twists, a.cover_twists, cols,
-                               f"level {i}", task.line)
+                               f"level {i}", task.matrix_lines[key])
         levels[i] = GradedMap(a, b, mat, check=True)
     return ComplexMap(src, tgt, levels, check=True)
 
@@ -175,7 +175,8 @@ def _run_triangle_from_ses(task, ctx):
     src = m.resolve_module(_param(task, "source"), task.line)
     tgt = m.resolve_module(_param(task, "target"), task.line)
     mat = _columns_for_map(m.space.nvars, tgt.cover_twists, src.cover_twists,
-                           task.matrices["matrix"], "matrix", task.line)
+                           task.matrices["matrix"], "matrix",
+                           task.matrix_lines["matrix"])
     f = GradedMap(src, tgt, mat, check=True)
     _, proj = cokernel_with_projection(f)
     tri = triangle_from_module_ses(f, proj)

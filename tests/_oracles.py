@@ -2,13 +2,18 @@
 
 Everything here is computed with plain dense linear algebra over Fraction
 and closed-form counting, never through the engine's Groebner or module
-code, so agreement is meaningful.
+code, so agreement is meaningful.  The two matrix builders at the end only
+spell a PolyMatrix row by row, as the tests write them; the package builds
+its matrices column by column and does not need them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from branegauge.polymatrix import PolyMatrix
+from branegauge.polynomials import parse_polynomial
 
 
 def count_monomials(nv: int, d: int) -> int:
@@ -183,3 +188,15 @@ def bott_omega1_h(n: int, d: int, q: int) -> int:
     if q == n and d < 1 - n:
         return math.comb(-d + 1, -d) * math.comb(-d - 1, n - 1)
     return 0
+
+
+def matrix_from_rows(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:
+    """The PolyMatrix whose entries are the given rows of Polynomials."""
+    columns = [[row[c] for row in grid] for c in range(len(col_twists))]
+    return PolyMatrix.from_columns(nvars, row_twists, columns, col_twists)
+
+
+def from_strings(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:
+    """The PolyMatrix whose entries are the given rows of polynomial text."""
+    return matrix_from_rows(nvars, row_twists, col_twists,
+                            [[parse_polynomial(s, nvars) for s in row] for row in grid])

@@ -91,6 +91,40 @@ def test_malformed_manifest_bytes_exit_two(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+LEVEL_MANIFEST = """\
+[ring]
+n = 1
+
+[complex J]
+degrees = -1..0
+term -1 = O(-1)
+term 0 = O(0)
+map -1 = [["x0"]]
+
+[task cone]
+source = J
+target = J
+level -1 = [["1"]]
+level 0 = [["{entry}"]]
+level 7 = [["1"]]
+"""
+
+
+def test_level_outside_the_complexes_exits_two_on_its_line(tmp_path, capsys):
+    code = _run(tmp_path, LEVEL_MANIFEST.format(entry="1"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert "level 7 outside" in captured.err and "(line 15)" in captured.err
+    # a level inside the degrees that fails at run time names its own line
+    text = LEVEL_MANIFEST.format(entry='1", "1').replace('level 7 = [["1"]]\n', "")
+    code = _run(tmp_path, text)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "status: error" in out
+    assert "level 0: column 0 has 2 entries, expected 1 (line 14)" in out
+
+
 def test_report_file_matches_stdout(tmp_path, capsys):
     rp = tmp_path / "out.report"
     code = _run(tmp_path, OK_MANIFEST, "--report", str(rp))

@@ -14,7 +14,6 @@ from branegauge.groebner import (
     _term_key,
     buchberger,
     module_groebner,
-    mvec_from_polys,
     normal_form,
     syzygy_basis,
 )
@@ -30,6 +29,8 @@ from branegauge.polynomials import (
     qnorm,
 )
 from branegauge.projective import ProjectiveSpace, cotangent_sheaf
+
+from _oracles import from_strings
 
 
 def _scalars(obj):
@@ -88,7 +89,7 @@ def test_polynomial_rejects_a_float_coefficient():
     with pytest.raises(TypeError):
         x0.scale(0.5)
     with pytest.raises(TypeError):
-        PolyMatrix(3, (0,), (1,), [[x0]]).scale(2.0)
+        PolyMatrix.from_columns(3, (0,), [[x0]], (1,)).scale(2.0)
     p = Polynomial(3, {(1, 0, 0): Fraction(6, 3), (0, 1, 0): Fraction(1, 2)})
     assert type(p.coefficient((1, 0, 0))) is int
     q = p * p + p.scale(Fraction(2))  # 4*x0^2 + 2*x0*x1 + 1/4*x1^2 + 4*x0 + x1
@@ -145,8 +146,8 @@ _MATRIX = [["2*x0 - 3*x1", "x1 + 1/2*x2", "3*x2"],
 
 
 def test_no_float_in_groebner_and_syzygy_results():
-    m = PolyMatrix.from_strings(3, (0, 0), (1, 1, 1), _MATRIX)
-    gens = [mvec_from_polys(m.column(c)) for c in range(m.cols)]
+    m = from_strings(3, (0, 0), (1, 1, 1), _MATRIX)
+    gens = list(m.vecs)
     gb = module_groebner(gens, track=True)
     assert gb and all(b.rep for b in gb)
     assert _assert_canonical(gb) > 0

@@ -166,6 +166,18 @@ def test_lem1_table_reports_findings():
     assert table[(1, 3)] is None
 
 
+def test_hom_table_closed_form_for_n_2_to_4():
+    """dim Hom(S_i, Omega1 (x) S_j) = n if j = n + 1, else 0, on P^2, P^3
+    and P^4; a finding carries the dimension its table cell leaves out."""
+    for n in (2, 3, 4):
+        table, findings = lem1_table(ProjectiveSpace(n))
+        dims = dict(table)
+        for f in findings:
+            dims[(f["source_generator"], f["target_generator"])] = f["hom_dim"]
+        assert dims == {(i, j): n if j == n + 1 else 0
+                        for i in range(1, n + 2) for j in range(1, n + 2)}
+
+
 def test_parse_component():
     assert parse_component("O(3)") == ("O", 3)
     assert parse_component("O(-2)") == ("O", -2)

@@ -174,6 +174,34 @@ def test_matrix_key_outside_the_task_schema_is_rejected(task, key):
     assert e.value.line == text.count("\n")  # the key's own line
 
 
+_COMPLEX_J = """\
+[ring]
+n = 1
+
+[complex J]
+degrees = -1..0
+term -1 = O(-1)
+term 0 = O(0)
+map -1 = [["x0"]]
+
+"""
+
+
+@pytest.mark.parametrize("kind", ["cone", "quasi-iso"])
+def test_level_outside_both_complexes_is_rejected_on_its_line(kind):
+    text = (_COMPLEX_J + f"[task {kind}]\nsource = J\ntarget = J\n"
+            'level -1 = [["1"]]\nlevel 0 = [["1"]]\nlevel 7 = [["1"]]\n')
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text)
+    assert "level 7 outside" in str(e.value)
+    assert e.value.line == text.count("\n")  # the key's own line
+    # levels inside the degrees parse, each with its own line
+    ok = text.replace('level 7 = [["1"]]\n', "")
+    last = ok.count("\n")
+    assert parse_manifest(ok).tasks[0].matrix_lines == {
+        ("level", -1): last - 1, ("level", 0): last}
+
+
 def test_triangle_from_ses_needs_its_matrix_at_parse_time():
     text = _COMPLEX_K + "[task triangle-from-ses]\nsource = O(-1)\ntarget = O(0)\n"
     with pytest.raises(ManifestError) as e:

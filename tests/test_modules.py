@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from branegauge import modules
 from branegauge.errors import NotExactError, SaturationCapError, ShapeError
-from branegauge.groebner import module_groebner, mvec_from_polys, mvec_member
+from branegauge.groebner import module_groebner, mvec_member
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -49,6 +49,7 @@ from _oracles import (
     dense_matrix_product,
     dense_transpose,
     koszul_rank,
+    matrix_from_rows,
     monomial_tuples,
     omega_piece_dim,
     rref_rank,
@@ -378,7 +379,7 @@ def _draw_poly(draw, nv: int, deg: int) -> Polynomial:
 
 
 def _draw_matrix(draw, nv: int, row_twists, col_twists) -> PolyMatrix:
-    return PolyMatrix(nv, row_twists, col_twists, [
+    return matrix_from_rows(nv, row_twists, col_twists, [
         [_draw_poly(draw, nv, s - t) for s in col_twists] for t in row_twists
     ])
 
@@ -452,7 +453,7 @@ def _module_maps(draw):
     if len(src_twists) == 2 and draw(st.booleans()):
         p = _draw_poly(draw, nv, src_twists[1] - src_twists[0])
         entries = [[row[0], p * row[0]] for row in fmat.entries]
-        fmat = PolyMatrix(nv, tgt_twists, src_twists, entries)
+        fmat = matrix_from_rows(nv, tgt_twists, src_twists, entries)
     tgt = GradedModule(tgt_rel.hstack(fmat * src_rel))
     return GradedMap(GradedModule(src_rel), tgt, fmat)
 
@@ -524,7 +525,7 @@ def _kept_indices(m: PolyMatrix, kept: PolyMatrix) -> list[int]:
 @settings(max_examples=40, deadline=None)
 def test_minimal_columns_against_the_groebner_engine(m):
     kept = _kept_indices(m, _minimal_columns(m))
-    vec = [mvec_from_polys(m.column(c)) for c in range(m.cols)]
+    vec = list(m.vecs)
     kept_vecs = [vec[c] for c in kept]
     gb = module_groebner(kept_vecs) if kept_vecs else []
     # every dropped column lies in the submodule of the kept ones
@@ -644,7 +645,7 @@ def test_blocks_match_the_dense_oracle(layout):
 
 def test_block_layout_on_zero_rows_and_columns():
     x0 = Polynomial.variable(2, 0)
-    row = PolyMatrix(2, (0,), (1, 1), [[x0, x0]])  # 1 x 2
+    row = matrix_from_rows(2, (0,), (1, 1), [[x0, x0]])  # 1 x 2
     empty = PolyMatrix.zero(2, (), (0, 1))          # 0 x 2
     tall = PolyMatrix.zero(2, (0, 1), ())           # 2 x 0
     for a, b in ((row, empty), (empty, row), (row, tall), (tall, row)):

@@ -16,7 +16,6 @@ from branegauge.errors import (
 from branegauge.gauge import atiyah_class_line_bundle, hom_pair_dim
 from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedModule, saturate, tensor, twist
-from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
@@ -26,11 +25,12 @@ from branegauge.projective import (
 )
 from branegauge.tasks import run_tasks
 
+from _oracles import from_strings, matrix_from_rows
+
 
 def _module(entry: str, twist_: int = 0) -> GradedModule:
     return GradedModule(
-        PolyMatrix.from_strings(3, (twist_,), (twist_ + 1, twist_ + 1),
-                                [[entry, "x2"]])
+        from_strings(3, (twist_,), (twist_ + 1, twist_ + 1), [[entry, "x2"]])
     )
 
 
@@ -60,8 +60,8 @@ def test_changed_twist_or_coefficient_differs():
 def test_integral_fraction_and_int_share_one_cache_entry():
     def target(c) -> GradedModule:  # O / (c*x0 + x1, x2)
         entry = Polynomial(3, {(1, 0, 0): c, (0, 1, 0): 1})
-        return GradedModule(PolyMatrix(3, (0,), (1, 1),
-                                       [[entry, Polynomial.variable(3, 2)]]))
+        return GradedModule(matrix_from_rows(
+            3, (0,), (1, 1), [[entry, Polynomial.variable(3, 2)]]))
 
     by_fraction, by_int = target(Fraction(2)), target(2)
     half = target(Fraction(1, 2))
