@@ -3,10 +3,11 @@
     python .github/scripts/unused_imports.py [FILE ...]
 
 Unused imports: with no arguments it checks every `src/branegauge/*.py`
-except `__init__.py`, whose imports are the package's public names.  A name
-bound by an `import` or `from ... import` statement fails the check when the
-module never reads it anywhere, annotations included (`import a.b` binds
-and is read as `a`).  `from __future__` imports are exempt.
+except `__init__.py`, whose imports are the package's public names, and
+every `tests/*.py`.  A name bound by an `import` or `from ... import`
+statement fails the check when the module never reads it anywhere,
+annotations included (`import a.b` binds and is read as `a`).
+`from __future__` imports are exempt.
 
 Dead definitions: every top-level function or class and every method of a
 top-level class in `src/branegauge/*.py` (or in the given files) fails the
@@ -89,10 +90,11 @@ def named(paths) -> set[str]:
 
 def main(argv: list[str]) -> int:
     paths = [Path(a) for a in argv] or sorted(PACKAGE.glob("*.py"))
+    importers = paths if argv else (
+        [p for p in paths if p.name != "__init__.py"]
+        + sorted((ROOT / "tests").glob("*.py")))
     bad = 0
-    for path in paths:
-        if not argv and path.name == "__init__.py":
-            continue
+    for path in importers:
         for line, name in unused_imports(path):
             print(f"{path}:{line}: {name}")
             bad += 1

@@ -64,7 +64,6 @@ from .gauge import (
     derived_hom_vanishes,
     gauge_field_count_bound,
     hom_pair_dim,
-    hom_vanishing_certificate,
     jet_sequence_record,
     lem1_table,
 )

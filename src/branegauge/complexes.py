@@ -13,7 +13,8 @@ inside the term's cover, with the lifted image columns appended to the
 relations.  Induced maps are computed by lifting through those generators,
 never by choosing splittings.  Cone differentials and the inclusion,
 projection, comparison and rotation maps are PolyMatrix.blocks over the
-summands' twist groups.
+summands' twist groups; so is each Hom-complex differential, over the
+coordinate groups Hom(B^i, C^{i+m}) of its source and target.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class BoundedComplex:
 
     def __repr__(self):
         return f"BoundedComplex[{self.lo}..{self.hi}]"
-
-
-def validate_complex(c: BoundedComplex) -> bool:
-    return c.is_complex()
 
 
 def embed_object(m: GradedModule, at: int = 0) -> BoundedComplex:
@@ -316,9 +313,10 @@ class HomComplexReport:
 
     dims[m - lo] is the total dimension of the degree-m term; blocks lists
     the nonzero (source-degree, dimension) contributions.  With the
-    module-hom oracle (no hom_dim), differentials[m - lo] is the rational
-    matrix of d: Hom^m -> Hom^{m+1} in the recorded bases and dd_zero
-    certifies d o d.
+    module-hom oracle (no hom_dim), Hom^m has one coordinate group per
+    nonzero block, in the order of `blocks`, and differentials[m - lo] is
+    d: Hom^m -> Hom^{m+1} as a PolyMatrix.blocks matrix over those groups,
+    with constant entries and twists 0; dd_zero certifies d o d = 0.
     """
 
     lo: int
@@ -335,6 +333,20 @@ class HomComplexReport:
         return 0
 
 
+def _coordinate_block(basis: HomBasis, images, sign: int) -> PolyMatrix:
+    """The constant block whose columns are sign times the coordinates of
+    the image matrices in basis."""
+    nv = basis.nvars
+    one = (0,) * nv
+    cols = []
+    for image in images:
+        coords = basis.coordinates(image)
+        if coords is None:
+            raise AssertionError("Hom differential left the solution span")
+        cols.append({(r, one): sign * v for r, v in enumerate(coords) if v})
+    return PolyMatrix(nv, (0,) * basis.dim, (0,) * len(cols), cols)
+
+
 def hom_complex(b: BoundedComplex, c: BoundedComplex, hom_dim=None) -> HomComplexReport:
     """Hom complex of two bounded complexes.
 
@@ -346,7 +358,7 @@ def hom_complex(b: BoundedComplex, c: BoundedComplex, hom_dim=None) -> HomComple
     hi = c.hi - b.lo
     dims = []
     blocks = []
-    bases: dict = {}
+    bases: dict = {}  # (i, m) -> HomBasis of Hom(B^i, C^{i+m}), nonzero only
     for m in range(lo, hi + 1):
         total = 0
         row = []
@@ -359,8 +371,9 @@ def hom_complex(b: BoundedComplex, c: BoundedComplex, hom_dim=None) -> HomComple
                 d = hom_dim(src, tgt)
             else:
                 basis = HomBasis(src, tgt)
-                bases[(i, m)] = basis
                 d = basis.dim
+                if d:
+                    bases[(i, m)] = basis
             total += d
             if d:
                 row.append((i, d))
@@ -371,62 +384,28 @@ def hom_complex(b: BoundedComplex, c: BoundedComplex, hom_dim=None) -> HomComple
     if hom_dim is not None:
         return HomComplexReport(lo, hi, report_dims, tuple(blocks), zero)
 
-    def offsets(m):
-        out = {}
-        acc = 0
-        for i in range(b.lo, b.hi + 1):
-            basis = bases.get((i, m))
-            if basis is not None and basis.dim:
-                out[i] = acc
-                acc += basis.dim
-        return out, acc
-
+    groups = [[(0,) * d for _, d in row] for row in blocks]
     differentials = []
     for m in range(lo, hi):
-        src_off, src_dim = offsets(m)
-        tgt_off, tgt_dim = offsets(m + 1)
-        matrix = [[0] * src_dim for _ in range(tgt_dim)]
+        target = {i: g for g, (i, _) in enumerate(blocks[m + 1 - lo])}
         sign = -1 if (m + 1) % 2 else 1
-        for i, off in src_off.items():
-            basis = bases[(i, m)]
-            for k, g in enumerate(basis.matrices()):
-                col = off + k
-                # component at i: post-compose with the target differential
-                post = c.diff(i + m).matrix * g
-                tb = bases.get((i, m + 1))
-                if tb is not None and tb.dim and not post.is_zero:
-                    coords = tb.coordinates(post)
-                    if coords is None:
-                        raise AssertionError("Hom differential left the solution span")
-                    for r, v in enumerate(coords):
-                        if v:
-                            matrix[tgt_off[i] + r][col] += v
-                # component at i-1: pre-compose with the source differential
-                pre = g * b.diff(i - 1).matrix
-                tb = bases.get((i - 1, m + 1))
-                if tb is not None and tb.dim and not pre.is_zero:
-                    coords = tb.coordinates(pre)
-                    if coords is None:
-                        raise AssertionError("Hom differential left the solution span")
-                    for r, v in enumerate(coords):
-                        if v:
-                            matrix[tgt_off[i - 1] + r][col] += sign * v
-        differentials.append(tuple(tuple(row) for row in matrix))
-
-    dd = True
-    for m in range(lo, hi - 1):
-        d0 = differentials[m - lo]
-        d1 = differentials[m + 1 - lo]
-        rows1 = len(d1)
-        cols0 = len(d0[0]) if d0 else 0
-        mid = len(d0)
-        for r in range(rows1):
-            for ccol in range(cols0):
-                acc = 0
-                for k in range(mid):
-                    acc += d1[r][k] * d0[k][ccol]
-                if acc:
-                    dd = False
+        parts = {}
+        for g, (i, _) in enumerate(blocks[m - lo]):
+            gens = bases[(i, m)].matrices()
+            # group i: post-compose with the target differential
+            if i in target:
+                post = c.diff(i + m).matrix
+                parts[(target[i], g)] = _coordinate_block(
+                    bases[(i, m + 1)], (post * h for h in gens), 1)
+            # group i-1: pre-compose with the source differential
+            if i - 1 in target:
+                pre = b.diff(i - 1).matrix
+                parts[(target[i - 1], g)] = _coordinate_block(
+                    bases[(i - 1, m + 1)], (h * pre for h in gens), sign)
+        differentials.append(PolyMatrix.blocks(
+            b.nvars, groups[m + 1 - lo], groups[m - lo], parts))
+    dd = all((d1 * d0).is_zero
+             for d0, d1 in zip(differentials, differentials[1:]))
     return HomComplexReport(
         lo, hi, report_dims, tuple(blocks), zero, tuple(differentials), dd
     )

@@ -22,6 +22,7 @@ from .cech import (
     cech_level,
     cech_level_span,
     cech_relation_columns,
+    chart_subsets,
 )
 from .complexes import BoundedComplex
 from .errors import (
@@ -35,7 +36,6 @@ from .modules import direct_sum, tensor
 from .polynomials import Coeff, qinv, qnorm
 from .projective import (
     ProjectiveSpace,
-    _pair_index,
     cotangent_sheaf,
     generator,
     loci_disjoint,
@@ -92,12 +92,12 @@ class CechCocycle:
 def _atiyah_vector(a: int, p: ProjectiveSpace) -> dict:
     """Entries of the Atiyah cochain of O(a): on the overlap of charts i < j
     the value is -a * x_i^{-1} x_j^{-1} w_ij, the logarithmic transition
-    derivative."""
+    derivative.  The chart pairs and the generators w_ij of cotangent_sheaf
+    share one order, combinations order (PolyMatrix.koszul)."""
     nv = p.nvars
-    _, index = _pair_index(nv)
     vector = {}
     if a != 0:
-        for (i, j), r in index.items():
+        for r, (i, j) in enumerate(chart_subsets(nv, 1)):
             exps = tuple(-1 if k in (i, j) else 0 for k in range(nv))
             vector[((i, j), r, exps)] = -a
     return vector
@@ -246,11 +246,6 @@ def hom_pair_dim(i: int, j: int, p: ProjectiveSpace, cache: dict | None = None) 
         )
     cache[key] = dim
     return dim
-
-
-def hom_vanishing_certificate(i: int, j: int, p: ProjectiveSpace) -> bool:
-    """True iff Hom(S_i, Omega^1 tensor S_j) = 0, computed exactly."""
-    return hom_pair_dim(i, j, p) == 0
 
 
 def lem1_table(p: ProjectiveSpace, cache: dict | None = None):

@@ -10,7 +10,8 @@ truncation is ever needed.
 
 Buchberger runs with the normal selection strategy (smallest pair lcm first,
 ties by index) and the chain criterion; the classical coprime (product)
-criterion is additionally applied in rank one, where it is valid.  Output
+criterion is additionally applied when every generator lies in one row,
+where it is valid.  Output
 bases are reduced: interreduced, monic, sorted by leading term, hence
 canonical.
 
@@ -126,18 +127,17 @@ def reduce_vec(
     return rem
 
 
-def module_groebner(
-    gens: list[MVec],
-    track: bool = False,
-    allow_product_criterion: bool = False,
-) -> list[GBElem]:
+def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
     """Reduced Groebner basis of the submodule generated by gens.
 
     Zero generators are skipped (callers that need their indices handle them
     separately).  With track=True each output element carries its
     representation over the *nonzero* input generators, indexed by position
     in the filtered list; use `syzygy_module` for the full bookkeeping.
+    The product criterion applies when every generator lies in one row,
+    where the input is an ideal.
     """
+    product_criterion = len({r for g in gens for r, _ in g}) <= 1
     key = _term_key()
     basis: list[GBElem] = []
     for i, g in enumerate(gens):
@@ -169,7 +169,7 @@ def module_groebner(
         done.add(tag)
         irow, imon = basis[i].lead
         _, jmon = basis[j].lead
-        if allow_product_criterion and monomial_mul(imon, jmon) == lcm:
+        if product_criterion and monomial_mul(imon, jmon) == lcm:
             continue
         skip = False
         for k, b in enumerate(basis):
@@ -366,7 +366,7 @@ def buchberger(generators: list[Polynomial]) -> list[Polynomial]:
     if not gens:
         return []
     nvars = generators[0].nvars
-    gb = module_groebner(gens, allow_product_criterion=True)
+    gb = module_groebner(gens)
     return [_vec_to_poly(b.vec, nvars) for b in gb]
 
 

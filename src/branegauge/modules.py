@@ -540,7 +540,7 @@ def _times_variables(m: GradedModule) -> GradedMap:
     nv = m.nvars
     return GradedMap(
         m, _direct_sum_of_twists(m, (1,) * nv),
-        PolyMatrix.variables(nv).dual().kron(
+        PolyMatrix.koszul(nv, 1).dual().kron(
             PolyMatrix.identity(nv, m.cover_twists)),
         check=False,
     )
@@ -565,11 +565,6 @@ def torsion_free_quotient(m: GradedModule) -> GradedModule:
     )
 
 
-def _irrelevant_ideal_module(nvars: int) -> GradedModule:
-    """(x0..xn) as a module: covers in degree 1, Koszul relations."""
-    return GradedModule(syzygy_basis(PolyMatrix.variables(nvars)))
-
-
 def saturation_floor(m: GradedModule) -> int:
     return min([0] + [t for t in m.cover_twists])
 
@@ -590,7 +585,8 @@ def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
     current = minimal_presentation(torsion_free_quotient(m))
     if is_zero_module(current):
         return GradedModule.zero(m.nvars)
-    ideal = _irrelevant_ideal_module(m.nvars)
+    # (x0..xn) as a module: covers in degree 1, the Koszul relations
+    ideal = GradedModule(PolyMatrix.koszul(m.nvars, 2))
     for _ in range(SATURATION_CAP):
         hom, incl = hom_module_with_inclusion(ideal, current)
         nat = lift_map_through_inclusion(_times_variables(current), incl)

@@ -28,12 +28,17 @@ B[p][q] at row (i, p) and column (c, q).  Hom(F, R) of a free module has
 the negated twists, and a map's induced map on it is the transpose
 (`dual`).  So M (+) N, F (x) N, Hom(F, N) = F^dual (x) N and the
 multiplication maps of the module layer are all built from these three
-methods, and no other module computes a flattened cover index.
+methods, and no other module computes a flattened cover index.  The one
+exterior-power layout is `koszul`: wedge^k of R(-1)^nvars has one generator
+per k-subset, in itertools.combinations order, and koszul(nvars, k) is the
+Koszul map down to wedge^(k-1).  The variable row (k = 1), the cotangent
+sheaf's generators and relations (k = 2, 3) and the Koszul relations of
+the irrelevant ideal are all read from it.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from .errors import HomogeneityError, RingMismatchError, ShapeError
@@ -129,11 +134,18 @@ class PolyMatrix:
                    [{(c, one): 1} for c in range(len(twists))])
 
     @classmethod
-    def variables(cls, nvars: int) -> "PolyMatrix":
-        """The row [x0 .. x_{nvars-1}]: R(-1)^nvars -> R."""
-        return cls(nvars, (0,), (1,) * nvars,
-                   [{(0, tuple(int(j == i) for j in range(nvars))): 1}
-                    for i in range(nvars)])
+    def koszul(cls, nvars: int, k: int) -> "PolyMatrix":
+        """The Koszul map on x0..x_{nvars-1}, wedge^k R(-1)^nvars ->
+        wedge^(k-1) R(-1)^nvars: the generators are the k-subsets T in
+        itertools.combinations order, and column T is the sum over positions
+        p of (-1)^p x_{T[p]} e_{T minus T[p]}.  k = 1 is the row
+        [x0 .. x_{nvars-1}]."""
+        rows = {s: r for r, s in enumerate(combinations(range(nvars), k - 1))}
+        unit = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+        vecs = [{(rows[t[:p] + t[p + 1:]], unit[j]): (-1) ** p
+                 for p, j in enumerate(t)}
+                for t in combinations(range(nvars), k)]
+        return cls(nvars, (k - 1,) * len(rows), (k,) * len(vecs), vecs)
 
     @classmethod
     def blocks(cls, nvars: int, row_groups, col_groups, parts) -> "PolyMatrix":

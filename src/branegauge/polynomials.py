@@ -384,17 +384,3 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
     out.sort(key=grevlex_key, reverse=True)
     return out
 
-
-def random_homogeneous(rng, nvars: int, degree: int, max_terms: int = 3) -> Polynomial:
-    """Small random homogeneous polynomial (deterministic given the rng)."""
-    mons = monomials_of_degree(nvars, degree)
-    terms: dict[Monomial, Coeff] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        m = mons[rng.randrange(len(mons))]
-        c = rng.choice([-2, -1, -1, 1, 1, 2])
-        s = terms.get(m, 0) + c
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
-    return Polynomial(nvars, terms)

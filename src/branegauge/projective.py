@@ -4,7 +4,10 @@ sheaf Hom, and the hyperplane sequence.
 The coordinate ring of P^n has n+1 variables x0..xn.  Sheaves are graded
 modules up to saturation; sheaf-level Hom dimensions are computed through
 torsion removal on the source and floor-truncated saturation on the target,
-then a degree-0 graded Hom computation.
+then a degree-0 graded Hom computation.  The generator relations, the Euler
+map, Omega^1 and its inclusion and the hyperplane map are all columns of
+PolyMatrix.koszul, so the pair numbering of Omega^1's generators is the
+one in polymatrix.py.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .modules import (
     twist,
 )
 from .polymatrix import PolyMatrix
-from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ def generator(k: int, p: ProjectiveSpace) -> GeneratorSheaf:
     n = p.n
     if not 1 <= k <= n + 1:
         raise ShapeError(f"generator index {k} outside 1..{n + 1}")
-    xs = PolyMatrix.variables(p.nvars)
+    xs = PolyMatrix.koszul(p.nvars, 1)
     if k <= n:
         rel = xs.select_columns(range(k - 1)).twist_all(-1)  # x0..x_{k-2}
     else:
@@ -108,51 +110,24 @@ def generator_family(p: ProjectiveSpace) -> list[GeneratorSheaf]:
 # -- cotangent sheaf --------------------------------------------------------
 
 
-def _pair_index(nv: int):
-    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    return pairs, {pr: k for k, pr in enumerate(pairs)}
-
-
 def cotangent_sheaf(p: ProjectiveSpace) -> GradedModule:
     """Omega^1 as the kernel of the Euler map, in its canonical presentation.
 
-    Generators w_ij = x_j e_i - x_i e_j (i < j) in degree 2; relations the
-    three-term identities x_i w_jk - x_j w_ik + x_k w_ij.  The inclusion into
-    R(-1)^{n+1} composes to zero with [x0 .. xn]; tests certify it is exactly
-    the Euler kernel.
+    Generators w_ij = x_j e_i - x_i e_j (i < j) in degree 2, numbered as the
+    pairs of PolyMatrix.koszul; relations the three-term identities
+    x_i w_jk - x_j w_ik + x_k w_ij, the columns of koszul(nv, 3).  The
+    inclusion into R(-1)^{n+1} composes to zero with [x0 .. xn]; tests
+    certify it is exactly the Euler kernel.
     """
-    nv = p.nvars
-    pairs, index = _pair_index(nv)
-    z = Polynomial.zero(nv)
-    columns = []
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            for k in range(j + 1, nv):
-                col = [z] * len(pairs)
-                col[index[(j, k)]] = Polynomial.variable(nv, i)
-                col[index[(i, k)]] = -Polynomial.variable(nv, j)
-                col[index[(i, j)]] = Polynomial.variable(nv, k)
-                columns.append(col)
-    rel = PolyMatrix.from_columns(nv, (2,) * len(pairs), columns,
-                                  [3] * len(columns))
-    return GradedModule(rel)
+    return GradedModule(PolyMatrix.koszul(p.nvars, 3))
 
 
 def cotangent_inclusion(p: ProjectiveSpace) -> GradedMap:
     """The embedding Omega^1 -> R(-1)^{n+1}, w_ij -> x_j e_i - x_i e_j."""
     nv = p.nvars
-    omega = cotangent_sheaf(p)
     middle = GradedModule.free(nv, (1,) * nv)
-    pairs, _ = _pair_index(nv)
-    z = Polynomial.zero(nv)
-    cols = []
-    for (i, j) in pairs:
-        col = [z] * nv
-        col[i] = Polynomial.variable(nv, j)
-        col[j] = -Polynomial.variable(nv, i)
-        cols.append(col)
-    mat = PolyMatrix.from_columns(nv, (1,) * nv, cols, [2] * len(pairs))
-    incl = GradedMap(omega, middle, mat, check=True)
+    incl = GradedMap(cotangent_sheaf(p), middle, -PolyMatrix.koszul(nv, 2),
+                     check=True)
     euler = euler_map(p)
     if not (euler * incl).is_zero_map():
         raise AssertionError("cotangent inclusion does not compose to zero")
@@ -163,7 +138,7 @@ def euler_map(p: ProjectiveSpace) -> GradedMap:
     nv = p.nvars
     middle = GradedModule.free(nv, (1,) * nv)
     target = GradedModule.free(nv, (0,))
-    return GradedMap(middle, target, PolyMatrix.variables(nv), check=False)
+    return GradedMap(middle, target, PolyMatrix.koszul(nv, 1), check=False)
 
 
 # -- sheaf Hom --------------------------------------------------------------
@@ -220,7 +195,7 @@ def hyperplane_ses(s: GradedModule) -> tuple[GradedMap, GradedMap]:
     the kernel of the projection through multiplication.
     """
     nv = s.nvars
-    x0 = PolyMatrix.variables(nv).select_columns([0])
+    x0 = PolyMatrix.koszul(nv, 1).select_columns([0])
     mul = GradedMap(
         twist(s, -1), s, x0.kron(PolyMatrix.identity(nv, s.cover_twists)),
         check=False,

@@ -4,7 +4,8 @@ Everything here is computed with plain dense linear algebra over Fraction
 and closed-form counting, never through the engine's Groebner or module
 code, so agreement is meaningful.  The two matrix builders at the end only
 spell a PolyMatrix row by row, as the tests write them; the package builds
-its matrices column by column and does not need them.
+its matrices column by column and does not need them.  The last helper,
+random_homogeneous, draws seeded test inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import parse_polynomial
+from branegauge.polynomials import Polynomial, monomials_of_degree, parse_polynomial
 
 
 def count_monomials(nv: int, d: int) -> int:
@@ -200,3 +201,18 @@ def from_strings(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:
     """The PolyMatrix whose entries are the given rows of polynomial text."""
     return matrix_from_rows(nvars, row_twists, col_twists,
                             [[parse_polynomial(s, nvars) for s in row] for row in grid])
+
+
+def random_homogeneous(rng, nvars: int, degree: int, max_terms: int = 3) -> Polynomial:
+    """Small random homogeneous polynomial (deterministic given the rng)."""
+    mons = monomials_of_degree(nvars, degree)
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = mons[rng.randrange(len(mons))]
+        c = rng.choice([-2, -1, -1, 1, 1, 2])
+        s = terms.get(m, 0) + c
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
+    return Polynomial(nvars, terms)

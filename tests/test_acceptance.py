@@ -20,7 +20,6 @@ from branegauge.complexes import (
     embed_object,
     is_acyclic,
     shift,
-    validate_complex,
 )
 from branegauge.gauge import (
     connection_exists_line_bundle,
@@ -38,7 +37,7 @@ from branegauge.modules import (
     hilbert_window,
 )
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import Polynomial, random_homogeneous
+from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
     cotangent_sheaf,
@@ -47,7 +46,7 @@ from branegauge.projective import (
     loci_disjoint,
 )
 
-from _oracles import dense_ideal_member, monomial_tuples
+from _oracles import dense_ideal_member, monomial_tuples, random_homogeneous
 
 
 def _verdict(num: int, title: str, ok: bool, detail: str = ""):
@@ -88,11 +87,11 @@ def _scalar_id(c, r):
 
 
 def _full_checks(c, h):
-    assert validate_complex(c)
+    assert c.is_complex()
     assert is_acyclic(cone(ComplexMap.identity(c)))
     for k in (-1, 2):
         s = shift(c, k)
-        assert validate_complex(s)
+        assert s.is_complex()
         for i in range(c.lo - k - 1, c.hi - k + 2):
             assert (hilbert_window(cohomology(s, i), -2, 2)
                     == hilbert_window(cohomology(c, i + k), -2, 2))
@@ -108,8 +107,8 @@ def test_criterion_1_randomized_complexes():
         _full_checks(a, h)
         count += 1
         con, incl, proj = cone_with_maps(h)
-        assert validate_complex(con)
-        assert validate_complex(proj.target)
+        assert con.is_complex()
+        assert proj.target.is_complex()
         h2 = _scalar_id(con, Fraction(rng.choice([1, 2])))
         _full_checks(con, h2)
         count += 1

@@ -1,7 +1,6 @@
 """Bounded complexes: shift, cone, cohomology, Hom complexes, triangles."""
 
 import dataclasses
-import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from branegauge.complexes import (
     triangle_les_ok,
 )
 from branegauge.errors import NotAComplexError, ShapeError
+from branegauge.linalg import sparse_rank
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -182,6 +182,27 @@ def test_hom_complex_dims_with_module_oracle():
     rep1 = hom_complex(k, shift(k, 1))
     for m in range(rep.lo, rep.hi + 1):
         assert rep1.dim(m - 1) == rep.dim(m)
+
+
+def test_hom_complex_of_koszul_complex_is_ext_of_the_point():
+    """Hom(K, K) for the Koszul resolution K of R/(x0, x1) computes
+    Ext(k, k)_0: Q in degree 0 and nothing else.  The differentials are
+    constant block matrices over Hom^m's coordinate groups."""
+    k = _koszul_complex()
+    rep = hom_complex(k, k)
+    for d in rep.differentials:
+        assert set(d.row_twists + d.col_twists) <= {0}
+    ranks = [sparse_rank({r: v for (r, _), v in vec.items()} for vec in d.vecs)
+             for d in rep.differentials]
+    assert rep.dims == (0, 0, 6, 8, 3)
+    assert ranks == [0, 0, 5, 3]
+
+    def rank(m):
+        return ranks[m - rep.lo] if rep.lo <= m < rep.hi else 0
+
+    assert [rep.dim(m) - rank(m) - rank(m - 1)
+            for m in range(rep.lo, rep.hi + 1)] == [0, 0, 1, 0, 0]
+    assert rep.dd_zero is True
 
 
 def test_hom_complex_of_disjoint_twists_is_zero():

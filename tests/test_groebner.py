@@ -1,16 +1,21 @@
 """Groebner bases, ideal membership, and syzygies on known ideals."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from branegauge.errors import HomogeneityError
-from branegauge.groebner import buchberger, ideal_member, syzygy_basis
+from branegauge.groebner import (
+    buchberger,
+    ideal_member,
+    module_groebner,
+    mvec_member,
+    syzygy_basis,
+)
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import Polynomial, parse_polynomial, random_homogeneous
+from branegauge.polynomials import Polynomial, parse_polynomial
 
-from _oracles import dense_ideal_member
+from _oracles import dense_ideal_member, random_homogeneous
 
 
 def _p(text, nv=3):
@@ -87,6 +92,20 @@ def test_koszul_syzygies():
     assert all(t == 2 for t in syz.col_twists)
     prod = m * syz
     assert prod.is_zero
+
+
+@pytest.mark.parametrize("nv", [3, 4])
+def test_koszul_complex_is_exact(nv):
+    """The syzygies of each Koszul map and the columns of the next one
+    generate the same module (the Koszul complex on x0..xn is exact;
+    Eisenbud, Commutative Algebra, ch. 17)."""
+    for k in range(1, nv + 1):
+        syz = syzygy_basis(PolyMatrix.koszul(nv, k))
+        nxt = PolyMatrix.koszul(nv, k + 1)
+        assert syz.row_twists == nxt.row_twists
+        for a, b in ((syz, nxt), (nxt, syz)):
+            gb = module_groebner(list(b.vecs))
+            assert all(mvec_member(v, gb) for v in a.vecs)
 
 
 def test_syzygy_of_regular_pair_is_koszul():

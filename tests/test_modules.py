@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branegauge import modules
-from branegauge.errors import NotExactError, SaturationCapError, ShapeError
+from branegauge.errors import SaturationCapError, ShapeError
 from branegauge.groebner import module_groebner, mvec_member
 from branegauge.modules import (
     GradedMap,
@@ -40,7 +40,7 @@ from branegauge.modules import (
     twist_map,
 )
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import Polynomial, parse_polynomial, random_homogeneous
+from branegauge.polynomials import Polynomial, parse_polynomial
 
 from _oracles import (
     count_monomials,
@@ -52,6 +52,7 @@ from _oracles import (
     matrix_from_rows,
     monomial_tuples,
     omega_piece_dim,
+    random_homogeneous,
     rref_rank,
 )
 

@@ -7,6 +7,7 @@ accessors read back what was stored, and that the constructor and the
 syzygy certificate still reject bad data.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from branegauge.groebner import syzygy_basis
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial
 
-from _oracles import matrix_from_rows, monomial_tuples
+from _oracles import from_strings, matrix_from_rows, monomial_tuples
 
 
 def _poly(draw, nv: int, deg: int) -> Polynomial:
@@ -127,3 +128,24 @@ def test_a_tampered_syzygy_column_trips_the_certificate(data, draw):
         mp.setattr(groebner, "syzygy_module", tampered)
         with pytest.raises(AssertionError, match="m \\* syz != 0"):
             syzygy_basis(m)
+
+
+def test_koszul_layout():
+    """Generators are subsets in combinations order; column T is
+    sum_p (-1)^p x_{T[p]} e_{T minus T[p]}."""
+    assert PolyMatrix.koszul(3, 1) == from_strings(
+        3, (0,), (1, 1, 1), [["x0", "x1", "x2"]])
+    # columns {0,1}, {0,2}, {1,2} over rows {0}, {1}, {2}
+    assert PolyMatrix.koszul(3, 2) == from_strings(
+        3, (1, 1, 1), (2, 2, 2),
+        [["-x1", "-x2", "0"], ["x0", "0", "-x2"], ["0", "x0", "x1"]])
+
+
+@pytest.mark.parametrize("nv", [2, 3, 4, 5])
+def test_koszul_maps_compose_to_zero(nv):
+    maps = {k: PolyMatrix.koszul(nv, k) for k in range(1, nv + 1)}
+    for k, m in maps.items():
+        assert m.cols == math.comb(nv, k)
+        assert m.col_twists == (k,) * m.cols
+    for k in range(2, nv + 1):
+        assert (maps[k - 1] * maps[k]).is_zero

@@ -6,13 +6,10 @@ from branegauge.errors import DeskScaleError, ZeroDivisorError
 from branegauge.modules import (
     graded_piece_dim,
     hilbert_window,
-    is_iso,
-    is_zero_module,
     kernel,
     twist,
 )
 from branegauge.projective import (
-    GeneratorSheaf,
     Locus,
     ProjectiveSpace,
     cotangent_inclusion,
