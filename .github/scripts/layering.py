@@ -10,7 +10,9 @@ and follows them transitively.  It fails when
   cross-check of the module-Hom path, so it must not depend on that path;
 - `polymatrix` or `linalg` reaches any module but `errors`, `polynomials`,
   `linalg` and `polymatrix`: the matrix form and the sparse algebra sit
-  below the Groebner engine, which builds on them.
+  below the Groebner engine, which builds on them;
+- `cech` reaches any module but those four: every Cech level is copies of
+  `linalg.degree_window`, so the Cech layer runs no Groebner basis.
 
 Prints one line per broken rule, with the import chain that breaks it, and
 exits 1 if there is any, else 0.  Standard library only.
@@ -30,6 +32,7 @@ RULES = {
     "homspace": {"groebner", "modules"},
     "polymatrix": None,  # None: anything outside BASE
     "linalg": None,
+    "cech": None,
 }
 
 

@@ -54,11 +54,9 @@ from .errors import (
     ZeroDivisorError,
 )
 from .gauge import (
-    CechCocycle,
     GaugeReport,
     JetSequenceRecord,
     atiyah_class_line_bundle,
-    atiyah_cocycle_line_bundle,
     connection_exists_line_bundle,
     derived_hom_table,
     derived_hom_vanishes,

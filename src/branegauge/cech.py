@@ -1,40 +1,41 @@
-"""Cech cohomology over the standard affine charts, on a truncated Laurent
-window.
+"""Cech cohomology over the standard affine charts, on a truncated window.
 
 A graded module M presents a sheaf; over the chart intersection U_S the
-sections are degree-0 Laurent combinations of the cover generators, with
-negative exponents allowed only on the inverted coordinates.  The engine
-truncates those exponents at a bound B, forms the incidence differential and
-the localized relation span inside the window, and extracts cohomology
-dimensions from four ranks:
+sections are degree-0 Laurent combinations x^a e_r of the cover generators,
+with negative exponents allowed only on the charts in S.  The engine
+truncates those exponents at a_i >= -B.  For |S| = p + 1, multiplying by
+(prod_{i in S} x_i)^B maps the truncated spots one to one onto the cover
+monomials of degree B(p+1), and relation multiples onto relation multiples.
+So level p at bound B is one copy of the polynomial window
+linalg.degree_window(M, B(p+1)) per chart set, its relation span R_p is that
+window's span in every copy, and the Cech differential from S to S + {j} is
+multiplication by x_j^B with the sign (-1)^(position of j).  This is the
+Koszul cocomplex of M on x0^B..xn^B in degree 0, whose cohomology tends to
+local cohomology as B grows (Eisenbud, The Geometry of Syzygies, App. 1).
+
+Cohomology dimensions come from four ranks:
 
     h^i = dim W_i - rank [D_i | R_{i+1}] + rank R_{i+1} - rank [D_{i-1} | R_i]
 
-where W_i is the spot window, D the Cech differential and R_p the in-window
-relation multiples.  The ranks are per level: level p owns the triple
-(rank [D_{p-1} | R_p], rank R_p, dim W_p), so h^i reads levels i and i + 1
-and neighbouring degrees share a level (cech_level_ranks, memoized in the
-caller's cache).  One builder, cech_level_span, makes each level's span; the
-Atiyah class (gauge.py) reads its residuals at level 1.  One incidence
-rule, _cofaces, gives D and the cocycle check of gauge.CechCocycle.
-Kernels truncate exactly but images need not, so every public dimension is
-recomputed at B + 1 and must agree; disagreement raises
-CechStabilizationError rather than reporting an unstable number.
-
-The window here is Laurent, its spots keyed by chart set, so it keeps its
-own builders; the polynomial degree-d window of graded pieces, piece-map
-ranks and HomBasis is linalg.degree_window.
+where W_i is the window at level i and D the Cech differential.  The ranks
+are per level: level p owns the triple (rank [D_{p-1} | R_p], rank R_p,
+dim W_p), so h^i reads levels i and i + 1 and neighbouring degrees share a
+level (cech_level_ranks, memoized in the caller's cache).  One builder,
+cech_level_span, makes each level's span; the Atiyah class (gauge.py) reads
+its residuals at level 1, and _in_relation_span its cocycle check at level
+2.  One incidence rule, _cofaces, gives D and that cocycle check.  Kernels truncate exactly but images need not, so
+every public dimension is recomputed at B + 1 and must agree; disagreement
+raises CechStabilizationError rather than reporting an unstable number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CechStabilizationError, ShapeError
-from .linalg import SpanTracker
-from .modules import GradedModule
-from .polynomials import monomial_mul, monomials_of_degree
+from .linalg import SpanTracker, WindowIndex, _window_index, degree_window
+from .polynomials import monomial_mul
 
 DEFAULT_CECH_BOUND = 3
 
@@ -44,93 +45,42 @@ def chart_subsets(nvars: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(nvars), p + 1))
 
 
-def _exponent_vectors(nvars: int, total: int, inverted, bound: int):
-    """All integer vectors a with sum(a) = total, a_i >= -bound on the
-    inverted set and a_i >= 0 elsewhere."""
-    shift = [bound if i in inverted else 0 for i in range(nvars)]
-    lifted = total + sum(shift)
-    if lifted < 0:
-        return []
-    out = []
-    for mon in monomials_of_degree(nvars, lifted):
-        out.append(tuple(mon[i] - shift[i] for i in range(nvars)))
-    return out
+def _shift(charts: tuple[int, ...], a: tuple, bound: int) -> tuple:
+    """The exponent vector a times (prod_{i in charts} x_i)^bound."""
+    return tuple(e + bound if i in charts else e for i, e in enumerate(a))
 
 
 @dataclass(frozen=True)
 class CechLevel:
-    """The degree-0 truncated window at cochain level p.
+    """The window at one cochain level and bound: the chart sets in
+    chart_subsets order, and the index of one copy of the polynomial window
+    (linalg.degree_window).  Chart set k owns the coordinates
+    k * len(index) + index[(r, mon)]."""
 
-    Spots are triples (charts, generator row, exponent vector); the index
-    assigns each spot its coordinate in the window.
-    """
-
-    module: GradedModule
-    p: int
     bound: int
-    spots: tuple = ()
-    index: dict = field(default_factory=dict, compare=False)
+    charts: tuple
+    index: WindowIndex
 
     @property
     def dim(self) -> int:
-        return len(self.spots)
+        return len(self.charts) * len(self.index)
 
-
-def cech_level(m: GradedModule, p: int, bound: int) -> CechLevel:
-    nv = m.nvars
-    spots = []
-    for charts in chart_subsets(nv, p):
-        inv = set(charts)
-        for r, t in enumerate(m.cover_twists):
-            for a in _exponent_vectors(nv, -t, inv, bound):
-                spots.append((charts, r, a))
-    index = {s: k for k, s in enumerate(spots)}
-    return CechLevel(m, p, bound, tuple(spots), index)
+    def coordinate(self, spot) -> int:
+        """The coordinate of the Laurent spot (charts, row, exponents)."""
+        charts, r, a = spot
+        key = (r, _shift(charts, a, self.bound))
+        if charts not in self.charts or key not in self.index:
+            raise ShapeError(f"cochain entry outside the window: {spot}")
+        return self.charts.index(charts) * len(self.index) + self.index[key]
 
 
 def _cofaces(charts: tuple[int, ...], nvars: int):
     """The incidence rule of the Cech differential: each chart set one
-    chart bigger, with the sign (-1)^(position of the added chart)."""
+    chart j bigger, with the sign (-1)^(position of j), and j."""
     for j in range(nvars):
         if j not in charts:
             bigger = tuple(sorted(charts + (j,)))
-            yield bigger, (-1) ** bigger.index(j)
-
-
-def cech_diff_columns(src: CechLevel, tgt: CechLevel) -> list[dict]:
-    """One column per source spot: the alternating-sum incidence map.
-
-    Every image spot stays inside the target window because inverting more
-    coordinates only relaxes the exponent constraints.
-    """
-    nv = src.module.nvars
-    return [{tgt.index[(bigger, r, a)]: sign
-             for bigger, sign in _cofaces(charts, nv)}
-            for (charts, r, a) in src.spots]
-
-
-def cech_relation_columns(lv: CechLevel) -> list[dict]:
-    """In-window Laurent multiples of the relation columns at each chart set.
-
-    A multiple x^b * rho stays in the window whenever b does, since relation
-    entries only raise exponents.
-    """
-    m = lv.module
-    nv = m.nvars
-    rel = m.relations
-    index = lv.index
-    cols = []
-    for charts in chart_subsets(nv, lv.p):
-        inv = set(charts)
-        for s, vec in zip(rel.col_twists, rel.vecs):
-            if not vec:
-                continue
-            for b in _exponent_vectors(nv, -s, inv, lv.bound):
-                # each term lands on its own spot (r, b + mon), so every
-                # entry is written once, as the canonical coefficient
-                cols.append({index[(charts, r, monomial_mul(b, mon))]: coeff
-                             for (r, mon), coeff in vec.items()})
-    return cols
+            yield bigger, (-1) ** bigger.index(j), j
 
 
 def _checked_bound(bound: int | None) -> int:
@@ -142,23 +92,49 @@ def _checked_bound(bound: int | None) -> int:
     return bound
 
 
-def cech_level_span(m: GradedModule, p: int, bound: int):
-    """The window at level p, a tracker spanning [R_p | D_{p-1}] in it, and
-    rank R_p: the in-window relation multiples go in first, their rank is
-    read off, then the coboundaries of level p - 1 join them.  Residuals
-    against the tracker decide class membership in h^p."""
-    lv = cech_level(m, p, bound)
+def cech_level_span(m, p: int, bound: int):
+    """The window at level p of the module m, a tracker spanning
+    [R_p | D_{p-1}] in it, and rank R_p.
+
+    The pivot vectors of the one degree-B(p+1) window go in at the offset of
+    each chart set; each leads on its own coordinate, so nothing is reduced
+    again.  Their rank is read off, then the coboundaries of level p - 1 join
+    them.  Residuals against the tracker decide class membership in h^p."""
+    nv = m.nvars
+    index, window = degree_window(m.relations, bound * (p + 1))
+    lv = CechLevel(bound, tuple(chart_subsets(nv, p)), index)
+    size = len(index)
     tracker = SpanTracker()
-    for col in cech_relation_columns(lv):
-        tracker.insert(col)
+    if window is not None:
+        for k in range(len(lv.charts)):
+            for vec in window.pivots.values():
+                tracker.insert({k * size + i: c for i, c in vec.items()})
     rel = tracker.rank
     if p >= 1:
-        for col in cech_diff_columns(cech_level(m, p - 1, bound), lv):
-            tracker.insert(col)
+        power = [tuple(bound if i == j else 0 for i in range(nv))
+                 for j in range(nv)]
+        lower = _window_index(m.relations, bound * p)
+        for charts in chart_subsets(nv, p - 1):
+            cofaces = [(lv.charts.index(bigger) * size, sign, power[j])
+                       for bigger, sign, j in _cofaces(charts, nv)]
+            for r, mon in lower:
+                tracker.insert({off + index[(r, monomial_mul(mon, xj))]: sign
+                                for off, sign, xj in cofaces})
     return lv, tracker, rel
 
 
-def cech_level_ranks(m: GradedModule, p: int, bound: int,
+def _in_relation_span(m, p: int, bound: int, cochain: dict) -> bool:
+    """Whether a level-p cochain {(charts, row, exponents): coeff}, each
+    entry inside the window, lies in R_p: its component on each chart set,
+    shifted into the one degree-B(p+1) window, lies in that window's span."""
+    index, window = degree_window(m.relations, bound * (p + 1))
+    parts: dict = {}
+    for (charts, r, a), c in cochain.items():
+        parts.setdefault(charts, {})[index[(r, _shift(charts, a, bound))]] = c
+    return not any(window.residual(part) for part in parts.values())
+
+
+def cech_level_ranks(m, p: int, bound: int,
                      cache: dict | None = None) -> tuple[int, int, int]:
     """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound.
 
@@ -178,7 +154,7 @@ def cech_level_ranks(m: GradedModule, p: int, bound: int,
     return ranks
 
 
-def cech_h_dim_at(m: GradedModule, i: int, bound: int,
+def cech_h_dim_at(m, i: int, bound: int,
                   cache: dict | None = None) -> int:
     """Cohomology dimension at a single bound, no stabilization check.
 
@@ -194,7 +170,7 @@ def cech_h_dim_at(m: GradedModule, i: int, bound: int,
     return dim_i - joint_up + rel_up - joint_i
 
 
-def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None,
+def cech_cohomology_dim(m, i: int, bound: int | None = None,
                         cache: dict | None = None) -> int:
     """Stabilized Cech cohomology dimension of the sheaf presented by m.
 

@@ -15,13 +15,11 @@ import re
 from dataclasses import dataclass
 
 from .cech import (
-    DEFAULT_CECH_BOUND,
     CechStabilizationError,
     _checked_bound,
     _cofaces,
-    cech_level,
+    _in_relation_span,
     cech_level_span,
-    cech_relation_columns,
     chart_subsets,
 )
 from .complexes import BoundedComplex
@@ -31,9 +29,9 @@ from .errors import (
     ShapeError,
     SupportDisjointFinding,
 )
-from .linalg import SpanTracker
+from .linalg import vec_axpy
 from .modules import direct_sum, tensor
-from .polynomials import Coeff, qinv, qnorm
+from .polynomials import Coeff
 from .projective import (
     ProjectiveSpace,
     cotangent_sheaf,
@@ -41,52 +39,6 @@ from .projective import (
     loci_disjoint,
     sheaf_hom_dim,
 )
-
-
-class CechCocycle:
-    """A 1-cochain with module values on the standard charts, stored on
-    sorted chart pairs (antisymmetry is representational).
-
-    Validates the triple-overlap cocycle condition inside the truncated
-    window, modulo the localized relation span.
-    """
-
-    __slots__ = ("module", "bound", "vector")
-
-    def __init__(self, module, vector: dict, bound: int = DEFAULT_CECH_BOUND,
-                 check: bool = True):
-        self.module = module
-        self.bound = bound
-        self.vector = dict(vector)
-        lv = cech_level(module, 1, bound)
-        for spot in self.vector:
-            if spot not in lv.index:
-                raise ShapeError(f"cocycle entry outside the window: {spot}")
-        if check:
-            self._check_cocycle(lv)
-
-    def _check_cocycle(self, lv):
-        nv = self.module.nvars
-        up = cech_level(self.module, 2, bound=self.bound)
-        image = {}
-        for (charts, r, a), coeff in self.vector.items():
-            for bigger, sign in _cofaces(charts, nv):
-                key = up.index[(bigger, r, a)]
-                cur = qnorm(image.get(key, 0) + sign * coeff)
-                if cur:
-                    image[key] = cur
-                else:
-                    image.pop(key, None)
-        tracker = SpanTracker()
-        for col in cech_relation_columns(up):
-            tracker.insert(col)
-        if tracker.residual(image):
-            raise NotWellDefinedError(
-                "cochain fails the triple-overlap cocycle condition"
-            )
-
-    def indexed(self, lv) -> dict:
-        return {lv.index[s]: c for s, c in self.vector.items()}
 
 
 def _atiyah_vector(a: int, p: ProjectiveSpace) -> dict:
@@ -103,76 +55,65 @@ def _atiyah_vector(a: int, p: ProjectiveSpace) -> dict:
     return vector
 
 
-def atiyah_cocycle_line_bundle(a: int, p: ProjectiveSpace,
-                               bound: int = DEFAULT_CECH_BOUND) -> CechCocycle:
-    """The Atiyah cocycle of O(a), checked against the window at `bound`."""
-    return CechCocycle(cotangent_sheaf(p), _atiyah_vector(a, p), bound=bound)
-
-
 def _atiyah_generator(p: ProjectiveSpace, bound: int, cache: dict):
     """The checked O(1) cochain w and its residual modulo coboundaries and
     in-window relations, memoized under ("atiyah_generator", n, bound).
 
-    Both checks run before anything is stored: the cocycle check against
-    R_2 and the non-vanishing of the residual, so a failure is raised again
-    on every call."""
+    Every check runs before anything is stored: each entry lies in the
+    level-1 window (else ShapeError), w is a cocycle modulo R_2, and its
+    residual is non-zero, so a failure is raised again on every call."""
     key = ("atiyah_generator", p.n, bound)
     if key in cache:
         return cache[key]
-    basis = atiyah_cocycle_line_bundle(1, p, bound)
-    lv, tracker, _ = cech_level_span(basis.module, 1, bound)
-    r_basis = tracker.residual(basis.indexed(lv))
+    om = cotangent_sheaf(p)
+    w = _atiyah_vector(1, p)
+    lv, tracker, _ = cech_level_span(om, 1, bound)
+    column = {lv.coordinate(spot): c for spot, c in w.items()}
+    image: dict = {}  # D(w), on chart triples
+    for (charts, r, a), coeff in w.items():
+        for bigger, sign, _ in _cofaces(charts, om.nvars):
+            vec_axpy(image, sign * coeff, {(bigger, r, a): 1})
+    if not _in_relation_span(om, 2, bound, image):
+        raise NotWellDefinedError(
+            "cochain fails the triple-overlap cocycle condition"
+        )
+    r_basis = tracker.residual(column)
     if not r_basis:
         raise CechStabilizationError(
             f"generating class of h^1 reduced to a coboundary at bound {bound}"
         )
-    cache[key] = (basis.vector, r_basis)
+    cache[key] = (w, r_basis)
     return cache[key]
-
-
-def _class_coordinate_at(a: int, p: ProjectiveSpace, bound: int,
-                         cache: dict) -> Coeff:
-    w, r_basis = _atiyah_generator(p, bound, cache)
-    if _atiyah_vector(a, p) != {s: a * c for s, c in w.items() if a}:
-        raise NotWellDefinedError(
-            f"atiyah cochain of O({a}) is not {a} times the generating cochain"
-        )
-    # residual(a * w) = a * r_basis; read its coordinate at the lead entry
-    lead = max(r_basis)
-    return qnorm(a * r_basis[lead] * qinv(r_basis[lead]))
 
 
 def atiyah_class_line_bundle(a: int, p: ProjectiveSpace,
                              bound: int | None = None,
-                             cache: dict | None = None) -> Coeff:
-    """Coordinate of the Atiyah class of O(a) against the stored generating
-    class of h^1 of the cotangent sheaf.  Stabilized across two bounds.
+                             cache: dict | None = None) -> int:
+    """Coordinate of the Atiyah class of O(a) against the generating class
+    of h^1 of the cotangent sheaf: a itself, once it is certified.
 
-    The O(1) cochain w is checked once per bound: its window, the cocycle
-    condition modulo R_2, and that its residual modulo coboundaries and
-    relations is non-zero (else CechStabilizationError).  The O(a) cochain
-    is then checked entrywise to equal a * w, and the O(a) checks follow
-    exactly: the Cech differential is linear and the relation span is a
-    subspace, so a * w is a cocycle; SpanTracker._reduce picks its pivots
-    from the support alone, so residual(a * w) = a * residual(w) over Q, and
-    a = 0 gives the empty residual.
+    The O(1) cochain w is checked at the bound and at bound + 1: its window,
+    the cocycle condition modulo R_2, and that its residual modulo
+    coboundaries and relations is non-zero (else CechStabilizationError).
+    The O(a) cochain is then checked entrywise to equal a * w, and the O(a)
+    class follows exactly: the Cech differential is linear and the relation
+    span is a subspace, so a * w is a cocycle with residual a * residual(w),
+    whose coordinate against the class of w is a.
 
     `cache` is the caller's memo dict (one per run in tasks.run_tasks).  It
     holds ("atiyah_generator", n, bound) -> (w, residual of w), one cochain
-    and one residual dict, never a tracker or a window; the comparison
-    between the bounds runs on every call.
+    and one residual dict, never a tracker or a window.
     """
     bound = _checked_bound(bound)
     if cache is None:
         cache = {}
-    first = _class_coordinate_at(a, p, bound, cache)
-    second = _class_coordinate_at(a, p, bound + 1, cache)
-    if first != second:
-        raise CechStabilizationError(
-            f"atiyah coordinate gave {first} at bound {bound} but {second} "
-            f"at bound {bound + 1}"
+    for b in (bound, bound + 1):
+        w, _ = _atiyah_generator(p, b, cache)
+    if _atiyah_vector(a, p) != {s: a * c for s, c in w.items() if a}:
+        raise NotWellDefinedError(
+            f"atiyah cochain of O({a}) is not {a} times the generating cochain"
         )
-    return first
+    return a
 
 
 def connection_exists_line_bundle(a: int, p: ProjectiveSpace,

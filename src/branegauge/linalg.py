@@ -16,7 +16,7 @@ elimination loop, and a vector whose real part reduces away is left with
 tag entries that weigh the tagged columns: nullspace, solve_in_span and
 HomBasis read relations and coordinates from them.  Untagged columns cost no
 bookkeeping, which is what the rank-only windows (degree_window, the Cech
-level spans, the cocycle check) use.
+level spans, the Atiyah cocycle check) use.
 
 Matrix columns and the Groebner engine's module elements share one form,
 MVec: a sparse vector {(row, monomial): coefficient} of a free module.
@@ -29,7 +29,8 @@ numbers the cover's (row, monomial) coordinates of degree d and spans every
 relation column times every monomial that lands it there.  Graded pieces and
 piece-map ranks in modules.py and the Groebner-free HomBasis in homspace.py
 all rank that one window, so homspace needs nothing from groebner or
-modules.  The Cech window (cech.py) is Laurent and keeps its own builder.
+modules.  So do the Cech levels (cech.py): level p at bound B is one copy of
+the degree-B(p+1) window per chart set.
 """
 
 from __future__ import annotations
@@ -186,13 +187,10 @@ def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
     in column order, then in monomials_of_degree order.  An empty window
     gets no tracker (None).
     """
-    nv = relations.nvars
-    index: WindowIndex = {}
-    for r, t in enumerate(relations.row_twists):
-        for mon in monomials_of_degree(nv, d - t):
-            index[(r, mon)] = len(index)
+    index = _window_index(relations, d)
     if not index:
         return index, None
+    nv = relations.nvars
     tracker = SpanTracker()
     for c, s in enumerate(relations.col_twists):
         if d - s < 0:
@@ -201,3 +199,13 @@ def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
         for mult in monomials_of_degree(nv, d - s):
             tracker.insert(_expand(vec, mult, index))
     return index, tracker
+
+
+def _window_index(relations, d: int) -> WindowIndex:
+    """The coordinates of degree_window, without its relation span."""
+    nv = relations.nvars
+    index: WindowIndex = {}
+    for r, t in enumerate(relations.row_twists):
+        for mon in monomials_of_degree(nv, d - t):
+            index[(r, mon)] = len(index)
+    return index

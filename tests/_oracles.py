@@ -2,7 +2,9 @@
 
 Everything here is computed with plain dense linear algebra over Fraction
 and closed-form counting, never through the engine's Groebner or module
-code, so agreement is meaningful.  The two matrix builders at the end only
+code, so agreement is meaningful.  laurent_cech_ranks keeps the Cech
+level on its truncated Laurent spots, with no shift to a polynomial window.
+The two matrix builders at the end only
 spell a PolyMatrix row by row, as the tests write them; the package builds
 its matrices column by column and does not need them.  The last helper,
 random_homogeneous, draws seeded test inputs.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, monomials_of_degree, parse_polynomial
@@ -189,6 +192,48 @@ def bott_omega1_h(n: int, d: int, q: int) -> int:
     if q == n and d < 1 - n:
         return math.comb(-d + 1, -d) * math.comb(-d - 1, n - 1)
     return 0
+
+
+def laurent_cech_ranks(relations, p: int, bound: int) -> tuple[int, int, int]:
+    """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at Cech level p, dense.
+
+    W_p has one spot (S, r, a) per chart set S of p + 1 charts, cover row r
+    of twist t and exponent vector a with sum(a) = -t, a_i >= -bound on S
+    and a_i >= 0 off it.  R_p spans the in-window multiples x^b * rho of the
+    relation columns on each S; D sends (S, r, a) to the alternating sum of
+    (S + {j}, r, a) with the sign (-1)^(position of j).
+    """
+    nv = relations.nvars
+
+    def exponents(total, charts):
+        low = [-bound if i in charts else 0 for i in range(nv)]
+        return [tuple(e + b for e, b in zip(mon, low))
+                for mon in monomial_tuples(nv, total - sum(low))]
+
+    def spots(q):
+        return [(s, r, a) for s in combinations(range(nv), q + 1)
+                for r, t in enumerate(relations.row_twists)
+                for a in exponents(-t, s)]
+
+    level = spots(p)
+    index = {spot: k for k, spot in enumerate(level)}
+    rel = []
+    for s in combinations(range(nv), p + 1):
+        for twist, vec in zip(relations.col_twists, relations.vecs):
+            for b in exponents(-twist, s):
+                col = [0] * len(level)
+                for (r, mon), c in vec.items():
+                    col[index[(s, r, tuple(x + y for x, y in zip(b, mon)))]] += c
+                rel.append(col)
+    diff = []
+    for s, r, a in (spots(p - 1) if p >= 1 else []):
+        col = [0] * len(level)
+        for j in range(nv):
+            if j not in s:
+                bigger = tuple(sorted(s + (j,)))
+                col[index[(bigger, r, a)]] += (-1) ** bigger.index(j)
+        diff.append(col)
+    return rref_rank(diff + rel), rref_rank(rel), len(level)
 
 
 def matrix_from_rows(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:

@@ -5,7 +5,7 @@ import pytest
 from branegauge.cech import (
     DEFAULT_CECH_BOUND,
     cech_cohomology_dim,
-    cech_level,
+    cech_level_ranks,
     cech_level_span,
     chart_subsets,
 )
@@ -17,7 +17,7 @@ from branegauge.projective import (
     generator,
 )
 
-from _oracles import bott_omega1_h, line_bundle_h
+from _oracles import bott_omega1_h, laurent_cech_ranks, line_bundle_h
 
 
 def test_chart_subsets_shape():
@@ -30,8 +30,8 @@ def test_chart_subsets_shape():
 def test_level_dims_grow_with_bound():
     p = ProjectiveSpace(1)
     o = p.structure_sheaf(0)
-    d2 = cech_level(o, 1, 2).dim
-    d3 = cech_level(o, 1, 3).dim
+    d2 = cech_level_span(o, 1, 2)[0].dim
+    d3 = cech_level_span(o, 1, 3)[0].dim
     assert d3 > d2
 
 
@@ -140,3 +140,19 @@ def test_coboundary_tracker_level_consistency():
     assert level.dim > 0
     # rank of the coboundary span never exceeds the level dimension
     assert tracker.rank <= level.dim
+
+
+def test_level_ranks_match_the_laurent_window_oracle():
+    # every level is copies of one polynomial window; the oracle keeps the
+    # Laurent spots and ranks them densely
+    for n in (1, 2):
+        p = ProjectiveSpace(n)
+        om = cotangent_sheaf(p)
+        modules = [p.structure_sheaf(a) for a in (-3, 0, 2)]
+        modules += [twist(om, d) for d in (-2, 0, 1)]
+        modules += [generator(k, p).module for k in range(1, n + 2)]
+        for m in modules:
+            for bound in (1, 2, 3):
+                for q in range(n + 1):
+                    want = laurent_cech_ranks(m.relations, q, bound)
+                    assert cech_level_ranks(m, q, bound) == want, (n, m, q, bound)

@@ -15,10 +15,8 @@ from branegauge.errors import (
     SupportDisjointFinding,
 )
 from branegauge.gauge import (
-    CechCocycle,
     GaugeReport,
     atiyah_class_line_bundle,
-    atiyah_cocycle_line_bundle,
     connection_exists_line_bundle,
     derived_hom_table,
     derived_hom_vanishes,
@@ -58,9 +56,8 @@ def test_vanishing_generating_class_is_a_structured_error(monkeypatch):
     def spans_the_generator(m, p, bound):
         # a coboundary span that (wrongly) contains the O(1) cochain
         lv, tracker, rel = real(m, p, bound)
-        basis = atiyah_cocycle_line_bundle(1, ProjectiveSpace(m.nvars - 1),
-                                           bound)
-        tracker.insert(basis.indexed(lv))
+        basis = gauge._atiyah_vector(1, ProjectiveSpace(m.nvars - 1))
+        tracker.insert({lv.coordinate(s): c for s, c in basis.items()})
         return lv, tracker, rel
 
     monkeypatch.setattr(gauge, "cech_level_span", spans_the_generator)
@@ -102,21 +99,44 @@ def test_connection_exists_only_for_trivial_twist():
 
 def test_atiyah_cocycle_is_a_cocycle():
     p = ProjectiveSpace(2)
-    coc = atiyah_cocycle_line_bundle(2, p)
-    assert coc.vector  # nonzero for a != 0
-    zero = atiyah_cocycle_line_bundle(0, p)
-    assert not zero.vector
+    coc = gauge._atiyah_vector(2, p)
+    assert coc  # nonzero for a != 0
+    zero = gauge._atiyah_vector(0, p)
+    assert not zero
 
 
-def test_random_cochain_fails_cocycle_check():
-    p = ProjectiveSpace(2)
-    good = atiyah_cocycle_line_bundle(1, p)
-    # corrupt one entry: scale a single spot, breaking the triple overlap
-    spot = next(iter(good.vector))
-    bad = dict(good.vector)
-    bad[spot] = bad[spot] * 3
+def test_random_cochain_fails_cocycle_check(monkeypatch):
+    real = gauge._atiyah_vector
+
+    def corrupted(a, p):
+        # corrupt one entry: scale a single spot, breaking the triple overlap
+        vector = real(a, p)
+        spot = next(iter(vector))
+        vector[spot] = vector[spot] * 3
+        return vector
+
+    monkeypatch.setattr(gauge, "_atiyah_vector", corrupted)
     with pytest.raises(NotWellDefinedError):
-        CechCocycle(good.module, bad, bound=good.bound)
+        atiyah_class_line_bundle(1, ProjectiveSpace(2))
+
+
+def test_cochain_entry_outside_the_window_is_a_shape_error(monkeypatch):
+    real = gauge._atiyah_vector
+    bound = 2
+
+    def too_deep(a, p):
+        # x_i^-(bound+1) x_j^(bound-1) on the chart pair (i, j): the right
+        # total degree, one exponent below the truncation
+        vector = real(a, p)
+        (i, j), r, exps = spot = next(iter(vector))
+        deep = list(exps)
+        deep[i], deep[j] = -(bound + 1), bound - 1
+        vector[((i, j), r, tuple(deep))] = vector.pop(spot)
+        return vector
+
+    monkeypatch.setattr(gauge, "_atiyah_vector", too_deep)
+    with pytest.raises(ShapeError, match="outside the window"):
+        atiyah_class_line_bundle(1, ProjectiveSpace(2), bound)
 
 
 def test_jet_sequence_record_fields():

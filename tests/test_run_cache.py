@@ -152,13 +152,11 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
             assert all(type(c) in (int, Fraction) for c in w.values())
             assert all(type(c) in (int, Fraction) for c in residual.values())
 
-    # equal inputs hit the cache: no relation columns are built again
+    # equal inputs hit the cache: no relation window is built again
     calls = []
-    real = cech.cech_relation_columns
-    monkeypatch.setattr(cech, "cech_relation_columns",
-                        lambda lv: calls.append(lv) or real(lv))
-    monkeypatch.setattr(gauge, "cech_relation_columns",
-                        cech.cech_relation_columns)
+    real = cech.degree_window
+    monkeypatch.setattr(cech, "degree_window",
+                        lambda rel, d: calls.append(d) or real(rel, d))
     again = [cech_cohomology_dim(cotangent_sheaf(ProjectiveSpace(m.nvars - 1)),
                                  i, cache=cache) for m, i in cases]
     assert again == plain_h
