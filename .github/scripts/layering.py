@@ -6,6 +6,8 @@ Reads the package-internal imports of every `src/branegauge/*.py` (relative
 `from .x import ...` and `from . import x`, and absolute `branegauge.x`)
 and follows them transitively.  It fails when
 
+- `polynomials` reaches any module but `errors`: the monomial kernel is the
+  floor layer that every other module builds on;
 - `homspace` reaches `groebner` or `modules`: `HomBasis` is the Groebner-free
   cross-check of the module-Hom path, so it must not depend on that path;
 - `polymatrix` or `linalg` reaches any module but `errors`, `polynomials`,
@@ -27,12 +29,16 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[2] / "src" / "branegauge"
 
 BASE = {"errors", "polynomials", "linalg", "polymatrix"}
-# module -> the modules it must not reach, directly or through others
-RULES = {
+# module -> the only modules it may reach, directly or through others
+ONLY = {
+    "polynomials": {"errors"},
+    "polymatrix": BASE,
+    "linalg": BASE,
+    "cech": BASE,
+}
+# module -> modules it must not reach, directly or through others
+BANNED = {
     "homspace": {"groebner", "modules"},
-    "polymatrix": None,  # None: anything outside BASE
-    "linalg": None,
-    "cech": None,
 }
 
 
@@ -72,9 +78,9 @@ def main() -> int:
     modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
     graph = {m: direct_imports(PACKAGE / f"{m}.py", modules) for m in modules}
     broken = []
-    for mod, banned in RULES.items():
+    for mod in sorted(ONLY.keys() | BANNED.keys()):
         for dep, chain in sorted(chains(mod, graph).items()):
-            if (dep not in BASE) if banned is None else (dep in banned):
+            if (mod in ONLY and dep not in ONLY[mod]) or dep in BANNED.get(mod, ()):
                 broken.append(f"{mod} reaches {dep}: {' -> '.join(chain)}")
     for line in broken:
         print(line)

@@ -147,7 +147,9 @@ def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
         basis.append(_make_elem(dict(g), key, rep))
 
     pairs: list = []
-    done: set[frozenset] = set()
+    # pairs already treated, as ordered (i, j) with i < j, the way push_pairs
+    # pushes them
+    done: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
         brow, bmon = basis[j].lead
@@ -163,22 +165,21 @@ def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
 
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        tag = frozenset((i, j))
-        if tag in done:
+        if (i, j) in done:
             continue
-        done.add(tag)
+        done.add((i, j))
         irow, imon = basis[i].lead
         _, jmon = basis[j].lead
         if product_criterion and monomial_mul(imon, jmon) == lcm:
             continue
         skip = False
         for k, b in enumerate(basis):
-            if k in (i, j) or b.lead[0] != irow:
+            if k == i or k == j or b.lead[0] != irow:
                 continue
             if (
                 monomial_divides(b.lead[1], lcm)
-                and frozenset((i, k)) in done
-                and frozenset((j, k)) in done
+                and ((i, k) if i < k else (k, i)) in done
+                and ((j, k) if j < k else (k, j)) in done
             ):
                 skip = True
                 break

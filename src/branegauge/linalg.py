@@ -30,12 +30,17 @@ relation column times every monomial that lands it there.  Graded pieces and
 piece-map ranks in modules.py and the Groebner-free HomBasis in homspace.py
 all rank that one window, so homspace needs nothing from groebner or
 modules.  So do the Cech levels (cech.py): level p at bound B is one copy of
-the degree-B(p+1) window per chart set.
+the degree-B(p+1) window per chart set.  A window's index depends only on
+the ring, the row twists and d, so it is built once per such triple and
+shared (_window_index): degree_window, cech_level_span and HomBasis all read
+the same dict, and no caller may mutate it.  Each degree_window call gets
+a fresh tracker of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 from .polynomials import Coeff, Monomial, monomial_mul, monomials_of_degree, qinv
@@ -182,7 +187,8 @@ def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
     """The degree-d window of the module presented by `relations`.
 
     `index` numbers the cover's (row, monomial) pairs of degree d, rows in
-    order and monomials in monomials_of_degree order; the tracker spans every
+    order and monomials in monomials_of_degree order; it is the shared dict
+    of _window_index, read-only to every caller.  The tracker spans every
     relation column times every monomial that lands it in degree d, inserted
     in column order, then in monomials_of_degree order.  An empty window
     gets no tracker (None).
@@ -202,10 +208,17 @@ def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
 
 
 def _window_index(relations, d: int) -> WindowIndex:
-    """The coordinates of degree_window, without its relation span."""
-    nv = relations.nvars
+    """The coordinates of degree_window, without its relation span.  Shared:
+    presentations with the same ring and row twists get the same dict."""
+    return _cover_index(relations.nvars, relations.row_twists, d)
+
+
+@cache
+def _cover_index(nv: int, row_twists: tuple[int, ...], d: int) -> WindowIndex:
+    """The (row, monomial) coordinates of degree d of a free cover, rows in
+    order and monomials in monomials_of_degree order; memoized."""
     index: WindowIndex = {}
-    for r, t in enumerate(relations.row_twists):
+    for r, t in enumerate(row_twists):
         for mon in monomials_of_degree(nv, d - t):
             index[(r, mon)] = len(index)
     return index

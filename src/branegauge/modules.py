@@ -282,8 +282,13 @@ def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
     """The map g with incl * g = f, for injective incl sharing f's target.
 
     Every column of f is solved against one basis of [incl.matrix |
-    target.relations]; raises if some column of f does not factor.
+    target.relations]; raises if some column of f does not factor.  A map
+    with no nonzero column lifts to the zero map without any solving.
     """
+    if not any(f.matrix.vecs):
+        zero = PolyMatrix.zero(f.source.nvars, incl.source.cover_twists,
+                               f.matrix.col_twists)
+        return GradedMap(f.source, incl.source, zero, check=False)
     rank = incl.matrix.cols
     sols = lift_through(list(incl.matrix.vecs + f.target.relations.vecs),
                         list(f.matrix.vecs))

@@ -16,6 +16,12 @@ x0 > x1 > ... > xn, and `grevlex_key` is its sort key.  It refines total
 degree, which is what keeps Groebner bases of homogeneous inputs homogeneous;
 term printing, `monomials_of_degree` and the Groebner engine all use it.
 
+The monomial helpers (`monomial_mul`, `monomial_div`, `monomial_divides`,
+`monomial_lcm`) and `grevlex_key` are the floor of every layer above, so each
+is one C-level `map` over an `operator` function, with no Python-level loop.
+`monomials_of_degree` is memoized: it returns one shared tuple per
+(nvars, d), which callers iterate, index and measure but never rebuild.
+
 Text syntax, used by the CLI manifests and the printers::
 
     3/2*x0^2*x1 - x2^3
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
+from operator import add, le, neg, sub
 from typing import Iterator, Mapping
 
 from .errors import PolynomialSyntaxError, RingMismatchError
@@ -58,21 +66,21 @@ def qinv(x) -> Coeff:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(b: Monomial, a: Monomial) -> Monomial:
     """Exponent vector of x^b / x^a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(m: Monomial):
@@ -80,7 +88,7 @@ def grevlex_key(m: Monomial):
 
     Ties in degree: the monomial whose *last* nonzero difference is negative
     wins, i.e. compare negated exponents right to left."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
@@ -367,10 +375,13 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
-    """All exponent tuples of total degree d, sorted grevlex-descending."""
+@cache
+def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
+    """All exponent tuples of total degree d, sorted grevlex-descending.
+
+    Memoized: every call with the same (nvars, d) returns the same tuple."""
     if d < 0:
-        return []
+        return ()
     out: list[Monomial] = []
 
     def rec(prefix: list[int], remaining: int, slots: int):
@@ -382,5 +393,4 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
 
     rec([], d, nvars)
     out.sort(key=grevlex_key, reverse=True)
-    return out
-
+    return tuple(out)

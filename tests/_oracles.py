@@ -2,8 +2,11 @@
 
 Everything here is computed with plain dense linear algebra over Fraction
 and closed-form counting, never through the engine's Groebner or module
-code, so agreement is meaningful.  laurent_cech_ranks keeps the Cech
-level on its truncated Laurent spots, with no shift to a polynomial window.
+code, so agreement is meaningful.  The monomial helpers and grevlex_key
+spell the package's monomial kernel with generator expressions, the
+reference for its map-over-operator versions.  laurent_cech_ranks keeps the
+Cech level on its truncated Laurent spots, with no shift to a polynomial
+window.
 The two matrix builders at the end only
 spell a PolyMatrix row by row, as the tests write them; the package builds
 its matrices column by column and does not need them.  The last helper,
@@ -37,6 +40,30 @@ def monomial_tuples(nv: int, d: int) -> list:
         for rest in monomial_tuples(nv - 1, d - e):
             out.append((e,) + rest)
     return out
+
+
+# The monomial kernel of polynomials.py, one generator expression each;
+# the package's map-over-operator versions must agree.
+
+
+def monomial_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def monomial_divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_div(b: tuple, a: tuple) -> tuple:
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def monomial_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def grevlex_key(m: tuple) -> tuple:
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def dict_mul_monomial(poly: dict, mon: tuple) -> dict:

@@ -10,6 +10,7 @@ from branegauge.cech import (
     chart_subsets,
 )
 from branegauge.errors import CechStabilizationError, ShapeError
+from branegauge.linalg import degree_window
 from branegauge.modules import twist
 from branegauge.projective import (
     ProjectiveSpace,
@@ -140,6 +141,8 @@ def test_coboundary_tracker_level_consistency():
     assert level.dim > 0
     # rank of the coboundary span never exceeds the level dimension
     assert tracker.rank <= level.dim
+    # the level reads the one shared index of its degree-B(p+1) window
+    assert level.index is degree_window(o.relations, 3 * 2)[0]
 
 
 def test_level_ranks_match_the_laurent_window_oracle():

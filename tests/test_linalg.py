@@ -5,9 +5,17 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from branegauge.linalg import SpanTracker, nullspace, solve_in_span, sparse_rank, tag
+from branegauge.linalg import (
+    SpanTracker,
+    degree_window,
+    nullspace,
+    solve_in_span,
+    sparse_rank,
+    tag,
+)
+from branegauge.polymatrix import PolyMatrix
 
-from _oracles import rref_rank
+from _oracles import grevlex_key, monomial_tuples, rref_rank
 
 
 def _dense(col: dict, width: int) -> list:
@@ -75,3 +83,28 @@ def test_solve_in_span():
     assert sol is not None
     assert sol.get(1, 0) == 2 and sol.get(0, 0) == -2
     assert solve_in_span(cols, {2: Fraction(1)}) is None
+
+
+def test_degree_window_index_is_shared_and_each_call_gets_its_own_tracker():
+    # two presentations on the cover O(0) + O(-1) of P^2, different relations
+    x0 = {(0, (1, 0, 0)): 1}
+    a = PolyMatrix(3, (0, 1), (1,), [x0])
+    b = PolyMatrix(3, (0, 1), (2, 1), [{(1, (0, 1, 0)): 1}, {(0, (0, 0, 1)): 3}])
+    index_a, tracker_a = degree_window(a, 3)
+    index_b, tracker_b = degree_window(b, 3)
+    assert index_a is index_b
+    # the same coordinates, in the same order, as a dict built afresh
+    fresh = {}
+    for r, t in enumerate((0, 1)):
+        for mon in sorted(monomial_tuples(3, 3 - t), key=grevlex_key, reverse=True):
+            fresh[(r, mon)] = len(fresh)
+    assert list(index_a.items()) == list(fresh.items())
+    # each window spans its own relations, and a second call starts afresh
+    assert tracker_a is not tracker_b
+    assert (tracker_a.rank, tracker_b.rank) == (6, 9)
+    again_index, again = degree_window(a, 3)
+    assert again_index is index_a
+    assert again is not tracker_a and again.rank == tracker_a.rank
+    # another degree or other row twists get another index
+    assert degree_window(a, 2)[0] is not index_a
+    assert degree_window(PolyMatrix(3, (0, 2), (1,), [x0]), 3)[0] is not index_a

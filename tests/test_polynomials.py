@@ -9,10 +9,15 @@ from branegauge.errors import PolynomialSyntaxError, RingMismatchError
 from branegauge.polynomials import (
     Polynomial,
     grevlex_key,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
     monomials_of_degree,
     parse_polynomial,
 )
 
+import _oracles
 from _oracles import count_monomials
 
 
@@ -57,6 +62,42 @@ def test_monomials_of_degree_counts():
             assert len(set(mons)) == len(mons)
             keys = [grevlex_key(m) for m in mons]
             assert keys == sorted(keys, reverse=True)
+
+
+def _exponent_pairs():
+    """Two exponent tuples of one length, 1 to 5."""
+    exps = st.integers(0, 6)
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.tuples(*[exps] * n), st.tuples(*[exps] * n)))
+
+
+@given(_exponent_pairs())
+@settings(max_examples=200, deadline=None)
+def test_monomial_kernel_matches_the_generator_oracle(pair):
+    a, b = pair
+    lcm = monomial_lcm(a, b)
+    assert lcm == _oracles.monomial_lcm(a, b)
+    assert monomial_mul(a, b) == _oracles.monomial_mul(a, b)
+    assert monomial_div(b, a) == _oracles.monomial_div(b, a)
+    assert monomial_div(lcm, a) == _oracles.monomial_div(lcm, a)
+    assert monomial_divides(a, b) is _oracles.monomial_divides(a, b)
+    assert monomial_divides(b, a) is _oracles.monomial_divides(b, a)
+    assert monomial_divides(a, lcm) is True
+    assert grevlex_key(a) == _oracles.grevlex_key(a)
+    for out in (lcm, monomial_mul(a, b), monomial_div(b, a), grevlex_key(a)[1]):
+        assert type(out) is tuple
+
+
+def test_monomials_of_degree_is_one_shared_tuple():
+    for nv in (1, 2, 3, 4):
+        for d in range(0, 6):
+            mons = monomials_of_degree(nv, d)
+            assert type(mons) is tuple
+            assert monomials_of_degree(nv, d) is mons
+            assert mons == tuple(sorted(_oracles.monomial_tuples(nv, d),
+                                        key=_oracles.grevlex_key, reverse=True))
+    assert monomials_of_degree(3, -1) == ()
+    assert monomials_of_degree(1, -4) == ()
 
 
 def test_parse_examples():
