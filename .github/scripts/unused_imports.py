@@ -9,10 +9,11 @@ statement fails the check when the module never reads it anywhere,
 annotations included (`import a.b` binds and is read as `a`).
 `from __future__` imports are exempt.
 
-Dead definitions: every top-level function or class and every method of a
-top-level class in `src/branegauge/*.py` (or in the given files) fails the
-check when no file under `src/` or `tests/` names it: as a name, as an
-attribute, or in an import.  Dunder methods are exempt; Python calls them.
+Dead definitions: every top-level function, class or assigned name and
+every method of a top-level class in `src/branegauge/*.py` (or in the given
+files) fails the check when no file under `src/` or `tests/` names it: as a
+name that is read, as an attribute, or in an import.  Assigning a name does
+not name it.  Dunder names are exempt; Python reads them.
 
 Prints one `path:line: name` line per unused import and one
 `path:line: dead definition qualname` line per dead definition, and exits 1
@@ -56,11 +57,23 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
                   if name not in used)
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(path: Path) -> list[tuple[int, str, str]]:
-    """(line, qualname, name) of path's top-level functions and classes and
-    of the non-dunder methods of its top-level classes."""
+    """(line, qualname, name) of path's top-level functions, classes and
+    non-dunder assigned names and of the non-dunder methods of its
+    top-level classes."""
     out = []
     for node in _tree(path).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(
+                (node.lineno, name.id, name.id)
+                for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not _dunder(name.id)
+            )
         if not isinstance(node, _DEFS):
             continue
         out.append((node.lineno, node.name, node.name))
@@ -68,18 +81,17 @@ def definitions(path: Path) -> list[tuple[int, str, str]]:
             out.extend(
                 (item.lineno, f"{node.name}.{item.name}", item.name)
                 for item in node.body
-                if isinstance(item, _FUNCS)
-                and not (item.name.startswith("__") and item.name.endswith("__"))
+                if isinstance(item, _FUNCS) and not _dunder(item.name)
             )
     return out
 
 
 def named(paths) -> set[str]:
-    """Every identifier the files name: names, attributes and imports."""
+    """Every identifier the files name: names read, attributes and imports."""
     out: set[str] = set()
     for path in paths:
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)

@@ -177,8 +177,8 @@ def negate_map(h: ComplexMap) -> ComplexMap:
 # -- cone -------------------------------------------------------------------
 
 
-def cone_with_maps(h: ComplexMap):
-    """Con(h) together with the inclusion of B and the projection to A[1]."""
+def cone(h: ComplexMap) -> BoundedComplex:
+    """Con(h), checked to square to zero."""
     a, b = h.source, h.target
     nv = a.nvars
     lo = min(a.lo - 1, b.lo)
@@ -198,7 +198,14 @@ def cone_with_maps(h: ComplexMap):
             {(0, 0): -da.matrix, (1, 0): hi_lvl.matrix, (1, 1): db.matrix},
         )
         diffs.append(GradedMap(terms[i - lo], terms[i + 1 - lo], mat, check=False))
-    con = BoundedComplex(nv, lo, terms, diffs, check=True)
+    return BoundedComplex(nv, lo, terms, diffs, check=True)
+
+
+def cone_with_maps(h: ComplexMap):
+    """Con(h) together with the inclusion of B and the projection to A[1]."""
+    a, b = h.source, h.target
+    nv = a.nvars
+    con = cone(h)
 
     incl_levels = {}
     for i in range(b.lo, b.hi + 1):
@@ -213,7 +220,7 @@ def cone_with_maps(h: ComplexMap):
 
     a1 = shift(a, 1)
     proj_levels = {}
-    for i in range(lo, hi + 1):
+    for i in con.window():
         mat = PolyMatrix.blocks(
             nv,
             [a.term(i + 1).cover_twists],
@@ -223,10 +230,6 @@ def cone_with_maps(h: ComplexMap):
         proj_levels[i] = GradedMap(con.term(i), a1.term(i), mat, check=False)
     proj = ComplexMap(con, a1, proj_levels, check=True)
     return con, incl, proj
-
-
-def cone(h: ComplexMap) -> BoundedComplex:
-    return cone_with_maps(h)[0]
 
 
 # -- cohomology -------------------------------------------------------------

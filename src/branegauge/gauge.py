@@ -11,7 +11,6 @@ the shortcut and the exact computation aborts with a structured finding.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .cech import (
@@ -37,7 +36,9 @@ from .projective import (
     cotangent_sheaf,
     generator,
     loci_disjoint,
+    parse_sheaf_name,
     sheaf_hom_dim,
+    sheaf_module,
 )
 
 
@@ -212,29 +213,16 @@ def lem1_table(p: ProjectiveSpace, cache: dict | None = None):
 
 # -- brane decompositions ---------------------------------------------------
 
-_COMPONENT_RE = re.compile(r"^(S|O)\((-?\d+)\)$")
-
 
 def parse_component(name: str):
     """A declared brane component: 'S(k)' for a generator, 'O(a)' for a line
     bundle ('O' alone means O(0))."""
-    text = name.strip()
-    if text == "O":
-        return ("O", 0)
-    m = _COMPONENT_RE.match(text)
-    if not m:
+    comp = parse_sheaf_name(name.strip())
+    if comp is None or comp[0] == "Omega1":
         raise NonGeneratorTermError(
             f"brane component {name!r} is not of the form S(k) or O(a)"
         )
-    kind, value = m.group(1), int(m.group(2))
-    return (kind, value)
-
-
-def component_module(comp, p: ProjectiveSpace):
-    kind, value = comp
-    if kind == "S":
-        return generator(value, p).module
-    return p.structure_sheaf(value)
+    return comp
 
 
 def component_hom_dim(x, y, p: ProjectiveSpace, cache: dict | None = None) -> int:
@@ -248,7 +236,7 @@ def component_hom_dim(x, y, p: ProjectiveSpace, cache: dict | None = None) -> in
         return cache[key]
     om = cotangent_sheaf(p)
     dim = sheaf_hom_dim(
-        component_module(x, p), tensor(om, component_module(y, p)), cache
+        sheaf_module(x, p), tensor(om, sheaf_module(y, p)), cache
     )
     cache[key] = dim
     return dim
@@ -269,7 +257,7 @@ def _checked_decomposition(f: BoundedComplex, decomposition, p: ProjectiveSpace)
                 )
             parsed[i] = []
             continue
-        rebuilt = direct_sum(*[component_module(c, p) for c in comps])
+        rebuilt = direct_sum(*[sheaf_module(c, p) for c in comps])
         if (rebuilt.cover_twists != term.cover_twists
                 or rebuilt.relations != term.relations):
             raise NonGeneratorTermError(
@@ -283,7 +271,12 @@ def derived_hom_table(f: BoundedComplex, decomposition, p: ProjectiveSpace,
                       cache: dict | None = None):
     """Componentwise Hom dimensions between a brane and its cotangent twist,
     one row per (degree shift, source degree, source comp, target comp)."""
-    parsed = _checked_decomposition(f, decomposition, p)
+    return _component_rows(_checked_decomposition(f, decomposition, p), p,
+                           cache)
+
+
+def _component_rows(parsed: dict, p: ProjectiveSpace, cache: dict | None):
+    """The rows of derived_hom_table for a checked decomposition."""
     degrees = sorted(parsed)
     if cache is None:
         cache = {}
@@ -350,15 +343,11 @@ def gauge_field_count_bound(f: BoundedComplex, decomposition,
     a brane concentrated in a single line bundle the Atiyah class decides
     existence as well, upgrading the verdict to exactly one or exactly zero.
     """
-    rows = derived_hom_table(f, decomposition, p, cache)
-    hom_dim = sum(row["dim"] for row in rows)
-    comps = [c for i in sorted(decomposition)
-             for c in (decomposition[i] or [])]
-    single_line = (len(comps) == 1
-                   and parse_component(comps[0])[0] == "O")
-    if single_line:
-        a = parse_component(comps[0])[1]
-        coord = atiyah_class_line_bundle(a, p, bound, cache)
+    parsed = _checked_decomposition(f, decomposition, p)
+    hom_dim = sum(row["dim"] for row in _component_rows(parsed, p, cache))
+    comps = [c for i in sorted(parsed) for c in parsed[i]]
+    if len(comps) == 1 and comps[0][0] == "O":
+        coord = atiyah_class_line_bundle(comps[0][1], p, bound, cache)
         status = "zero" if coord == 0 else "nonzero"
     else:
         status = "undecided"

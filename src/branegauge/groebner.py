@@ -97,11 +97,14 @@ def reduce_vec(
 ) -> MVec:
     """Full normal form of v against basis (in the given, fixed order).
 
-    Mutates v; returns the remainder.  If `quotients` is supplied it gains
-    {(k, m): c} with  original = sum c * x^m * basis[k].vec + remainder.
-    If `rep` is supplied (and basis reps are tracked) it is updated so the
-    remainder satisfies  remainder = sum rep * gens.
+    Mutates v and returns the remainder; against an empty basis v is its
+    own remainder and is returned as it is.  If `quotients` is supplied it
+    gains {(k, m): c} with  original = sum c * x^m * basis[k].vec +
+    remainder.  If `rep` is supplied (and basis reps are tracked) it is
+    updated so the remainder satisfies  remainder = sum rep * gens.
     """
+    if not basis:
+        return v
     rem: MVec = {}
     while v:
         lt = max(v, key=key)

@@ -24,7 +24,9 @@ one source generator, entries running down the target rows.  Module
 references resolve against declared names first, then the built-ins O(a),
 Omega1 and S(k).  Parsing is eager: every polynomial, twist and reference is
 validated up front with a line diagnostic, and complexes are checked to
-square to zero.
+square to zero.  Each task parameter has a type in _TASK_PARAMS and is
+checked once, into TaskDef.args (references come back resolved); task
+matrices are parsed when the task runs.
 """
 
 from __future__ import annotations
@@ -37,62 +39,47 @@ from .errors import BraneGaugeError, ManifestError
 from .modules import GradedMap, GradedModule
 from .polymatrix import PolyMatrix, column_degree, column_vec
 from .polynomials import Polynomial, parse_polynomial
-from .projective import ProjectiveSpace, cotangent_sheaf, generator
+from .projective import ProjectiveSpace, parse_sheaf_name, sheaf_module
+from .reports import fmt_int_list
 
 _BLOCK_RE = re.compile(r"^\[([a-z-]+)(?:\s+([A-Za-z_][\w.()-]*))?\]$")
 _KEY_RE = re.compile(r"^([a-z][a-z-]*)(?:\s+(-?\d+))?\s*=\s*(.*)$")
-_BUILTIN_RE = re.compile(r"^(O|S)\((-?\d+)\)$")
 
-# per task kind: required and optional plain parameters, and the matrix
-# keys it takes: "matrix" (one required matrix = ..), "level N" (optional
-# per-degree level N = .. keys) or None (no matrix key at all)
+# per task kind: its required and its optional parameters, each mapping a
+# name to the parameter's type, and the matrix keys it takes: "matrix" (one
+# required matrix = ..), "level N" (optional per-degree level N = .. keys)
+# or None (no matrix key at all).  The types (_argument checks each):
+# module (a declared or built-in module), complex (a declared complex),
+# int, generator (an int in 1..n+1), oracle ('module' or 'sheaf') and text
+# (any value)
 _TASK_PARAMS = {
-    "resolve": (("module",), ("max-length",), None),
-    "shift": (("complex", "k"), (), None),
-    "cone": (("source", "target"), (), "level N"),
-    "hom-complex": (("source", "target"), ("oracle",), None),
-    "triangle-from-ses": (("source", "target"), (), "matrix"),
-    "generators": ((), (), None),
-    "disjointness": (("i", "j"), (), None),
-    "sheaf-hom": (("source", "target"), (), None),
-    "cech": (("module", "i"), (), None),
-    "lem1-check": ((), (), None),
-    "atiyah": (("a",), (), None),
-    "gauge-bound": (("complex",), ("brane-id",), None),
-    "quasi-iso": (("source", "target"), (), "level N"),
-    "annihilator": (("module",), (), None),
+    "resolve": ({"module": "module"}, {"max-length": "int"}, None),
+    "shift": ({"complex": "complex", "k": "int"}, {}, None),
+    "cone": ({"source": "complex", "target": "complex"}, {}, "level N"),
+    "hom-complex": ({"source": "complex", "target": "complex"},
+                    {"oracle": "oracle"}, None),
+    "triangle-from-ses": ({"source": "module", "target": "module"}, {},
+                          "matrix"),
+    "generators": ({}, {}, None),
+    "disjointness": ({"i": "generator", "j": "generator"}, {}, None),
+    "sheaf-hom": ({"source": "module", "target": "module"}, {}, None),
+    "cech": ({"module": "module", "i": "int"}, {}, None),
+    "lem1-check": ({}, {}, None),
+    "atiyah": ({"a": "int"}, {}, None),
+    "gauge-bound": ({"complex": "complex"}, {"brane-id": "text"}, None),
+    "quasi-iso": ({"source": "complex", "target": "complex"}, {}, "level N"),
+    "annihilator": ({"module": "module"}, {}, None),
 }
 TASK_KINDS = tuple(_TASK_PARAMS)
 
-_MODULE_REF_PARAMS = {
-    "resolve": ("module",),
-    "triangle-from-ses": ("source", "target"),
-    "sheaf-hom": ("source", "target"),
-    "cech": ("module",),
-    "annihilator": ("module",),
-}
-_COMPLEX_REF_PARAMS = {
-    "shift": ("complex",),
-    "cone": ("source", "target"),
-    "hom-complex": ("source", "target"),
-    "gauge-bound": ("complex",),
-    "quasi-iso": ("source", "target"),
-}
-_INT_PARAMS = {
-    "resolve": ("max-length",),
-    "shift": ("k",),
-    "disjointness": ("i", "j"),
-    "cech": ("i",),
-    "atiyah": ("a",),
-}
 
-
-@dataclass
+@dataclass(slots=True)  # one per task: no instance dict
 class TaskDef:
     kind: str
     index: int
     line: int
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # name -> (raw value, line)
+    args: dict = field(default_factory=dict)  # name -> checked value
     matrices: dict = field(default_factory=dict)  # "matrix" or ("level", i)
     matrix_lines: dict = field(default_factory=dict)  # the line of each key
 
@@ -115,16 +102,9 @@ def resolve_module_ref(ref: str, space: ProjectiveSpace, named: dict,
     """A module reference: declared name or built-in O(a) / Omega1 / S(k)."""
     if ref in named:
         return named[ref]
-    if ref == "Omega1":
-        return cotangent_sheaf(space)
-    if ref == "O":
-        return space.structure_sheaf(0)
-    m = _BUILTIN_RE.match(ref)
-    if m:
-        value = int(m.group(2))
-        if m.group(1) == "O":
-            return space.structure_sheaf(value)
-        return generator(value, space).module
+    sheaf = parse_sheaf_name(ref)
+    if sheaf is not None:
+        return sheaf_module(sheaf, space)
     raise ManifestError(
         f"unresolved module reference {ref!r}; expected a declared module, "
         "O(a), Omega1 or S(k)", line=line,
@@ -248,18 +228,25 @@ def _poly(text: str, nv: int, line: int) -> Polynomial:
         raise ManifestError(f"bad polynomial {text!r}: {e}", line=line) from e
 
 
-def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatrix:
-    """Column-major string data to a PolyMatrix, inferring column twists
-    from the first nonzero entry of each column."""
-    vecs = []
-    col_twists = []
+def _read_columns(nv: int, row_twists, cols, key: str, line: int):
+    """Column-major string data, one column at a time: each is checked to
+    have one entry per row and yielded as a list of polynomials."""
     for ci, col in enumerate(cols):
         if len(col) != len(row_twists):
             raise ManifestError(
                 f"{key}: column {ci} has {len(col)} entries, expected "
                 f"{len(row_twists)}", line=line,
             )
-        vec = column_vec([_poly(e, nv, line) for e in col])
+        yield [_poly(e, nv, line) for e in col]
+
+
+def _columns_matrix(nv: int, row_twists, cols, key: str, line: int) -> PolyMatrix:
+    """Column-major string data to a PolyMatrix, inferring column twists
+    from the first nonzero entry of each column."""
+    vecs = []
+    col_twists = []
+    for ci, col in enumerate(_read_columns(nv, row_twists, cols, key, line)):
+        vec = column_vec(col)
         try:
             tw = column_degree(vec, row_twists)
         except BraneGaugeError as e:
@@ -375,7 +362,7 @@ def parse_manifest(text) -> Manifest:
             elif btype in ("module", "complex"):
                 if bname is None:
                     raise ManifestError(f"[{btype}] needs a name", line=lineno)
-                if _BUILTIN_RE.match(bname) or bname in ("Omega1", "O"):
+                if parse_sheaf_name(bname) is not None:
                     raise ManifestError(
                         f"{bname!r} shadows a built-in name", line=lineno
                     )
@@ -503,14 +490,7 @@ def _build_complex(name, bline, data, space, modules):
 
 def _columns_for_map(nv, row_twists, col_twists, cols, key, line):
     """Matrix data for a map whose column twists are already known."""
-    polys = []
-    for ci, col in enumerate(cols):
-        if len(col) != len(row_twists):
-            raise ManifestError(
-                f"{key}: column {ci} has {len(col)} entries, expected "
-                f"{len(row_twists)}", line=line,
-            )
-        polys.append([_poly(e, nv, line) for e in col])
+    polys = list(_read_columns(nv, row_twists, cols, key, line))
     try:
         return PolyMatrix.from_columns(nv, tuple(row_twists), polys,
                                        list(col_twists))
@@ -529,50 +509,59 @@ def _validate_task(task: TaskDef, space, modules, complexes):
         raise ManifestError(
             f"task {task.kind!r} needs matrix = [[..]]", line=task.line
         )
-    allowed = set(required) | set(optional)
+    types = {**required, **optional}
     for p in task.params:
-        if p not in allowed:
+        if p not in types:
             raise ManifestError(
                 f"task {task.kind!r} does not take {p!r}; allowed: "
-                + (", ".join(sorted(allowed)) or "none"), line=task.line,
+                + (", ".join(sorted(types)) or "none"), line=task.line,
             )
-    for p in _INT_PARAMS.get(task.kind, ()):
+    for p, kind in types.items():
         if p in task.params:
-            _int_value(task.params[p][0], p, task.params[p][1])
-    for p in _MODULE_REF_PARAMS.get(task.kind, ()):
-        value, line = task.params[p]
-        if not isinstance(value, str):
-            raise ManifestError(f"{p} expects a module name", line=line)
-        resolve_module_ref(value, space, modules, line)
-    for p in _COMPLEX_REF_PARAMS.get(task.kind, ()):
-        value, line = task.params[p]
-        if not isinstance(value, str) or value not in complexes:
-            raise ManifestError(
-                f"{p} must name a declared complex", line=line
-            )
+            value, line = task.params[p]
+            task.args[p] = _argument(kind, p, value, line, space, modules,
+                                     complexes)
     if takes == "level N":
-        src = complexes[task.params["source"][0]]
-        tgt = complexes[task.params["target"][0]]
+        src, tgt = task.args["source"], task.args["target"]
         for (_, i), kline in task.matrix_lines.items():
             if i not in src.window() and i not in tgt.window():
                 raise ManifestError(
                     f"level {i} outside the source degrees {src.lo}..{src.hi}"
                     f" and the target degrees {tgt.lo}..{tgt.hi}", line=kline,
                 )
-    if task.kind == "hom-complex" and "oracle" in task.params:
-        value, line = task.params["oracle"]
+
+
+def _argument(kind: str, name: str, value, line: int, space, modules,
+              complexes):
+    """The checked value of one task parameter of the given type (see
+    _TASK_PARAMS): a module or complex reference comes back resolved."""
+    if kind == "module":
+        if not isinstance(value, str):
+            raise ManifestError(f"{name} expects a module name", line=line)
+        return resolve_module_ref(value, space, modules, line)
+    if kind == "complex":
+        if not isinstance(value, str) or value not in complexes:
+            raise ManifestError(
+                f"{name} must name a declared complex", line=line
+            )
+        return complexes[value]
+    if kind == "oracle":
         if value not in ("module", "sheaf"):
             raise ManifestError(
-                "oracle must be 'module' or 'sheaf'", line=line
+                f"{name} must be 'module' or 'sheaf'", line=line
             )
-    if task.kind == "disjointness":
-        for p in ("i", "j"):
-            v = task.params[p][0]
-            if not 1 <= v <= space.n + 1:
-                raise ManifestError(
-                    f"{p} = {v} outside the generator range 1..{space.n + 1}",
-                    line=task.params[p][1],
-                )
+        return value
+    if kind == "text":
+        return value
+    if kind not in ("int", "generator"):
+        raise AssertionError(f"unknown parameter type {kind!r}")
+    value = _int_value(value, name, line)
+    if kind == "generator" and not 1 <= value <= space.n + 1:
+        raise ManifestError(
+            f"{name} = {value} outside the generator range 1..{space.n + 1}",
+            line=line,
+        )
+    return value
 
 
 # -- the printer ------------------------------------------------------------
@@ -585,17 +574,13 @@ def _fmt_matrix(cols) -> str:
     return f"[{inner}]"
 
 
-def _fmt_int_list(values) -> str:
-    return "[" + ", ".join(str(v) for v in values) + "]"
-
-
 def print_manifest(m: Manifest) -> str:
     """Canonical text for a manifest; parsing it reproduces the same
     structures (round-trip normal form)."""
     out = ["[ring]", f"n = {m.n}", ""]
     for name, module in m.modules.items():
         out.append(f"[module {name}]")
-        out.append(f"twists = {_fmt_int_list(module.cover_twists)}")
+        out.append(f"twists = {fmt_int_list(module.cover_twists)}")
         rel = module.relations
         if rel.cols:
             canonical = [[str(q) for q in rel.column(c)]

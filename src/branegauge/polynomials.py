@@ -91,9 +91,6 @@ def grevlex_key(m: Monomial):
     return (sum(m), tuple(map(neg, reversed(m))))
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
-
-
 class Polynomial:
     """Immutable sparse polynomial in Q[x0..x_{nvars-1}].
 

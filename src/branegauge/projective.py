@@ -1,5 +1,6 @@
 """Projective-space constructions: the generator family, cotangent sheaf,
-sheaf Hom, and the hyperplane sequence.
+sheaf Hom, and the hyperplane sequence, and the one reader of the built-in
+sheaf names O(a), S(k) and Omega1.
 
 The coordinate ring of P^n has n+1 variables x0..xn.  Sheaves are graded
 modules up to saturation; sheaf-level Hom dimensions are computed through
@@ -12,6 +13,7 @@ one in polymatrix.py.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DeskScaleError, ShapeError, ZeroDivisorError
@@ -105,6 +107,33 @@ def generator(k: int, p: ProjectiveSpace) -> GeneratorSheaf:
 
 def generator_family(p: ProjectiveSpace) -> list[GeneratorSheaf]:
     return [generator(k, p) for k in range(1, p.n + 2)]
+
+
+# -- built-in sheaf names ---------------------------------------------------
+
+_SHEAF_RE = re.compile(r"^(O|S)\((-?\d+)\)$")
+
+
+def parse_sheaf_name(name: str):
+    """The one reader of built-in sheaf names: ("O", a) for O(a), with O
+    alone meaning O(0), ("S", k) for S(k), ("Omega1", None) for Omega1, and
+    None for any other text."""
+    if name == "O":
+        return ("O", 0)
+    if name == "Omega1":
+        return ("Omega1", None)
+    m = _SHEAF_RE.match(name)
+    return (m.group(1), int(m.group(2))) if m else None
+
+
+def sheaf_module(sheaf, p: ProjectiveSpace) -> GradedModule:
+    """The module of a parsed built-in sheaf name (parse_sheaf_name)."""
+    kind, value = sheaf
+    if kind == "O":
+        return p.structure_sheaf(value)
+    if kind == "S":
+        return generator(value, p).module
+    return cotangent_sheaf(p)
 
 
 # -- cotangent sheaf --------------------------------------------------------

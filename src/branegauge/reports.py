@@ -11,10 +11,6 @@ from dataclasses import dataclass, field
 
 SCHEMA = "brane-gauge-report/1"
 
-# task statuses, in increasing severity; exit codes map ok -> 0,
-# false/finding -> 1, error -> 2
-STATUSES = ("ok", "false", "finding", "error")
-
 
 @dataclass
 class TaskReport:
@@ -43,6 +39,8 @@ def fmt_str_list(values) -> str:
     return "[" + ", ".join(f'"{v}"' for v in values) + "]"
 
 
+# task statuses, in increasing severity; exit codes map ok -> 0,
+# false/finding -> 1, error -> 2
 def exit_code(reports) -> int:
     worst = 0
     for r in reports:

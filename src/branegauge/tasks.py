@@ -89,12 +89,6 @@ def _echo(v) -> str:
     return str(v)
 
 
-def _param(task: TaskDef, key: str, default=None):
-    if key in task.params:
-        return task.params[key][0]
-    return default
-
-
 def _twists_lines(cx, label="term"):
     out = []
     for i in cx.window():
@@ -103,10 +97,8 @@ def _twists_lines(cx, label="term"):
 
 
 def _complex_map_from_task(task: TaskDef, ctx: RunContext):
-    m = ctx.manifest
-    src = m.complexes[_param(task, "source")]
-    tgt = m.complexes[_param(task, "target")]
-    nv = m.space.nvars
+    src, tgt = task.args["source"], task.args["target"]
+    nv = ctx.manifest.space.nvars
     levels = {}
     for key, cols in sorted(task.matrices.items()):
         if key == "matrix":
@@ -123,8 +115,7 @@ def _complex_map_from_task(task: TaskDef, ctx: RunContext):
 
 
 def _run_resolve(task, ctx):
-    mod = ctx.manifest.resolve_module(_param(task, "module"), task.line)
-    res = free_resolution(mod, _param(task, "max-length"))
+    res = free_resolution(task.args["module"], task.args.get("max-length"))
     payload = [("length", str(res.length)),
                ("free 0", fmt_int_list(res.base_twists))]
     for k, step in enumerate(res.steps, start=1):
@@ -133,8 +124,7 @@ def _run_resolve(task, ctx):
 
 
 def _run_shift(task, ctx):
-    cx = ctx.manifest.complexes[_param(task, "complex")]
-    shifted = shift(cx, _param(task, "k"))
+    shifted = shift(task.args["complex"], task.args["k"])
     payload = [("window", f"{shifted.lo}..{shifted.hi}")]
     payload.extend(_twists_lines(shifted))
     return "ok", payload
@@ -153,11 +143,8 @@ def _run_cone(task, ctx):
 
 
 def _run_hom_complex(task, ctx):
-    m = ctx.manifest
-    b = m.complexes[_param(task, "source")]
-    c = m.complexes[_param(task, "target")]
-    oracle = _param(task, "oracle", "module")
-    if oracle == "sheaf":
+    b, c = task.args["source"], task.args["target"]
+    if task.args.get("oracle") == "sheaf":
         rep = hom_complex(b, c, hom_dim=sheaf_hom_dim)
     else:
         rep = hom_complex(b, c)
@@ -171,11 +158,9 @@ def _run_hom_complex(task, ctx):
 
 
 def _run_triangle_from_ses(task, ctx):
-    m = ctx.manifest
-    src = m.resolve_module(_param(task, "source"), task.line)
-    tgt = m.resolve_module(_param(task, "target"), task.line)
-    mat = _columns_for_map(m.space.nvars, tgt.cover_twists, src.cover_twists,
-                           task.matrices["matrix"], "matrix",
+    src, tgt = task.args["source"], task.args["target"]
+    mat = _columns_for_map(ctx.manifest.space.nvars, tgt.cover_twists,
+                           src.cover_twists, task.matrices["matrix"], "matrix",
                            task.matrix_lines["matrix"])
     f = GradedMap(src, tgt, mat, check=True)
     _, proj = cokernel_with_projection(f)
@@ -206,24 +191,21 @@ def _run_generators(task, ctx):
 
 def _run_disjointness(task, ctx):
     space = ctx.manifest.space
-    a = generator(_param(task, "i"), space).locus
-    b = generator(_param(task, "j"), space).locus
+    a = generator(task.args["i"], space).locus
+    b = generator(task.args["j"], space).locus
     verdict = loci_disjoint(a, b)
     return ("ok" if verdict else "false"), [("disjoint", fmt_bool(verdict))]
 
 
 def _run_sheaf_hom(task, ctx):
-    m = ctx.manifest
-    src = m.resolve_module(_param(task, "source"), task.line)
-    tgt = m.resolve_module(_param(task, "target"), task.line)
-    return "ok", [("dim", str(sheaf_hom_dim(src, tgt, ctx.cache)))]
+    dim = sheaf_hom_dim(task.args["source"], task.args["target"], ctx.cache)
+    return "ok", [("dim", str(dim))]
 
 
 def _run_cech(task, ctx):
-    mod = ctx.manifest.resolve_module(_param(task, "module"), task.line)
-    i = _param(task, "i")
     b = ctx.cech_bound
-    dim = cech_cohomology_dim(mod, i, b, ctx.cache)
+    dim = cech_cohomology_dim(task.args["module"], task.args["i"], b,
+                              ctx.cache)
     return "ok", [("bound", str(b)), ("recheck", str(b + 1)),
                   ("stable", "true"), ("dim", str(dim))]
 
@@ -255,8 +237,8 @@ def _run_lem1_check(task, ctx):
 
 def _run_atiyah(task, ctx):
     space = ctx.manifest.space
-    a = _param(task, "a")
-    coord = atiyah_class_line_bundle(a, space, ctx.cech_bound, ctx.cache)
+    coord = atiyah_class_line_bundle(task.args["a"], space, ctx.cech_bound,
+                                     ctx.cache)
     return "ok", [
         ("bound", str(ctx.cech_bound)),
         ("recheck", str(ctx.cech_bound + 1)),
@@ -267,11 +249,10 @@ def _run_atiyah(task, ctx):
 
 def _run_gauge_bound(task, ctx):
     m = ctx.manifest
-    name = _param(task, "complex")
-    cx = m.complexes[name]
+    name = task.params["complex"][0]
     decomposition = m.complex_layout[name]["generators"]
-    brane_id = _param(task, "brane-id", name)
-    rep = gauge_field_count_bound(cx, decomposition, m.space,
+    brane_id = task.args.get("brane-id", name)
+    rep = gauge_field_count_bound(task.args["complex"], decomposition, m.space,
                                   brane_id=brane_id, bound=ctx.cech_bound,
                                   cache=ctx.cache)
     payload = [
@@ -290,8 +271,7 @@ def _run_quasi_iso(task, ctx):
 
 
 def _run_annihilator(task, ctx):
-    mod = ctx.manifest.resolve_module(_param(task, "module"), task.line)
-    gens = annihilator(mod)
+    gens = annihilator(task.args["module"])
     return "ok", [
         ("count", str(len(gens))),
         ("generators", fmt_str_list(str(g) for g in gens)),

@@ -130,6 +130,24 @@ def test_cone_with_maps_gives_short_exact_levels():
             + graded_piece_dim(proj.target.term(i), 2))
 
 
+def test_cone_is_the_complex_of_cone_with_maps():
+    src = embed_object(_free(1))
+    tgt = embed_object(_free(0))
+    maps = [
+        ComplexMap.identity(_koszul_complex()),
+        ComplexMap.zero(_two_term("x0"), _two_term("x0^2", 1)),
+        ComplexMap(src, tgt, {0: GradedMap(
+            src.term(0), tgt.term(0), _mat((0,), (1,), [["x1"]]))}),
+    ]
+    for h in maps:
+        con, with_maps = cone(h), cone_with_maps(h)[0]
+        assert con.window() == with_maps.window()
+        for i in con.window():
+            assert con.term(i) == with_maps.term(i)
+        for i in range(con.lo, con.hi):
+            assert con.diff(i).matrix == with_maps.diff(i).matrix
+
+
 def test_cone_multiplication_map_measures_cokernel():
     # cone of x0^2: R(-2) -> R has H^0 = R/(x0^2) and H^{-1} = 0
     c = _two_term("x0^2")

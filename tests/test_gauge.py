@@ -199,8 +199,11 @@ def test_parse_component():
     assert parse_component("O(-2)") == ("O", -2)
     assert parse_component("O") == ("O", 0)
     assert parse_component("S(2)") == ("S", 2)
-    with pytest.raises(Exception):
-        parse_component("T(1)")
+    for name in ("T(1)", " Omega1 "):
+        with pytest.raises(NonGeneratorTermError) as e:
+            parse_component(name)
+        assert str(e.value) == (f"brane component {name!r} is not of the "
+                                "form S(k) or O(a)")
 
 
 def test_line_brane_reports():

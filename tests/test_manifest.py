@@ -9,6 +9,7 @@ from branegauge.errors import BraneGaugeError, ManifestError
 from branegauge.manifest import (
     _TASK_PARAMS,
     TASK_KINDS,
+    _argument,
     parse_manifest,
     print_manifest,
 )
@@ -215,6 +216,73 @@ def test_task_kinds_come_from_the_parameter_table():
     takes = {k: v[2] for k, v in _TASK_PARAMS.items() if v[2]}
     assert takes == {"triangle-from-ses": "matrix", "cone": "level N",
                      "quasi-iso": "level N"}
+
+
+_SCHEMA = """\
+[ring]
+n = 1
+
+[module M]
+twists = [0]
+
+[complex K]
+degrees = 0..1
+term 0 = O(-1)
+term 1 = O(0)
+map 0 = [["x0"]]
+
+"""
+
+
+@pytest.mark.parametrize("task, message", [
+    ("[task resolve]\nmodule = 3", "module expects a module name"),
+    ("[task sheaf-hom]\nsource = M\ntarget = Missing",
+     "unresolved module reference 'Missing'; expected a declared module, "
+     "O(a), Omega1 or S(k)"),
+    ("[task shift]\nk = 1\ncomplex = Nope",
+     "complex must name a declared complex"),
+    ("[task atiyah]\na = x1", "a expects an integer"),
+    ("[task disjointness]\ni = 1\nj = 3",
+     "j = 3 outside the generator range 1..2"),
+    ("[task hom-complex]\nsource = K\ntarget = K\noracle = both",
+     "oracle must be 'module' or 'sheaf'"),
+], ids=["module-not-a-name", "module-unknown", "complex-unknown", "int",
+        "generator", "oracle"])
+def test_each_parameter_type_rejects_a_bad_value_on_its_line(task, message):
+    text = _SCHEMA + task + "\n"
+    line = text.count("\n")  # the bad value is on the last line
+    with pytest.raises(ManifestError) as e:
+        parse_manifest(text)
+    assert str(e.value) == f"{message} (line {line})"
+    assert e.value.line == line
+
+
+def test_task_args_hold_the_checked_values():
+    m = parse_manifest(
+        _SCHEMA + "[task sheaf-hom]\nsource = M\ntarget = S(2)\n\n"
+        "[task hom-complex]\nsource = K\ntarget = K\n\n"
+        "[task gauge-bound]\ncomplex = K\nbrane-id = b\n")
+    sheaf_hom, hom_complex, gauge_bound = m.tasks
+    assert sheaf_hom.args["source"] is m.modules["M"]
+    assert sheaf_hom.args["target"] == m.resolve_module("S(2)")
+    assert hom_complex.args["source"] is m.complexes["K"]
+    assert hom_complex.args["target"] is m.complexes["K"]
+    assert "oracle" not in hom_complex.args  # absent optional parameter
+    assert gauge_bound.args == {"complex": m.complexes["K"], "brane-id": "b"}
+    # the raw value and its line stay for the report echo
+    assert sheaf_hom.params["target"] == ("S(2)", _SCHEMA.count("\n") + 3)
+
+
+def test_every_parameter_type_is_one_the_checker_knows():
+    m = parse_manifest(_SCHEMA)
+    good = {"module": "M", "complex": "K", "int": -3, "generator": 2,
+            "oracle": "sheaf", "text": "b"}
+    for required, optional, _ in _TASK_PARAMS.values():
+        for kind in (*required.values(), *optional.values()):
+            _argument(kind, "p", good[kind], 1, m.space, m.modules,
+                      m.complexes)
+    with pytest.raises(AssertionError):
+        _argument("float", "p", 1.5, 1, m.space, m.modules, m.complexes)
 
 
 def test_print_parse_round_trip():

@@ -20,7 +20,9 @@ from branegauge.projective import (
     global_sections_dim,
     hyperplane_ses,
     loci_disjoint,
+    parse_sheaf_name,
     sheaf_hom_dim,
+    sheaf_module,
 )
 
 from _oracles import line_bundle_h, omega_piece_dim
@@ -32,6 +34,17 @@ def test_space_bounds():
     for bad in (0, 5, -1):
         with pytest.raises(DeskScaleError):
             ProjectiveSpace(bad)
+
+
+def test_builtin_sheaf_names_have_one_reader():
+    p = ProjectiveSpace(3)
+    cases = {"O": ("O", 0), "O(-2)": ("O", -2), "S(3)": ("S", 3),
+             "Omega1": ("Omega1", None), "T(1)": None, "O(1)x": None}
+    for name, parsed in cases.items():
+        assert parse_sheaf_name(name) == parsed
+    assert sheaf_module(("O", -2), p) == p.structure_sheaf(-2)
+    assert sheaf_module(("S", 3), p) == generator(3, p).module
+    assert sheaf_module(("Omega1", None), p) == cotangent_sheaf(p)
 
 
 def test_structure_sheaf_sections():
