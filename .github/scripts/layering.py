@@ -14,7 +14,12 @@ and follows them transitively.  It fails when
   `linalg` and `polymatrix`: the matrix form and the sparse algebra sit
   below the Groebner engine, which builds on them;
 - `cech` reaches any module but those four: every Cech level is copies of
-  `linalg.degree_window`, so the Cech layer runs no Groebner basis.
+  `linalg.degree_window`, so the Cech layer runs no Groebner basis;
+- `groebner` reaches any module but those four: the engine works on the
+  matrix form's columns and knows nothing of modules;
+- `modules` reaches any module but those four and `groebner`: graded
+  modules are presentations over the engine, below the derived and
+  projective layers.
 
 Prints one line per broken rule, with the import chain that breaks it, and
 exits 1 if there is any, else 0.  Standard library only.
@@ -35,6 +40,8 @@ ONLY = {
     "polymatrix": BASE,
     "linalg": BASE,
     "cech": BASE,
+    "groebner": BASE,
+    "modules": BASE | {"groebner"},
 }
 # module -> modules it must not reach, directly or through others
 BANNED = {

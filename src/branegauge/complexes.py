@@ -33,9 +33,8 @@ from .modules import (
     GradedMap,
     GradedModule,
     direct_sum,
-    cokernel,
+    exactness_failure,
     graded_piece_dim,
-    is_injective,
     is_iso,
     is_zero_module,
     kernel_with_inclusion,
@@ -443,9 +442,9 @@ def triangle_from_cone(h: ComplexMap) -> Triangle:
 def triangle_from_ses(f: ComplexMap, g: ComplexMap) -> Triangle:
     """Triangle of a termwise short exact sequence 0 -> A -> B -> C -> 0.
 
-    Exactness is certified degree by degree (injectivity, ker = im,
-    surjectivity); the cone of the inclusion replaces the quotient, with the
-    comparison quasi-isomorphism recorded.
+    Exactness is certified degree by degree (modules.exactness_failure);
+    the cone of the inclusion replaces the quotient, with the comparison
+    quasi-isomorphism recorded.
     """
     a, b, c = f.source, f.target, g.target
     if g.source is not b:
@@ -453,20 +452,9 @@ def triangle_from_ses(f: ComplexMap, g: ComplexMap) -> Triangle:
     lo = min(a.lo, b.lo, c.lo)
     hi = max(a.hi, b.hi, c.hi)
     for i in range(lo, hi + 1):
-        fi, gi = f.level(i), g.level(i)
-        if not (gi * fi).is_zero_map():
-            raise NotExactError(f"composite g o f is nonzero at degree {i}")
-        if not is_injective(fi):
-            raise NotExactError(f"first map is not injective at degree {i}")
-        if not is_zero_module(cokernel(gi)):
-            raise NotExactError(f"second map is not surjective at degree {i}")
-        ker, incl = kernel_with_inclusion(gi)
-        try:
-            lift_map_through_inclusion(incl, fi)
-        except NotWellDefinedError:
-            raise NotExactError(
-                f"kernel of the second map exceeds the image at degree {i}"
-            ) from None
+        why = exactness_failure(f.level(i), g.level(i))
+        if why is not None:
+            raise NotExactError(f"{why} at degree {i}")
     con, incl_b, proj = cone_with_maps(f)
     qis_levels = {}
     for i in range(con.lo, con.hi + 1):

@@ -36,7 +36,7 @@ from .projective import (
     cotangent_sheaf,
     generator,
     loci_disjoint,
-    parse_sheaf_name,
+    parse_component,
     sheaf_hom_dim,
     sheaf_module,
 )
@@ -212,17 +212,6 @@ def lem1_table(p: ProjectiveSpace, cache: dict | None = None):
 
 
 # -- brane decompositions ---------------------------------------------------
-
-
-def parse_component(name: str):
-    """A declared brane component: 'S(k)' for a generator, 'O(a)' for a line
-    bundle ('O' alone means O(0))."""
-    comp = parse_sheaf_name(name.strip())
-    if comp is None or comp[0] == "Omega1":
-        raise NonGeneratorTermError(
-            f"brane component {name!r} is not of the form S(k) or O(a)"
-        )
-    return comp
 
 
 def component_hom_dim(x, y, p: ProjectiveSpace, cache: dict | None = None) -> int:

@@ -16,9 +16,9 @@ bases are reduced: interreduced, monic, sorted by leading term, hence
 canonical.
 
 Syzygies come from the Schreyer construction on the reduced basis and are
-transformed back to the original generators through the tracked
-representation matrices; `syzygy_basis` checks m * syz = 0 exactly before
-returning.
+transformed back to the input generators, keyed by position, through the
+tracked representations; lifts and syzygies recover coordinates in one
+loop, `_lift`.  `syzygy_basis` checks m * syz = 0 exactly before returning.
 """
 
 from __future__ import annotations
@@ -133,12 +133,11 @@ def reduce_vec(
 def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Zero generators are skipped (callers that need their indices handle them
-    separately).  With track=True each output element carries its
-    representation over the *nonzero* input generators, indexed by position
-    in the filtered list; use `syzygy_module` for the full bookkeeping.
-    The product criterion applies when every generator lies in one row,
-    where the input is an ideal.
+    Zero generators are skipped.  With track=True each output element
+    carries its representation over the input generators, keyed by their
+    positions in gens (a zero generator's index never appears).  The product
+    criterion applies when every generator lies in one row, where the input
+    is an ideal.
     """
     product_criterion = len({r for g in gens for r, _ in g}) <= 1
     key = _term_key()
@@ -146,7 +145,7 @@ def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
     for i, g in enumerate(gens):
         if not g:
             continue
-        rep = {(len(basis), (0,) * _nvars_of(g)): 1} if track else None
+        rep = {(i, (0,) * len(next(iter(g))[1])): 1} if track else None
         basis.append(_make_elem(dict(g), key, rep))
 
     pairs: list = []
@@ -202,12 +201,6 @@ def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
             push_pairs(len(basis) - 1)
 
     return _reduce_basis(basis, key, track)
-
-
-def _nvars_of(vec: MVec) -> int:
-    for (_, mon) in vec:
-        return len(mon)
-    raise ValueError("empty vector has no variable count")
 
 
 def _reduce_basis(basis: list[GBElem], key, track: bool) -> list[GBElem]:
@@ -276,38 +269,39 @@ def schreyer_syzygies(gb: list[GBElem]) -> list[MVec]:
     return out
 
 
+def _lift(target: MVec, gb: list[GBElem], key) -> MVec | None:
+    """Coordinates of target over the generators of the tracked basis gb
+    (reduce with quotients, expand the reps), or None if it is outside."""
+    quotients: MVec = {}
+    if reduce_vec(dict(target), gb, key, quotients=quotients):
+        return None
+    return _apply_rep(quotients, gb)
+
+
 def syzygy_module(gens: list[MVec], nvars: int) -> list[MVec]:
-    """Generators of {a : sum a_k gens_k = 0}, indexed by position in gens."""
-    key = _term_key()
-    nonzero = [(k, g) for k, g in enumerate(gens) if g]
-    result: list[MVec] = []
+    """Generators of {a : sum a_k gens_k = 0}, indexed by position in gens:
+    the unit syzygies of the zero generators, then the Schreyer syzygies
+    through the reps, then e_k - (the lift of gens_k) for each nonzero k."""
     zero_mon: Monomial = (0,) * nvars
-    for k, g in enumerate(gens):
-        if not g:
-            # a zero generator is its own syzygy
-            result.append({(k, zero_mon): 1})
-    if not nonzero:
+    result: list[MVec] = [{(k, zero_mon): 1} for k, g in enumerate(gens) if not g]
+    if not any(gens):
         return result
-    local = [g for _, g in nonzero]
-    gb = module_groebner(local, track=True)
-    to_global = {t: k for t, (k, _) in enumerate(nonzero)}
-
-    def globalize(v: MVec) -> MVec:
-        return {(to_global[r], m): c for (r, m), c in v.items()}
-
+    key = _term_key()
+    gb = module_groebner(gens, track=True)
     for syz in schreyer_syzygies(gb):
         vec = _apply_rep(syz, gb)
         if vec:
-            result.append(globalize(vec))
-    for t, (k, g) in enumerate(nonzero):
-        quotients: MVec = {}
-        rem = reduce_vec(dict(g), gb, key, quotients=quotients)
-        if rem:
+            result.append(vec)
+    for k, g in enumerate(gens):
+        if not g:
+            continue
+        back = _lift(g, gb, key)
+        if back is None:
             raise AssertionError("generator does not reduce to zero against its own basis")
-        vec: MVec = {(t, zero_mon): 1}
-        vec_axpy(vec, -1, _apply_rep(quotients, gb))
+        vec = {(k, zero_mon): 1}
+        vec_axpy(vec, -1, back)
         if vec:
-            result.append(globalize(vec))
+            result.append(vec)
     return result
 
 
@@ -316,20 +310,10 @@ def lift_through(columns: list[MVec], targets: list[MVec]) -> list[MVec | None]:
     None if there is no solution.  Every target is reduced against one
     tracked basis of the columns, computed only when some target is
     nonzero."""
+    gb = (module_groebner(columns, track=True)
+          if any(columns) and any(targets) else [])
     key = _term_key()
-    nonzero = [(k, g) for k, g in enumerate(columns) if g]
-    gb = (module_groebner([g for _, g in nonzero], track=True)
-          if nonzero and any(targets) else [])
-    to_global = {t: k for t, (k, _) in enumerate(nonzero)}
-    out: list[MVec | None] = []
-    for target in targets:
-        quotients: MVec = {}
-        if reduce_vec(dict(target), gb, key, quotients=quotients):
-            out.append(None)
-            continue
-        back = _apply_rep(quotients, gb)
-        out.append({(to_global[r], m): c for (r, m), c in back.items()})
-    return out
+    return [_lift(t, gb, key) for t in targets]
 
 
 # -- polynomial (rank one) interface --------------------------------------

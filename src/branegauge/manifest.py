@@ -39,7 +39,12 @@ from .errors import BraneGaugeError, ManifestError
 from .modules import GradedMap, GradedModule
 from .polymatrix import PolyMatrix, column_degree, column_vec
 from .polynomials import Polynomial, parse_polynomial
-from .projective import ProjectiveSpace, parse_sheaf_name, sheaf_module
+from .projective import (
+    ProjectiveSpace,
+    parse_component,
+    parse_sheaf_name,
+    sheaf_module,
+)
 from .reports import fmt_int_list
 
 _BLOCK_RE = re.compile(r"^\[([a-z-]+)(?:\s+([A-Za-z_][\w.()-]*))?\]$")
@@ -104,7 +109,10 @@ def resolve_module_ref(ref: str, space: ProjectiveSpace, named: dict,
         return named[ref]
     sheaf = parse_sheaf_name(ref)
     if sheaf is not None:
-        return sheaf_module(sheaf, space)
+        try:
+            return sheaf_module(sheaf, space)
+        except BraneGaugeError as e:
+            raise ManifestError(f"{ref}: {e}", line=line) from e
     raise ManifestError(
         f"unresolved module reference {ref!r}; expected a declared module, "
         "O(a), Omega1 or S(k)", line=line,
@@ -470,6 +478,11 @@ def _build_complex(name, bline, data, space, modules):
                     f"{key} outside degrees {lo}..{hi}", line=kline
                 )
             generators[i] = _string_list(value, key, kline)
+            try:  # each component a built-in S(k) or O(a) in range
+                for comp in generators[i]:
+                    sheaf_module(parse_component(comp), space)
+            except BraneGaugeError as e:
+                raise ManifestError(f"{key}: {e}", line=kline) from e
         elif key not in ("degrees",) and not key.startswith(("term ", "map ")):
             raise ManifestError(f"unknown complex key {key!r}", line=kline)
     for key in data:

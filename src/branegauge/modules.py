@@ -5,10 +5,11 @@ twists of that matrix are the degrees of the cover generators.  Everything
 downstream (kernels, images, Hom, resolutions, saturation) is phrased as
 syzygy or membership computations against such presentations, so the whole
 layer reduces to the Groebner kernel plus exact sparse linear algebra.
-Every kernel goes through one path, _kernel_generators, whose syzygy run
+Every kernel goes through one path, kernel_generators, whose syzygy run
 carries the m * syz = 0 certificate; torsion removal is that kernel applied
 to multiplication by the variables (_times_variables), and saturation
-extends sections along the same map.
+extends sections along the same map.  A short exact sequence is certified
+from the same generators (exactness_failure), without presenting a kernel.
 Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
 degree-d window of a presentation, linalg.degree_window, which HomBasis
 (homspace.py) ranks too.
@@ -39,7 +40,7 @@ from .groebner import (
     mvec_member,
     syzygy_basis,
 )
-from .linalg import MVec, _expand, degree_window
+from .linalg import MVec, _expand, _mvec_axpy, degree_window
 from .polymatrix import PolyMatrix
 from .polynomials import Polynomial, monomials_of_degree, qinv
 
@@ -242,7 +243,7 @@ def _submodule(
     return sub, GradedMap(sub, ambient, gens, check=False)
 
 
-def _kernel_generators(f: GradedMap) -> PolyMatrix:
+def kernel_generators(f: GradedMap) -> PolyMatrix:
     """Generators of ker f in the source cover: the top block of the
     syzygies of [f | target relations], less the columns that are already
     source relations (zero in the source)."""
@@ -253,7 +254,7 @@ def _kernel_generators(f: GradedMap) -> PolyMatrix:
 
 def kernel_with_inclusion(f: GradedMap) -> tuple[GradedModule, GradedMap]:
     """Kernel of f as a module plus its inclusion into the source."""
-    return _submodule(_kernel_generators(f), f.source)
+    return _submodule(kernel_generators(f), f.source)
 
 
 def kernel(f: GradedMap) -> GradedModule:
@@ -338,7 +339,7 @@ def is_injective(f: GradedMap) -> bool:
     a nonzero element of the source and so of the kernel, without
     presenting the kernel: no second syzygy run for its relations and no
     Groebner basis of them."""
-    return _kernel_generators(f).cols == 0
+    return kernel_generators(f).cols == 0
 
 
 def is_iso(f: GradedMap) -> bool:
@@ -347,65 +348,63 @@ def is_iso(f: GradedMap) -> bool:
     return is_injective(f)
 
 
+def exactness_failure(f: GradedMap, g: GradedMap) -> str | None:
+    """The first reason 0 -> A --f--> B --g--> C -> 0 is not exact, or None.
+
+    In order: g o f is zero, f is injective, g is surjective, and every
+    kernel generator of g lifts through [f | B's relations]; the kernel of
+    g is never presented."""
+    if not (g * f).is_zero_map():
+        return "composite g o f is nonzero"
+    if not is_injective(f):
+        return "first map is not injective"
+    if not is_zero_module(cokernel(g)):
+        return "second map is not surjective"
+    gens = kernel_generators(g)
+    if gens.cols and any(
+        sol is None for sol in lift_through(
+            list(f.matrix.vecs + f.target.relations.vecs), list(gens.vecs))
+    ):
+        return "kernel of the second map exceeds the image"
+    return None
+
+
 # -- minimal presentations and resolutions ----------------------------------
 
 
 def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
-    """Eliminate unit entries by row/column reduction.
+    """Eliminate unit entries by column operations.
 
-    Each nonzero constant entry (r, c) says generator r is expressible in the
-    others; substituting removes row r and column c.  The result presents an
+    Each nonzero constant entry (r0, c0) says generator r0 is expressible in
+    the others: subtracting (v / u) * x^mon * column c0 for every term
+    v * x^mon of row r0 clears that row from every other column, and row r0
+    and column c0 drop out.  Pivots are taken least (row, column) first,
+    and the surviving rows keep their order.  The result presents an
     isomorphic module with no unit entries.
     """
-    terms: dict = {}
-    for c, vec in enumerate(rel.vecs):
-        for (r, mon), v in vec.items():
-            terms.setdefault((r, c), {})[mon] = v
-    entries = {rc: Polynomial(rel.nvars, t) for rc, t in terms.items()}
-    live_rows = set(range(rel.rows))
-    live_cols = set(range(rel.cols))
+    zero_mon = (0,) * rel.nvars
+    vecs = {c: dict(vec) for c, vec in enumerate(rel.vecs)}
+    dead_rows: set[int] = set()
     while True:
-        pivot = None
-        for (r, c) in sorted(entries):
-            p = entries[(r, c)]
-            if p.homogeneous_degree() == 0:
-                pivot = (r, c)
-                break
-        if pivot is None:
+        units = [(r, c) for c, vec in vecs.items()
+                 for r, mon in vec if mon == zero_mon]
+        if not units:
             break
-        r0, c0 = pivot
-        u = entries[(r0, c0)].coefficient((0,) * rel.nvars)
-        col0 = {r: entries[(r, c0)] for r in live_rows if (r, c0) in entries}
-        for c in sorted(live_cols):
-            if c == c0 or (r0, c) not in entries:
-                continue
-            factor = entries[(r0, c)].scale(qinv(u))
-            for r, p in col0.items():
-                if r == r0:
-                    continue
-                key = (r, c)
-                cur = entries.get(key, Polynomial.zero(rel.nvars))
-                new = cur - factor * p
-                if new.is_zero:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = new
-            entries.pop((r0, c), None)
-        for r in list(col0):
-            entries.pop((r, c0), None)
-        live_rows.discard(r0)
-        live_cols.discard(c0)
-    rows = sorted(live_rows)
-    cols = sorted(live_cols)
+        r0, c0 = min(units)
+        col0 = vecs.pop(c0)
+        inv = qinv(col0[(r0, zero_mon)])
+        for vec in vecs.values():
+            for mon, v in [(mon, v) for (r, mon), v in vec.items() if r == r0]:
+                _mvec_axpy(vec, -v * inv, mon, col0)
+        dead_rows.add(r0)
+    rows = [r for r in range(rel.rows) if r not in dead_rows]
     row_pos = {r: k for k, r in enumerate(rows)}
-    vecs: dict[int, MVec] = {c: {} for c in cols}
-    for (r, c), p in entries.items():
-        vecs[c].update(((row_pos[r], mon), v) for mon, v in p.items())
     return PolyMatrix(
         rel.nvars,
         [rel.row_twists[r] for r in rows],
-        [rel.col_twists[c] for c in cols],
-        list(vecs.values()),
+        [rel.col_twists[c] for c in vecs],
+        [{(row_pos[r], mon): v for (r, mon), v in vec.items()}
+         for vec in vecs.values()],
     )
 
 
@@ -561,7 +560,7 @@ def torsion_free_quotient(m: GradedModule) -> GradedModule:
     """
     current = m
     for _ in range(SATURATION_CAP):
-        new = _kernel_generators(_times_variables(current))
+        new = kernel_generators(_times_variables(current))
         if not new.cols:
             return current
         current = GradedModule(current.relations.hstack(new))
@@ -650,6 +649,5 @@ def annihilator(m: GradedModule) -> list[Polynomial]:
     col = PolyMatrix.blocks(nv, [b.row_twists for b in parts.values()],
                             [(0,)], parts)
     f = GradedMap(GradedModule.free(nv, (0,)), big, col, check=False)
-    _, incl = kernel_with_inclusion(f)
-    gens = [incl.matrix.entry(0, c) for c in range(incl.matrix.cols)]
-    return buchberger(gens)
+    gens = kernel_generators(f)
+    return buchberger([gens.entry(0, c) for c in range(gens.cols)])

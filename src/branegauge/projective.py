@@ -16,16 +16,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DeskScaleError, ShapeError, ZeroDivisorError
+from .errors import (
+    DeskScaleError,
+    NonGeneratorTermError,
+    NotExactError,
+    ShapeError,
+    ZeroDivisorError,
+)
 from .modules import (
     GradedMap,
     GradedModule,
     cokernel_with_projection,
+    exactness_failure,
     graded_piece_dim,
     hom_module,
     is_zero_module,
-    kernel_with_inclusion,
-    lift_map_through_inclusion,
+    kernel_generators,
     minimal_presentation,
     saturate,
     torsion_free_quotient,
@@ -126,6 +132,17 @@ def parse_sheaf_name(name: str):
     return (m.group(1), int(m.group(2))) if m else None
 
 
+def parse_component(name: str):
+    """A declared brane component: 'S(k)' for a generator, 'O(a)' for a line
+    bundle ('O' alone means O(0))."""
+    comp = parse_sheaf_name(name.strip())
+    if comp is None or comp[0] == "Omega1":
+        raise NonGeneratorTermError(
+            f"brane component {name!r} is not of the form S(k) or O(a)"
+        )
+    return comp
+
+
 def sheaf_module(sheaf, p: ProjectiveSpace) -> GradedModule:
     """The module of a parsed built-in sheaf name (parse_sheaf_name)."""
     kind, value = sheaf
@@ -220,8 +237,8 @@ def hyperplane_ses(s: GradedModule) -> tuple[GradedMap, GradedMap]:
     """The two maps of 0 -> S(-1) --x0--> S -> S/x0S -> 0.
 
     Requires x0 to be a nonzerodivisor on S; a nonzero kernel generator is
-    reported as the witness.  Exactness in the middle is certified by lifting
-    the kernel of the projection through multiplication.
+    reported as the witness.  The sequence is then certified exact by
+    modules.exactness_failure.
     """
     nv = s.nvars
     x0 = PolyMatrix.koszul(nv, 1).select_columns([0])
@@ -229,13 +246,14 @@ def hyperplane_ses(s: GradedModule) -> tuple[GradedMap, GradedMap]:
         twist(s, -1), s, x0.kron(PolyMatrix.identity(nv, s.cover_twists)),
         check=False,
     )
-    ker, incl = kernel_with_inclusion(mul)
-    if not is_zero_module(ker):
-        witness = [str(q) for q in incl.matrix.column(0)]
+    ker = kernel_generators(mul)
+    if ker.cols:
+        witness = [str(q) for q in ker.column(0)]
         raise ZeroDivisorError(
             "x0 is a zerodivisor on the module", witness=witness
         )
-    quot, proj = cokernel_with_projection(mul)
-    kerp, inclp = kernel_with_inclusion(proj)
-    lift_map_through_inclusion(inclp, mul)  # ker(proj) inside im(x0)
+    _, proj = cokernel_with_projection(mul)
+    why = exactness_failure(mul, proj)
+    if why is not None:
+        raise NotExactError(f"hyperplane sequence: {why}")
     return mul, proj

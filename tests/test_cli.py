@@ -1,5 +1,7 @@
 """End-to-end command line runs: exit codes, reports, determinism."""
 
+import pytest
+
 from branegauge.cli import main
 from branegauge.reports import SCHEMA
 
@@ -212,3 +214,37 @@ matrix = [["1"]]
     assert code == 2
     assert "'matrix'" in captured.err and "(line 11)" in captured.err
     assert captured.out == ""
+
+
+OUT_OF_RANGE = """\
+[ring]
+n = 2
+
+[complex K]
+degrees = 0..0
+term 0 = {term}
+{generators}
+[task sheaf-hom]
+source = {source}
+target = O
+"""
+
+
+@pytest.mark.parametrize("term, generators, source, line, message", [
+    ("O", "", "S(9)", 9, "S(9): generator index 9 outside 1..3"),
+    ("S(0)", "", "O", 6, "S(0): generator index 0 outside 1..3"),
+    ("S(1)", "generators 0 = [S(7)]\n", "O", 7,
+     "generators 0: generator index 7 outside 1..3"),
+    ("S(1)", "generators 0 = [Omega1]\n", "O", 7,
+     "generators 0: brane component 'Omega1' is not of the form S(k) or O(a)"),
+])
+def test_bad_built_in_reference_exits_two_on_its_line(
+        tmp_path, capsys, term, generators, source, line, message):
+    # out-of-range built-ins and brane components no task reads are parse
+    # errors on the key's line
+    text = OUT_OF_RANGE.format(term=term, generators=generators, source=source)
+    code = _run(tmp_path, text)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"brane-gauge: {message} (line {line})\n"

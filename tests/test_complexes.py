@@ -24,7 +24,7 @@ from branegauge.complexes import (
     triangle_from_ses,
     triangle_les_ok,
 )
-from branegauge.errors import NotAComplexError, ShapeError
+from branegauge.errors import NotAComplexError, NotExactError, ShapeError
 from branegauge.linalg import sparse_rank
 from branegauge.modules import (
     GradedMap,
@@ -328,6 +328,36 @@ def test_triangle_from_ses_rejects_non_exact():
     g = ComplexMap.identity(tgt)
     with pytest.raises(Exception):
         triangle_from_ses(f, g)
+
+
+def _failing_sequences():
+    """One module sequence A --f--> B --g--> C per reason it is not short
+    exact, each failing only the check that names it."""
+    zero = GradedModule.zero(NV)
+    x0 = GradedMap(_free(1), _free(0), _mat((0,), (1,), [["x0"]]))
+    _, proj = cokernel_with_projection(x0)
+    ident = GradedMap.identity(_free(0))
+    return {
+        # the identity twice: g o f is the identity
+        "composite g o f is nonzero": (ident, ident),
+        # the zero map R(-1) -> R, then the identity
+        "first map is not injective":
+            (GradedMap.zero_map(_free(1), _free(0)), ident),
+        # 0 -> R(-1) --x0--> R: x0 misses the constants
+        "second map is not surjective":
+            (GradedMap.zero_map(zero, _free(1)), x0),
+        # 0 -> R -> R/x0: the kernel x0 R is not the image 0
+        "kernel of the second map exceeds the image":
+            (GradedMap.zero_map(zero, _free(0)), proj),
+    }
+
+
+@pytest.mark.parametrize("why", sorted(_failing_sequences()))
+def test_triangle_from_ses_names_the_failing_check(why):
+    f, g = _failing_sequences()[why]
+    with pytest.raises(NotExactError) as e:
+        triangle_from_module_ses(f, g)
+    assert str(e.value) == f"{why} at degree 0"
 
 
 def test_cohomology_subquotient_outside_window_is_zero():

@@ -8,10 +8,13 @@ from branegauge.errors import HomogeneityError
 from branegauge.groebner import (
     buchberger,
     ideal_member,
+    lift_through,
     module_groebner,
     mvec_member,
     syzygy_basis,
+    syzygy_module,
 )
+from branegauge.linalg import _mvec_axpy
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
 
@@ -133,3 +136,51 @@ def test_zero_generators_have_free_syzygies():
     syz = syzygy_basis(m)
     assert (m * syz).is_zero
     assert len(syz.col_twists) == 1  # e_0 itself is a syzygy
+
+
+# -- tracked bases over the caller's generators ------------------------------
+
+
+def _vec(nv, *entries):
+    """A vector of R^2 from its two entries as text."""
+    out = {}
+    for r, text in enumerate(entries):
+        out.update(((r, mon), c) for mon, c in _p(text, nv).items())
+    return out
+
+
+def _combine(coords, gens):
+    """sum coords[(k, m)] * x^m * gens[k]."""
+    out = {}
+    for (k, mon), c in coords.items():
+        _mvec_axpy(out, c, mon, gens[k])
+    return out
+
+
+# zero generators interleaved: indices 0 and 2 are zero; the other two are
+# x1 and x2 times (x0, x1), so x2 e_1 - x1 e_3 is a syzygy
+ZERO_GENS = [{}, _vec(3, "x0*x1", "x1^2"), {}, _vec(3, "x0*x2", "x1*x2")]
+
+
+def test_tracked_reps_use_input_positions():
+    for b in module_groebner(ZERO_GENS, track=True):
+        assert {k for k, _ in b.rep} <= {1, 3}
+        assert _combine(b.rep, ZERO_GENS) == b.vec
+
+
+def test_lift_through_with_zero_columns():
+    inside = _combine({(1, (0, 0, 1)): 1, (3, (1, 0, 0)): -2}, ZERO_GENS)
+    outside = _vec(3, "x0^2", "0")
+    got = lift_through(ZERO_GENS, [inside, {}, outside])
+    assert _combine(got[0], ZERO_GENS) == inside
+    assert {k for k, _ in got[0]} <= {1, 3}
+    assert got[1] == {}
+    assert got[2] is None
+
+
+def test_syzygy_module_lists_unit_syzygies_first():
+    syz = syzygy_module(ZERO_GENS, 3)
+    assert syz[:2] == [{(0, (0, 0, 0)): 1}, {(2, (0, 0, 0)): 1}]
+    assert len(syz) > 2
+    for v in syz:
+        assert _combine(v, ZERO_GENS) == {}

@@ -20,7 +20,9 @@ from branegauge.modules import (
     _times_variables,
     annihilator,
     cokernel,
+    cokernel_with_projection,
     direct_sum,
+    exactness_failure,
     free_resolution,
     graded_piece_dim,
     hilbert_window,
@@ -41,6 +43,7 @@ from branegauge.modules import (
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
+from branegauge.projective import ProjectiveSpace, generator, hyperplane_ses
 
 from _oracles import (
     count_monomials,
@@ -197,6 +200,25 @@ def test_free_resolution_respects_bound():
         rel = PolyMatrix.from_columns(nv, (0,), cols, deg)
         res = free_resolution(GradedModule(rel))
         assert res.length <= nv
+
+
+def test_exactness_failure_passes_exact_sequences():
+    # x1 is a nonzerodivisor on R/x0, so 0 -> S(-1) --x1--> S -> S/x1 S -> 0
+    # is exact; so is the hyperplane sequence of S_1 on P^2
+    nv = 3
+    x0, x1, _ = _vars(nv)
+    s = GradedModule(PolyMatrix.from_columns(nv, (0,), [[x0]], [1]))
+    mul = GradedMap(twist(s, -1), s,
+                    PolyMatrix.from_columns(nv, (0,), [[x1]], [1]))
+    _, proj = cokernel_with_projection(mul)
+    assert exactness_failure(mul, proj) is None
+    p = ProjectiveSpace(2)
+    assert exactness_failure(*hyperplane_ses(generator(1, p).module)) is None
+    # with the multiplication by x0 the first map is not injective
+    zd = GradedMap(twist(s, -1), s,
+                   PolyMatrix.from_columns(nv, (0,), [[x0]], [1]))
+    assert exactness_failure(zd, cokernel_with_projection(zd)[1]) == (
+        "first map is not injective")
 
 
 def test_minimal_presentation_drops_unit_relations():
@@ -417,6 +439,18 @@ def _dense_piece_dim(rel: PolyMatrix, d: int) -> int:
 @settings(max_examples=60, deadline=None)
 def test_graded_piece_dim_matches_dense_window(rel, d):
     assert graded_piece_dim(GradedModule(rel), d) == _dense_piece_dim(rel, d)
+
+
+@given(_presentations())
+@settings(max_examples=60, deadline=None)
+def test_minimal_presentation_prunes_every_constant(rel):
+    # the presentations have constant entries wherever a column and a row
+    # share a twist; pruning them keeps the module
+    m = GradedModule(rel)
+    p = minimal_presentation(m)
+    zero_mon = (0,) * rel.nvars
+    assert all(mon != zero_mon for vec in p.relations.vecs for _, mon in vec)
+    assert hilbert_window(p, -1, 4) == hilbert_window(m, -1, 4)
 
 
 @given(st.data())
