@@ -18,6 +18,7 @@ from .complexes import (
     Subquotient,
     Triangle,
     cohomology,
+    cohomology_piece_dim,
     cohomology_subquotient,
     cone,
     cone_rotation_equiv,

@@ -10,11 +10,13 @@ stays total.  Sign conventions, fixed once:
 
 Cohomology objects are subquotient presentations: the kernel's generators
 inside the term's cover, with the lifted image columns appended to the
-relations.  Induced maps are computed by lifting through those generators,
-never by choosing splittings.  Cone differentials and the inclusion,
-projection, comparison and rotation maps are PolyMatrix.blocks over the
-summands' twist groups; so is each Hom-complex differential, over the
-coordinate groups Hom(B^i, C^{i+m}) of its source and target.
+relations.  A single graded piece of cohomology needs none of that:
+cohomology_piece_dim reads it off the differentials' ranks.  Induced maps
+are computed by lifting through those generators, never by choosing
+splittings.  Cone differentials and the inclusion, projection, comparison
+and rotation maps are PolyMatrix.blocks over the summands' twist groups; so
+is each Hom-complex differential, over the coordinate groups
+Hom(B^i, C^{i+m}) of its source and target.
 """
 
 from __future__ import annotations
@@ -258,6 +260,19 @@ def cohomology_subquotient(c: BoundedComplex, i: int) -> Subquotient:
 
 def cohomology(c: BoundedComplex, i: int) -> GradedModule:
     return cohomology_subquotient(c, i).module
+
+
+def cohomology_piece_dim(c: BoundedComplex, i: int, d: int) -> int:
+    """dim H^i(c)_d = dim C^i_d - rank d^{i-1}_d - rank d^i_d.
+
+    Taking a graded piece is exact, so H^i(c)_d is the cohomology of the
+    complex of vector spaces C^._d, and rank-nullity reads it off the
+    degree-d windows of C^i (which also ranks d^{i-1}) and C^{i+1}, with no
+    kernel presented."""
+    if i < c.lo or i > c.hi:
+        return 0
+    dim, incoming = piece_dim_and_map_rank(c.diff(i - 1), d)
+    return dim - incoming - piece_map_rank(c.diff(i), d)
 
 
 def _map_into_subquotient(

@@ -8,6 +8,13 @@ strictly lowers the leading index and terminates without any pivoting
 heuristics.  Everything is deterministic: results depend only on the order
 columns are supplied.
 
+Elimination is fraction-free on integer columns, which is every column the
+degree windows rank.  Integer pivots are kept primitive rather than monic,
+and a column is cross-multiplied against them with its scale tracked
+(integer-preserving elimination, as in Bareiss 1968); what SpanTracker
+reads back is divided by that scale once, so it is exactly what monic
+pivots over Q give.  Fraction input still works, by single steps over Q.
+
 SpanTracker only ranks: it keeps reduced pivot vectors and nothing else.  A
 caller that needs coordinates tags its columns instead: column k carries one
 extra entry 1 at the negative key tag(k) = -1 - k, below every real index.
@@ -41,9 +48,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Iterable
 
-from .polynomials import Coeff, Monomial, monomial_mul, monomials_of_degree, qinv
+from .polynomials import (
+    Coeff,
+    Monomial,
+    monomial_mul,
+    monomials_of_degree,
+    qinv,
+    qnorm,
+)
 
 SparseVec = dict[int, Coeff]
 # a free-module vector {(row, monomial): coefficient}, and a window's
@@ -92,6 +107,18 @@ class SpanTracker:
     an untagged column, its tag entries for a tagged one (see the module
     docstring).  The tracker keeps only the reduced pivot vectors, tags and
     all, so rank-only use pays for no bookkeeping.
+
+    Elimination is fraction-free on integer columns.  A pivot whose entries
+    are all ints is kept primitive: divided by its content, lead positive.
+    A column whose lead a meets a pivot of lead b becomes
+    (b/g) * column - (a/g) * pivot, g = gcd(a, b), and the factor b/g joins
+    the column's scale; a unit lead (b = 1) needs no factor.  Eliminating
+    the same leads in the same order leaves the remainder that monic pivots
+    leave, times that scale, so `residual`, the leftover tags and
+    `coordinates` divide by it once, at the end, and read back exactly
+    what monic pivots give.  Fraction input still works: a non-integer
+    lead takes one step over Q, and a pivot holding a Fraction is stored
+    monic.
     """
 
     def __init__(self):
@@ -101,48 +128,81 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec: SparseVec) -> int | None:
-        """Reduce vec in place; its lead index if a real entry survives,
-        else None (what is left are tag entries, if any)."""
+    def _reduce(self, vec: SparseVec) -> tuple[int | None, int]:
+        """Reduce vec in place to scale times its remainder; (lead, scale),
+        lead being vec's lead index if a real entry survives, else None
+        (what is left are tag entries, if any)."""
         pivots = self.pivots
+        scale = 1
         while vec:
             lead = max(vec)
             if lead < 0:
-                return None
+                break
             pvec = pivots.get(lead)
             if pvec is None:
-                return lead
-            # pivot vectors are normalized to lead coefficient 1
-            vec_axpy(vec, -vec[lead], pvec)
-        return None
+                return lead, scale
+            a, b = vec[lead], pvec[lead]
+            if b == 1:
+                vec_axpy(vec, -a, pvec)
+            elif type(a) is int:
+                g = gcd(a, b)
+                if g != b:
+                    m = b // g
+                    for k in vec:
+                        vec[k] *= m
+                    scale *= m
+                vec_axpy(vec, -(a // g), pvec)
+            else:
+                vec_axpy(vec, -a / b, pvec)
+        return None, scale
 
     def residual(self, column: SparseVec) -> SparseVec:
         """Remainder of column modulo the current span (column not inserted)."""
         vec = dict(column)
-        self._reduce(vec)
-        return vec
+        _, scale = self._reduce(vec)
+        return _unscaled(vec, scale)
 
     def insert(self, column: SparseVec) -> SparseVec | None:
         """Add a column; None if independent, else its leftover tag entries."""
         vec = dict(column)
-        lead = self._reduce(vec)
+        lead, scale = self._reduce(vec)
         if lead is None:
-            return vec
-        inv = qinv(vec[lead])
-        if inv != 1:
-            nvec: SparseVec = {}
-            vec_axpy(nvec, inv, vec)
-            vec = nvec
-        self.pivots[lead] = vec
+            # an untagged column leaves nothing, and rank-only callers
+            # insert many
+            return _unscaled(vec, scale) if vec else vec
+        self.pivots[lead] = _pivot(vec, lead)
         return None
 
     def coordinates(self, column: SparseVec) -> SparseVec | None:
         """{k: a_k} with column = sum a_k * (inserted column tagged k) plus
         untagged inserted columns, if column is in the span; else None."""
         vec = dict(column)
-        if self._reduce(vec) is not None:
+        lead, scale = self._reduce(vec)
+        if lead is not None:
             return None
-        return {tag(key): -v for key, v in vec.items()}
+        return {tag(key): -v for key, v in _unscaled(vec, scale).items()}
+
+
+def _pivot(vec: SparseVec, lead: int) -> SparseVec:
+    """vec as a stored pivot: divided by its content with a positive lead
+    when every entry is an int, else monic.  A float raises TypeError."""
+    try:
+        g = gcd(*vec.values())
+    except TypeError:
+        # a Fraction, or a float, which qnorm rejects
+        vec = {k: qnorm(v) for k, v in vec.items()}
+        inv = qinv(vec[lead])
+        return {k: qnorm(v * inv) for k, v in vec.items()}
+    if vec[lead] < 0:
+        g = -g
+    return vec if g == 1 else {k: v // g for k, v in vec.items()}
+
+
+def _unscaled(vec: SparseVec, scale: int) -> SparseVec:
+    """vec / scale, every entry canonical."""
+    if scale == 1:
+        return {k: qnorm(v) for k, v in vec.items()}
+    return {k: qnorm(Fraction(v, scale)) for k, v in vec.items()}
 
 
 def tag(k: int) -> int:

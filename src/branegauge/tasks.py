@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .cech import DEFAULT_CECH_BOUND, cech_cohomology_dim
 from .complexes import (
     ComplexMap,
-    cohomology_subquotient,
+    cohomology_piece_dim,
     cone,
     hom_complex,
     is_quasi_iso,
@@ -28,7 +28,6 @@ from .modules import (
     annihilator,
     cokernel_with_projection,
     free_resolution,
-    graded_piece_dim,
 )
 from .projective import generator, loci_disjoint, sheaf_hom_dim
 from .reports import TaskReport, fmt_bool, fmt_int_list, fmt_str_list
@@ -136,9 +135,8 @@ def _run_cone(task, ctx):
     payload = [("window", f"{con.lo}..{con.hi}")]
     payload.extend(_twists_lines(con))
     for i in con.window():
-        sq = cohomology_subquotient(con, i)
         payload.append((f"h^{i} at degree 0",
-                        str(graded_piece_dim(sq.module, 0))))
+                        str(cohomology_piece_dim(con, i, 0))))
     return "ok", payload
 
 

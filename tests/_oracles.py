@@ -6,7 +6,9 @@ code, so agreement is meaningful.  The monomial helpers and grevlex_key
 spell the package's monomial kernel with generator expressions, the
 reference for its map-over-operator versions.  laurent_cech_ranks keeps the
 Cech level on its truncated Laurent spots, with no shift to a polynomial
-window.
+window.  MonicSpanTracker is the sparse tracker as it was before it went
+fraction-free: monic pivots over Fraction, the reference for every
+read-back of the integer one.
 The two matrix builders at the end only
 spell a PolyMatrix row by row, as the tests write them; the package builds
 its matrices column by column and does not need them.  The last helper,
@@ -20,7 +22,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import Polynomial, monomials_of_degree, parse_polynomial
+from branegauge.polynomials import (
+    Polynomial,
+    monomials_of_degree,
+    parse_polynomial,
+    qinv,
+)
 
 
 def count_monomials(nv: int, d: int) -> int:
@@ -156,6 +163,84 @@ def rref_rank(rows: list) -> int:
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def _axpy(target: dict, coeff, source: dict) -> None:
+    """target += coeff * source, entries kept canonical."""
+    for i, v in source.items():
+        s = target.get(i, 0) + coeff * v
+        if s:
+            target[i] = s.numerator if (type(s) is Fraction
+                                        and s.denominator == 1) else s
+        else:
+            target.pop(i, None)
+
+
+class MonicSpanTracker:
+    """linalg.SpanTracker as it was with monic pivots over Fraction: every
+    pivot is divided by its lead, and each reduction step subtracts the
+    column's lead times that pivot.  Same interface and tag convention."""
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, vec: dict):
+        while vec:
+            lead = max(vec)
+            if lead < 0:
+                return None
+            pvec = self.pivots.get(lead)
+            if pvec is None:
+                return lead
+            _axpy(vec, -vec[lead], pvec)
+        return None
+
+    def residual(self, column: dict) -> dict:
+        vec = dict(column)
+        self._reduce(vec)
+        return vec
+
+    def insert(self, column: dict):
+        vec = dict(column)
+        lead = self._reduce(vec)
+        if lead is None:
+            return vec
+        inv = qinv(vec[lead])
+        if inv != 1:
+            nvec: dict = {}
+            _axpy(nvec, inv, vec)
+            vec = nvec
+        self.pivots[lead] = vec
+        return None
+
+    def coordinates(self, column: dict):
+        vec = dict(column)
+        if self._reduce(vec) is not None:
+            return None
+        return {-1 - key: -v for key, v in vec.items()}
+
+
+def monic_nullspace(columns: list) -> list:
+    """linalg.nullspace through MonicSpanTracker."""
+    tracker = MonicSpanTracker()
+    out = []
+    for j, col in enumerate(columns):
+        left = tracker.insert({**col, -1 - j: 1})
+        if left is not None:
+            out.append({-1 - key: v for key, v in left.items()})
+    return out
+
+
+def monic_solve_in_span(columns: list, target: dict):
+    """linalg.solve_in_span through MonicSpanTracker."""
+    tracker = MonicSpanTracker()
+    for j, col in enumerate(columns):
+        tracker.insert({**col, -1 - j: 1})
+    return tracker.coordinates(target)
 
 
 def dense_ideal_member(gens: list, f: dict, nv: int) -> bool:

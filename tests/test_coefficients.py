@@ -18,7 +18,7 @@ from branegauge.groebner import (
     syzygy_basis,
 )
 from branegauge.homspace import HomBasis
-from branegauge.linalg import SpanTracker, nullspace, solve_in_span, tag
+from branegauge.linalg import SpanTracker, nullspace, solve_in_span, sparse_rank, tag
 from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedModule, _prune_constants
 from branegauge.polymatrix import PolyMatrix
@@ -119,8 +119,8 @@ def test_normal_form_against_a_non_monic_divisor():
 def test_span_tracker_with_a_non_unit_pivot():
     tracker = SpanTracker()
     assert tracker.insert({0: 2, tag(0): 1}) is None
-    # the pivot leads with an int 1; its tag says it is 1/2 of column 0
-    assert tracker.pivots == {0: {0: 1, tag(0): Fraction(1, 2)}}
+    # an integer pivot is kept primitive: column 0 itself, lead 2
+    assert tracker.pivots == {0: {0: 2, tag(0): 1}}
     assert type(tracker.pivots[0][0]) is int
     # column 1 = 3/2 column 0: the leftover tags weigh the two to zero
     assert tracker.insert({0: 3, tag(1): 1}) == {tag(0): Fraction(-3, 2),
@@ -129,6 +129,21 @@ def test_span_tracker_with_a_non_unit_pivot():
     assert solve_in_span([{0: 2}], {0: 3}) == {0: Fraction(3, 2)}
     assert nullspace([{0: 2}, {0: 3}]) == [{0: Fraction(-3, 2), 1: 1}]
     _assert_canonical([tracker.pivots, tracker.coordinates({0: 4})])
+
+
+def test_span_tracker_rejects_a_float_pivot():
+    with pytest.raises(TypeError):
+        SpanTracker().insert({0: 0.5, 1: 1})
+    with pytest.raises(TypeError):
+        sparse_rank([{0: 0.5, 1: 1}, {0: 1, 1: 2.0}])
+    # a float lead is rejected too, and an exact column still goes in
+    tracker = SpanTracker()
+    with pytest.raises(TypeError):
+        tracker.insert({0: 1, 1: 2.0})
+    assert tracker.insert({0: 1, 1: Fraction(1, 2)}) is None
+    # monic, as a pivot holding a Fraction is stored
+    assert tracker.pivots == {1: {0: 2, 1: 1}}
+    _assert_canonical(tracker.pivots)
 
 
 def test_make_elem_with_leading_coefficient_three():

@@ -1,6 +1,7 @@
 """Bounded complexes: shift, cone, cohomology, Hom complexes, triangles."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from branegauge.complexes import (
     BoundedComplex,
     ComplexMap,
     cohomology,
+    cohomology_piece_dim,
     cohomology_subquotient,
     cone,
     cone_rotation_equiv,
@@ -37,6 +39,8 @@ from branegauge.modules import (
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
+
+from _oracles import random_homogeneous
 
 
 NV = 2
@@ -364,3 +368,44 @@ def test_cohomology_subquotient_outside_window_is_zero():
     c = _koszul_complex()
     s = cohomology_subquotient(c, 5)
     assert is_zero_module(s.module)
+
+
+def _seeded_two_term(rng):
+    """F1 -> F0 on P^2 in degrees -1, 0: one or two summands each, random
+    homogeneous entries (some zero), so the map may or may not be injective."""
+    nv = 3
+    t0 = tuple(rng.randint(0, 1) for _ in range(rng.randint(1, 2)))
+    t1 = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 2)))
+    cols = [[random_homogeneous(rng, nv, c - r) if c >= r and rng.random() < 0.8
+             else Polynomial.zero(nv) for r in t0] for c in t1]
+    src, tgt = GradedModule.free(nv, t1), GradedModule.free(nv, t0)
+    f = GradedMap(src, tgt, PolyMatrix.from_columns(nv, t0, cols, list(t1)))
+    return BoundedComplex(nv, -1, [src, tgt], [f])
+
+
+def _scaled_identity(c, r):
+    return ComplexMap(c, c, {i: GradedMap(c.term(i), c.term(i),
+                                          PolyMatrix.identity(
+                                              c.nvars, c.term(i).cover_twists
+                                          ).scale(r))
+                             for i in c.window()})
+
+
+def test_cohomology_piece_dim_is_the_graded_piece_of_cohomology():
+    rng = random.Random(11)
+    complexes = [_seeded_two_term(rng) for _ in range(6)]
+    src, tgt = embed_object(_free(2)), embed_object(_free(0))
+    x0_squared = ComplexMap(src, tgt, {0: GradedMap(
+        src.term(0), tgt.term(0), _mat((0,), (2,), [["x0^2"]]))})
+    cones = [cone(x0_squared), cone(ComplexMap.identity(_koszul_complex()))]
+    for c in complexes[:3]:
+        cones += [cone(ComplexMap.zero(c, c)), cone(_scaled_identity(c, -2))]
+    nonzero = 0
+    for c in [_koszul_complex()] + complexes + cones:
+        for i in range(c.lo - 1, c.hi + 2):
+            h = cohomology(c, i)
+            for d in range(-1, 4):
+                got = cohomology_piece_dim(c, i, d)
+                assert got == graded_piece_dim(h, d), (c, i, d)
+                nonzero += got > 0
+    assert nonzero > 20

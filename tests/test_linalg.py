@@ -15,7 +15,14 @@ from branegauge.linalg import (
 )
 from branegauge.polymatrix import PolyMatrix
 
-from _oracles import grevlex_key, monomial_tuples, rref_rank
+from _oracles import (
+    MonicSpanTracker,
+    grevlex_key,
+    monic_nullspace,
+    monic_solve_in_span,
+    monomial_tuples,
+    rref_rank,
+)
 
 
 def _dense(col: dict, width: int) -> list:
@@ -35,6 +42,66 @@ def test_rank_matches_dense_oracle(cols):
     ours = sparse_rank(cols)
     dense = rref_rank([_dense(c, 6) for c in cols]) if cols else 0
     assert ours == dense
+
+
+# ints (most columns the engine ranks), reduced Fractions, and integral
+# Fractions such as Fraction(1, 1), which are not in canonical form
+_COEFF = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.integers(-3, 3).map(Fraction),
+).filter(bool)
+_COLUMN = st.dictionaries(st.integers(0, 5), _COEFF, max_size=4)
+
+
+def _assert_canonical(vec):
+    for v in vec.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+
+
+@given(st.lists(st.tuples(_COLUMN, st.booleans()), max_size=9),
+       st.lists(_COLUMN, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_integer_tracker_reads_back_what_monic_pivots_give(cols, probes):
+    ours, monic = SpanTracker(), MonicSpanTracker()
+    for k, (col, tagged) in enumerate(cols):
+        if tagged:
+            col = {**col, tag(k): 1}
+        left = ours.insert(col)
+        assert left == monic.insert(col)
+        if left is not None:
+            _assert_canonical(left)
+    assert ours.rank == monic.rank
+    for probe in probes:
+        for got, want in ((ours.residual(probe), monic.residual(probe)),
+                          (ours.coordinates(probe), monic.coordinates(probe))):
+            assert got == want
+            if got is not None:
+                _assert_canonical(got)
+    columns = [col for col, _ in cols]
+    got = nullspace(columns)
+    assert got == monic_nullspace(columns)
+    for rel in got:
+        _assert_canonical(rel)
+    for probe in probes:
+        got = solve_in_span(columns, probe)
+        assert got == monic_solve_in_span(columns, probe)
+        if got is not None:
+            _assert_canonical(got)
+
+
+def test_integer_pivots_are_primitive_with_a_positive_lead():
+    t = SpanTracker()
+    assert t.insert({0: 4, 1: -6}) is None
+    assert t.pivots == {1: {0: -2, 1: 3}}
+    # lead 2 meets lead 3: the column is cross-multiplied by 3, and the
+    # remainder divided back, so it reads as monic elimination gives it
+    assert t.residual({0: 1, 1: 2}) == {0: Fraction(7, 3)}
+    assert t.insert({0: 1, 1: 2}) is None
+    assert t.pivots[0] == {0: 1}
+    # a pivot holding a Fraction is stored monic
+    assert t.insert({2: Fraction(2, 3), 0: 1}) is None
+    assert t.pivots[2] == {2: 1, 0: Fraction(3, 2)}
 
 
 def test_insert_reports_combinations():
