@@ -19,10 +19,15 @@ and follows them transitively.  It fails when
   matrix form's columns and knows nothing of modules;
 - `modules` reaches any module but those four and `groebner`: graded
   modules are presentations over the engine, below the derived and
-  projective layers.
+  projective layers;
+- any module but `groebner` names `module_groebner` outside
+  `modules.GradedModule.relation_gb` (apart from the import in `modules`
+  that serves it): each Groebner basis has one owner, the presentation
+  whose relations it spans, so no caller builds a second basis of the same
+  columns.
 
-Prints one line per broken rule, with the import chain that breaks it, and
-exits 1 if there is any, else 0.  Standard library only.
+Prints one line per broken rule, with the import chain or the place that
+breaks it, and exits 1 if there is any, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,6 +72,37 @@ def direct_imports(path: Path, modules: set[str]) -> set[str]:
     return out & modules
 
 
+# the one function outside groebner that may run the engine
+GB_OWNER = ("modules", "GradedModule.relation_gb")
+
+
+def stray_groebner_runs(mod: str, tree: ast.AST) -> list[str]:
+    """Where mod names module_groebner outside GB_OWNER, as qualified
+    names; the import in GB_OWNER's module is allowed."""
+    out = []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            inner = qual
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{qual}.{child.name}" if qual else child.name
+            named = (
+                (isinstance(child, ast.Name) and child.id == "module_groebner")
+                or (isinstance(child, ast.Attribute)
+                    and child.attr == "module_groebner")
+                or (isinstance(child, ast.alias)
+                    and child.name == "module_groebner"
+                    and mod != GB_OWNER[0])
+            )
+            if named and (mod, inner) != GB_OWNER:
+                out.append(f"{mod}.{inner}" if inner else mod)
+            visit(child, inner)
+
+    visit(tree, "")
+    return out
+
+
 def chains(start: str, graph: dict) -> dict[str, list[str]]:
     """Every module start reaches, with one import chain to it."""
     seen = {start: [start]}
@@ -89,6 +125,11 @@ def main() -> int:
         for dep, chain in sorted(chains(mod, graph).items()):
             if (mod in ONLY and dep not in ONLY[mod]) or dep in BANNED.get(mod, ()):
                 broken.append(f"{mod} reaches {dep}: {' -> '.join(chain)}")
+    for mod in sorted(modules - {"groebner"}):
+        tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
+        for where in stray_groebner_runs(mod, tree):
+            broken.append(f"{where} names module_groebner outside "
+                          f"{'.'.join(GB_OWNER)}")
     for line in broken:
         print(line)
     return 1 if broken else 0

@@ -39,6 +39,7 @@ from .complexes import (
 from .errors import (
     BraneGaugeError,
     CechStabilizationError,
+    CertificateError,
     DeskScaleError,
     Finding,
     HomogeneityError,

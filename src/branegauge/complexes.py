@@ -10,13 +10,14 @@ stays total.  Sign conventions, fixed once:
 
 Cohomology objects are subquotient presentations: the kernel's generators
 inside the term's cover, with the lifted image columns appended to the
-relations.  A single graded piece of cohomology needs none of that:
-cohomology_piece_dim reads it off the differentials' ranks.  Induced maps
-are computed by lifting through those generators, never by choosing
-splittings.  Cone differentials and the inclusion, projection, comparison
-and rotation maps are PolyMatrix.blocks over the summands' twist groups; so
-is each Hom-complex differential, over the coordinate groups
-Hom(B^i, C^{i+m}) of its source and target.
+relations; one basis, the cokernel of the kernel's inclusion, presents it
+and lifts the boundaries and every induced map.  A single graded piece of
+cohomology needs none of that: cohomology_piece_dim reads it off the
+differentials' ranks.  Induced maps are computed by lifting through those
+generators, never by choosing splittings.  Cone differentials and the
+inclusion, projection, comparison and rotation maps are PolyMatrix.blocks
+over the summands' twist groups; so is each Hom-complex differential, over
+the coordinate groups Hom(B^i, C^{i+m}) of its source and target.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    CertificateError,
     NotAComplexError,
     NotExactError,
     NotWellDefinedError,
@@ -238,24 +240,22 @@ def cone_with_maps(h: ComplexMap):
 
 @dataclass(frozen=True)
 class Subquotient:
-    """A cohomology object: presentation plus coordinates in the ambient term."""
+    """A cohomology object: presentation plus the inclusion of the cycles
+    (its generators) into the ambient term."""
 
     module: GradedModule
-    ambient: GradedModule
-    gens: PolyMatrix  # columns express the module's generators in the ambient cover
+    cycles: GradedMap
 
 
 def cohomology_subquotient(c: BoundedComplex, i: int) -> Subquotient:
-    term = c.term(i)
     if i < c.lo or i > c.hi:
         zero = GradedModule.zero(c.nvars)
-        return Subquotient(zero, term, PolyMatrix.zero(c.nvars, (), ()))
+        return Subquotient(zero, GradedMap.identity(zero))
     ker, incl = kernel_with_inclusion(c.diff(i))
     rel = ker.relations
     if i > c.lo:
-        lifted = lift_map_through_inclusion(c.diff(i - 1), incl)
-        rel = rel.hstack(lifted.matrix)
-    return Subquotient(GradedModule(rel), term, incl.matrix)
+        rel = rel.hstack(lift_map_through_inclusion(c.diff(i - 1), incl).matrix)
+    return Subquotient(GradedModule(rel), incl)
 
 
 def cohomology(c: BoundedComplex, i: int) -> GradedModule:
@@ -279,9 +279,8 @@ def _map_into_subquotient(
     source: GradedModule, columns: PolyMatrix, target: Subquotient
 ) -> GradedMap:
     """Map presented by ambient-cover columns, lifted onto target generators."""
-    carrier = GradedMap(source, target.ambient, columns, check=False)
-    onto = GradedMap(target.module, target.ambient, target.gens, check=False)
-    lifted = lift_map_through_inclusion(carrier, onto)
+    carrier = GradedMap(source, target.cycles.target, columns, check=False)
+    lifted = lift_map_through_inclusion(carrier, target.cycles)
     # revalidate as a map of subquotients
     return GradedMap(source, target.module, lifted.matrix, check=True)
 
@@ -301,7 +300,8 @@ def _induced_maps(maps, i: int) -> list[GradedMap]:
     out = []
     for h in maps:
         s, t = at(h.source), at(h.target)
-        out.append(_map_into_subquotient(s.module, h.level(i).matrix * s.gens, t))
+        out.append(_map_into_subquotient(
+            s.module, h.level(i).matrix * s.cycles.matrix, t))
     return out
 
 
@@ -359,7 +359,7 @@ def _coordinate_block(basis: HomBasis, images, sign: int) -> PolyMatrix:
     for image in images:
         coords = basis.coordinates(image)
         if coords is None:
-            raise AssertionError("Hom differential left the solution span")
+            raise CertificateError("Hom differential left the solution span")
         cols.append({(r, one): sign * v for r, v in enumerate(coords) if v})
     return PolyMatrix(nv, (0,) * basis.dim, (0,) * len(cols), cols)
 

@@ -37,6 +37,10 @@ class NotExactError(BraneGaugeError):
     """A short exact sequence certificate failed (kernel/image/cokernel mismatch)."""
 
 
+class CertificateError(BraneGaugeError, AssertionError):
+    """An exact certificate (m * syz = 0, d o d = 0, ...) failed."""
+
+
 class ZeroDivisorError(BraneGaugeError):
     """A multiplication map expected to be injective has a kernel.
 

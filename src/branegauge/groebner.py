@@ -15,16 +15,19 @@ where it is valid.  Output
 bases are reduced: interreduced, monic, sorted by leading term, hence
 canonical.
 
-Syzygies come from the Schreyer construction on the reduced basis and are
-transformed back to the input generators, keyed by position, through the
-tracked representations; lifts and syzygies recover coordinates in one
-loop, `_lift`.  `syzygy_basis` checks m * syz = 0 exactly before returning.
+Each basis tracks its elements over the input generators, keyed by
+position; `syzygy_module`, `syzygy_basis` and `lift_through` take it from
+the caller (modules.GradedModule.relation_gb) rather than build their own.
+Schreyer syzygies and lifts reach the generators through those
+representations.  `syzygy_basis` checks m * syz = 0 exactly; a failed
+check raises CertificateError.
 """
 
 from __future__ import annotations
 
 import heapq
 
+from .errors import CertificateError
 from .linalg import MVec, _mvec_axpy, vec_axpy
 from .polymatrix import PolyMatrix, column_degree
 from .polynomials import (
@@ -63,28 +66,27 @@ def _term_key():
 
 
 class GBElem:
-    """A monic basis vector with cached lead and optional representation.
+    """A monic basis vector with cached lead and its representation.
 
-    rep, when tracked, expresses the element over the original generators:
+    rep expresses the element over the original generators:
     vec = sum rep[(k, m)] * x^m * gens[k].
     """
 
     __slots__ = ("vec", "lead", "rep")
 
-    def __init__(self, vec: MVec, lead, rep=None):
+    def __init__(self, vec: MVec, lead, rep: MVec):
         self.vec = vec
         self.lead = lead  # (row, monomial), coefficient 1
         self.rep = rep
 
 
-def _make_elem(vec: MVec, key, rep=None) -> GBElem:
+def _make_elem(vec: MVec, key, rep: MVec) -> GBElem:
     lead = max(vec, key=key)
     lc = vec[lead]
     if lc != 1:
         inv = qinv(lc)
         vec = mvec_scale(vec, inv)
-        if rep is not None:
-            rep = mvec_scale(rep, inv)
+        rep = mvec_scale(rep, inv)
     return GBElem(vec, lead, rep)
 
 
@@ -100,8 +102,8 @@ def reduce_vec(
     Mutates v and returns the remainder; against an empty basis v is its
     own remainder and is returned as it is.  If `quotients` is supplied it
     gains {(k, m): c} with  original = sum c * x^m * basis[k].vec +
-    remainder.  If `rep` is supplied (and basis reps are tracked) it is
-    updated so the remainder satisfies  remainder = sum rep * gens.
+    remainder.  If `rep` is supplied it is updated so the remainder
+    satisfies  remainder = sum rep * gens.
     """
     if not basis:
         return v
@@ -122,7 +124,7 @@ def reduce_vec(
                         quotients[qk] = s
                     else:
                         quotients.pop(qk, None)
-                if rep is not None and b.rep is not None:
+                if rep is not None:
                     _mvec_axpy(rep, -c, shift, b.rep)
                 break
         else:
@@ -130,14 +132,14 @@ def reduce_vec(
     return rem
 
 
-def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
+def module_groebner(gens: list[MVec]) -> list[GBElem]:
     """Reduced Groebner basis of the submodule generated by gens.
 
-    Zero generators are skipped.  With track=True each output element
-    carries its representation over the input generators, keyed by their
-    positions in gens (a zero generator's index never appears).  The product
-    criterion applies when every generator lies in one row, where the input
-    is an ideal.
+    Zero generators are skipped.  Each output element carries its
+    representation over the input generators, keyed by their positions in
+    gens (a zero generator's index never appears).  The product criterion
+    applies when every generator lies in one row, where the input is an
+    ideal.
     """
     product_criterion = len({r for g in gens for r, _ in g}) <= 1
     key = _term_key()
@@ -145,7 +147,7 @@ def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
     for i, g in enumerate(gens):
         if not g:
             continue
-        rep = {(i, (0,) * len(next(iter(g))[1])): 1} if track else None
+        rep = {(i, (0,) * len(next(iter(g))[1])): 1}
         basis.append(_make_elem(dict(g), key, rep))
 
     pairs: list = []
@@ -190,20 +192,18 @@ def module_groebner(gens: list[MVec], track: bool = False) -> list[GBElem]:
         u: MVec = {}
         _mvec_axpy(u, 1, monomial_div(lcm, imon), basis[i].vec)
         _mvec_axpy(u, -1, monomial_div(lcm, jmon), basis[j].vec)
-        rep: MVec | None = None
-        if track:
-            rep = {}
-            _mvec_axpy(rep, 1, monomial_div(lcm, imon), basis[i].rep)
-            _mvec_axpy(rep, -1, monomial_div(lcm, jmon), basis[j].rep)
+        rep: MVec = {}
+        _mvec_axpy(rep, 1, monomial_div(lcm, imon), basis[i].rep)
+        _mvec_axpy(rep, -1, monomial_div(lcm, jmon), basis[j].rep)
         rem = reduce_vec(u, basis, key, rep=rep)
         if rem:
             basis.append(_make_elem(rem, key, rep))
             push_pairs(len(basis) - 1)
 
-    return _reduce_basis(basis, key, track)
+    return _reduce_basis(basis, key)
 
 
-def _reduce_basis(basis: list[GBElem], key, track: bool) -> list[GBElem]:
+def _reduce_basis(basis: list[GBElem], key) -> list[GBElem]:
     """Minimalize, interreduce, sort: the canonical reduced basis."""
     order_idx = sorted(range(len(basis)), key=lambda i: key(basis[i].lead))
     kept: list[int] = []
@@ -220,7 +220,7 @@ def _reduce_basis(basis: list[GBElem], key, track: bool) -> list[GBElem]:
         b = reduced[idx]
         others = reduced[:idx] + reduced[idx + 1 :]
         v = dict(b.vec)
-        rep = dict(b.rep) if (track and b.rep is not None) else None
+        rep = dict(b.rep)
         rem = reduce_vec(v, others, key, rep=rep)
         reduced[idx] = _make_elem(rem, key, rep)
     reduced.sort(key=lambda b: key(b.lead))
@@ -239,36 +239,6 @@ def _apply_rep(coords: MVec, elems: list[GBElem]) -> MVec:
     return out
 
 
-def schreyer_syzygies(gb: list[GBElem]) -> list[MVec]:
-    """Generators of the syzygy module of a reduced basis, over GB indices."""
-    key = _term_key()
-    zero_mon = None
-    out: list[MVec] = []
-    for j in range(len(gb)):
-        jrow, jmon = gb[j].lead
-        if zero_mon is None:
-            zero_mon = (0,) * len(jmon)
-        for i in range(j):
-            irow, imon = gb[i].lead
-            if irow != jrow:
-                continue
-            lcm = monomial_lcm(imon, jmon)
-            a = monomial_div(lcm, imon)
-            b = monomial_div(lcm, jmon)
-            u: MVec = {}
-            _mvec_axpy(u, 1, a, gb[i].vec)
-            _mvec_axpy(u, -1, b, gb[j].vec)
-            quotients: MVec = {}
-            rem = reduce_vec(u, gb, key, quotients=quotients)
-            if rem:
-                raise AssertionError("S-vector of a Groebner basis did not reduce to zero")
-            syz: MVec = {(i, a): 1, (j, b): -1}
-            vec_axpy(syz, -1, quotients)
-            if syz:
-                out.append(syz)
-    return out
-
-
 def _lift(target: MVec, gb: list[GBElem], key) -> MVec | None:
     """Coordinates of target over the generators of the tracked basis gb
     (reduce with quotients, expand the reps), or None if it is outside."""
@@ -278,40 +248,47 @@ def _lift(target: MVec, gb: list[GBElem], key) -> MVec | None:
     return _apply_rep(quotients, gb)
 
 
-def syzygy_module(gens: list[MVec], nvars: int) -> list[MVec]:
-    """Generators of {a : sum a_k gens_k = 0}, indexed by position in gens:
-    the unit syzygies of the zero generators, then the Schreyer syzygies
-    through the reps, then e_k - (the lift of gens_k) for each nonzero k."""
+def syzygy_module(gens: list[MVec], gb: list[GBElem], nvars: int) -> list[MVec]:
+    """Generators of {a : sum a_k gens_k = 0}, indexed by position in gens,
+    from gb, the tracked basis of gens: the unit syzygies of the zero
+    generators, then the Schreyer syzygies of gb (from the quotients of
+    each S-vector, which must reduce to zero) through the reps, then
+    e_k - (the lift of gens_k) for each nonzero k."""
     zero_mon: Monomial = (0,) * nvars
     result: list[MVec] = [{(k, zero_mon): 1} for k, g in enumerate(gens) if not g]
-    if not any(gens):
-        return result
     key = _term_key()
-    gb = module_groebner(gens, track=True)
-    for syz in schreyer_syzygies(gb):
-        vec = _apply_rep(syz, gb)
-        if vec:
-            result.append(vec)
+    for j, (jrow, jmon) in enumerate(e.lead for e in gb):
+        for i in range(j):
+            irow, imon = gb[i].lead
+            if irow != jrow:
+                continue
+            lcm = monomial_lcm(imon, jmon)
+            a, b = monomial_div(lcm, imon), monomial_div(lcm, jmon)
+            u: MVec = {}
+            _mvec_axpy(u, 1, a, gb[i].vec)
+            _mvec_axpy(u, -1, b, gb[j].vec)
+            quotients: MVec = {}
+            if reduce_vec(u, gb, key, quotients=quotients):
+                raise CertificateError("S-vector of a Groebner basis did not reduce to zero")
+            syz: MVec = {(i, a): 1, (j, b): -1}
+            vec_axpy(syz, -1, quotients)
+            result.append(_apply_rep(syz, gb))
     for k, g in enumerate(gens):
         if not g:
             continue
         back = _lift(g, gb, key)
         if back is None:
-            raise AssertionError("generator does not reduce to zero against its own basis")
+            raise CertificateError("generator does not reduce to zero against its own basis")
         vec = {(k, zero_mon): 1}
         vec_axpy(vec, -1, back)
-        if vec:
-            result.append(vec)
-    return result
+        result.append(vec)
+    return [v for v in result if v]
 
 
-def lift_through(columns: list[MVec], targets: list[MVec]) -> list[MVec | None]:
-    """For each target, coordinates a with sum a_k columns_k = target, or
-    None if there is no solution.  Every target is reduced against one
-    tracked basis of the columns, computed only when some target is
-    nonzero."""
-    gb = (module_groebner(columns, track=True)
-          if any(columns) and any(targets) else [])
+def lift_through(gb: list[GBElem], targets) -> list[MVec | None]:
+    """For each target, coordinates a with sum a_k columns_k = target over
+    the columns whose tracked basis is gb, or None if there is no
+    solution."""
     key = _term_key()
     return [_lift(t, gb, key) for t in targets]
 
@@ -334,16 +311,8 @@ def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     whose leading monomial divides the current leading monomial.
     """
     key = _term_key()
-    elems = []
-    for g in basis:
-        if g.is_zero:
-            continue
-        mon, c = g.leading_term()
-        vec = _poly_to_vec(g.scale(qinv(c)))
-        elems.append(GBElem(vec, (0, mon)))
-    # division must honor leading coefficients of the *given* basis; since we
-    # normalized to monic above, fold the coefficient into the quotient, which
-    # leaves the remainder unchanged.
+    # monic divisors leave the remainder of the given ones
+    elems = [_make_elem(_poly_to_vec(g), key, {}) for g in basis if not g.is_zero]
     rem = reduce_vec(_poly_to_vec(f), elems, key)
     return _vec_to_poly(rem, f.nvars)
 
@@ -365,18 +334,18 @@ def ideal_member(f: Polynomial, gb_polys: list[Polynomial]) -> bool:
 # -- matrix-level syzygies --------------------------------------------------
 
 
-def syzygy_basis(m: PolyMatrix) -> PolyMatrix:
-    """First syzygy matrix of the columns of m.
+def syzygy_basis(m: PolyMatrix, gb: list[GBElem]) -> PolyMatrix:
+    """First syzygy matrix of the columns of m, whose tracked basis is gb.
 
     Returns s with row twists = column twists of m, columns generating
     {v : m v = 0} sorted by degree (ties in the order syzygy_module gives
     them); the product m * s is checked to vanish identically.
     """
-    syz = syzygy_module(list(m.vecs), m.nvars) if m.cols else []
+    syz = syzygy_module(list(m.vecs), gb, m.nvars) if m.cols else []
     cols = sorted(((column_degree(v, m.col_twists), v) for v in syz),
                   key=lambda dv: dv[0])
     out = PolyMatrix(m.nvars, m.col_twists, [d for d, _ in cols],
                      [v for _, v in cols])
     if not (m * out).is_zero:
-        raise AssertionError("syzygy certification failed: m * syz != 0")
+        raise CertificateError("syzygy certification failed: m * syz != 0")
     return out

@@ -138,10 +138,15 @@ class SpanTracker:
             lead = max(vec)
             if lead < 0:
                 break
+            a = vec[lead]
+            if not a:
+                # an explicit zero leads nothing
+                del vec[lead]
+                continue
             pvec = pivots.get(lead)
             if pvec is None:
                 return lead, scale
-            a, b = vec[lead], pvec[lead]
+            b = pvec[lead]
             if b == 1:
                 vec_axpy(vec, -a, pvec)
             elif type(a) is int:

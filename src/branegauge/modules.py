@@ -5,6 +5,9 @@ twists of that matrix are the degrees of the cover generators.  Everything
 downstream (kernels, images, Hom, resolutions, saturation) is phrased as
 syzygy or membership computations against such presentations, so the whole
 layer reduces to the Groebner kernel plus exact sparse linear algebra.
+GradedModule.relation_gb is the one Groebner run here; a map's cokernel
+[f | target relations] is built once per map, so its basis serves the
+map's kernel, the lifts through it and its surjectivity test.
 Every kernel goes through one path, kernel_generators, whose syzygy run
 carries the m * syz = 0 certificate; torsion removal is that kernel applied
 to multiplication by the variables (_times_variables), and saturation
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    CertificateError,
     NotWellDefinedError,
     RingMismatchError,
     SaturationCapError,
@@ -77,8 +81,9 @@ class GradedModule:
         return len(self.cover_twists)
 
     def relation_gb(self):
+        """The tracked basis of the relation columns, keyed by position."""
         if self._gb is None:
-            self._gb = module_groebner([g for g in self.relations.vecs if g])
+            self._gb = module_groebner(list(self.relations.vecs))
         return self._gb
 
     def reduces_to_zero(self, vec: MVec) -> bool:
@@ -113,10 +118,11 @@ class GradedMap:
 
     Column c of the matrix is the image of the source's generator c.  Well-
     definedness (source relations land in the target relation submodule) is
-    verified at construction unless the caller certifies it.
+    verified at construction unless the caller certifies it.  Its cokernel
+    is built once (cokernel).
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_cokernel")
 
     def __init__(self, source: GradedModule, target: GradedModule,
                  matrix: PolyMatrix, check: bool = True):
@@ -135,6 +141,7 @@ class GradedMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._cokernel = None
 
     @classmethod
     def identity(cls, m: GradedModule) -> "GradedMap":
@@ -226,8 +233,9 @@ def tensor(m: GradedModule, n: GradedModule) -> GradedModule:
 # -- kernel / image / cokernel ---------------------------------------------
 
 
-def _nonzero_columns(m: PolyMatrix) -> PolyMatrix:
-    return m.select_columns(c for c, vec in enumerate(m.vecs) if vec)
+def _syzygies(q: GradedModule) -> PolyMatrix:
+    """The certified syzygies of q's relation columns, from q's basis."""
+    return syzygy_basis(q.relations, q.relation_gb())
 
 
 def _submodule(
@@ -237,18 +245,21 @@ def _submodule(
     on them, with its inclusion.
 
     Its relations are the top block of the syzygies of [gens | ambient
-    relations]; that block's row twists are the columns' degrees already."""
-    syz = syzygy_basis(gens.hstack(ambient.relations))
-    sub = GradedModule(_nonzero_columns(syz.select_rows(range(gens.cols))))
-    return sub, GradedMap(sub, ambient, gens, check=False)
+    relations], the inclusion's cokernel; that block's row twists are the
+    columns' degrees already."""
+    quotient = GradedModule(gens.hstack(ambient.relations))
+    top = _syzygies(quotient).select_rows(range(gens.cols))
+    sub = GradedModule(top.select_columns(c for c, v in enumerate(top.vecs) if v))
+    incl = GradedMap(sub, ambient, gens, check=False)
+    incl._cokernel = quotient
+    return sub, incl
 
 
 def kernel_generators(f: GradedMap) -> PolyMatrix:
     """Generators of ker f in the source cover: the top block of the
-    syzygies of [f | target relations], less the columns that are already
-    source relations (zero in the source)."""
-    syz = syzygy_basis(f.matrix.hstack(f.target.relations))
-    u = syz.select_rows(range(f.source.rank))
+    syzygies of cokernel(f), less the columns that are already source
+    relations (zero in the source)."""
+    u = _syzygies(cokernel(f)).select_rows(range(f.source.rank))
     return u.select_columns(_outside(f.source, u))
 
 
@@ -267,7 +278,10 @@ def image(f: GradedMap) -> GradedModule:
 
 
 def cokernel(f: GradedMap) -> GradedModule:
-    return GradedModule(f.matrix.hstack(f.target.relations))
+    """coker f, presented by [f | target relations]; built once per map."""
+    if f._cokernel is None:
+        f._cokernel = GradedModule(f.matrix.hstack(f.target.relations))
+    return f._cokernel
 
 
 def cokernel_with_projection(f: GradedMap) -> tuple[GradedModule, GradedMap]:
@@ -282,17 +296,16 @@ def cokernel_with_projection(f: GradedMap) -> tuple[GradedModule, GradedMap]:
 def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
     """The map g with incl * g = f, for injective incl sharing f's target.
 
-    Every column of f is solved against one basis of [incl.matrix |
-    target.relations]; raises if some column of f does not factor.  A map
-    with no nonzero column lifts to the zero map without any solving.
+    Every column of f is solved against the relation basis of
+    cokernel(incl); raises if some column of f does not factor.  A map with
+    no nonzero column lifts to the zero map without any solving.
     """
     if not any(f.matrix.vecs):
         zero = PolyMatrix.zero(f.source.nvars, incl.source.cover_twists,
                                f.matrix.col_twists)
         return GradedMap(f.source, incl.source, zero, check=False)
     rank = incl.matrix.cols
-    sols = lift_through(list(incl.matrix.vecs + f.target.relations.vecs),
-                        list(f.matrix.vecs))
+    sols = lift_through(cokernel(incl).relation_gb(), f.matrix.vecs)
     out_cols: list[MVec] = []
     for c, sol in enumerate(sols):
         if sol is None:
@@ -333,12 +346,8 @@ def is_zero_module(m: GradedModule) -> bool:
 
 def is_injective(f: GradedMap) -> bool:
     """True iff f is injective: no kernel generator survives the
-    source-relation filter.
-
-    The answer of is_zero_module(kernel(f)), since a surviving generator is
-    a nonzero element of the source and so of the kernel, without
-    presenting the kernel: no second syzygy run for its relations and no
-    Groebner basis of them."""
+    source-relation filter (is_zero_module(kernel(f)), with no kernel
+    presented)."""
     return kernel_generators(f).cols == 0
 
 
@@ -353,7 +362,7 @@ def exactness_failure(f: GradedMap, g: GradedMap) -> str | None:
 
     In order: g o f is zero, f is injective, g is surjective, and every
     kernel generator of g lifts through [f | B's relations]; the kernel of
-    g is never presented."""
+    g is never presented.  Only cokernel(f), cokernel(g) and C run a basis."""
     if not (g * f).is_zero_map():
         return "composite g o f is nonzero"
     if not is_injective(f):
@@ -361,10 +370,7 @@ def exactness_failure(f: GradedMap, g: GradedMap) -> str | None:
     if not is_zero_module(cokernel(g)):
         return "second map is not surjective"
     gens = kernel_generators(g)
-    if gens.cols and any(
-        sol is None for sol in lift_through(
-            list(f.matrix.vecs + f.target.relations.vecs), list(gens.vecs))
-    ):
+    if gens.cols and None in lift_through(cokernel(f).relation_gb(), gens.vecs):
         return "kernel of the second map exceeds the image"
     return None
 
@@ -474,10 +480,10 @@ def free_resolution(m: GradedModule, max_len: int | None = None) -> Resolution:
             raise ShapeError(
                 f"resolution exceeded the length bound {cap}"
             )
-        current = _minimal_columns(syzygy_basis(current))
+        current = _minimal_columns(_syzygies(GradedModule(current)))
     for a, b in zip(steps, steps[1:]):
         if not (a * b).is_zero:
-            raise AssertionError("resolution steps do not compose to zero")
+            raise CertificateError("resolution steps do not compose to zero")
     return Resolution(start.cover_twists, tuple(steps))
 
 

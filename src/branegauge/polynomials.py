@@ -170,12 +170,6 @@ class Polynomial:
             raise ValueError(f"inhomogeneous polynomial {self}")
         return degs.pop()
 
-    def leading_term(self) -> tuple[Monomial, Coeff]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        mon = max(self._terms, key=grevlex_key)
-        return mon, self._terms[mon]
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import (
+    CertificateError,
     DeskScaleError,
     NonGeneratorTermError,
     NotExactError,
@@ -176,7 +177,7 @@ def cotangent_inclusion(p: ProjectiveSpace) -> GradedMap:
                      check=True)
     euler = euler_map(p)
     if not (euler * incl).is_zero_map():
-        raise AssertionError("cotangent inclusion does not compose to zero")
+        raise CertificateError("cotangent inclusion does not compose to zero")
     return incl
 
 

@@ -44,7 +44,11 @@ class RunContext:
     creates it and drops it when the run ends; the lem1-check, gauge-bound,
     sheaf-hom, cech and atiyah handlers pass it down explicitly.  Values are
     ints, modules, cochains and residual dicts, never a tracker or a window.
-    Nothing is cached globally, and a failed check stores nothing.
+    A failed check stores nothing.  Two other memos sit outside it: the
+    process-wide tables polynomials.monomials_of_degree and
+    linalg._cover_index, and the per-instance relation basis of a module
+    and cokernel of a map (modules), which the manifest's modules and maps
+    keep for the whole run.
     """
 
     manifest: Manifest

@@ -1,7 +1,10 @@
 """End-to-end command line runs: exit codes, reports, determinism."""
 
+import re
+
 import pytest
 
+from branegauge import groebner
 from branegauge.cli import main
 from branegauge.reports import SCHEMA
 
@@ -248,3 +251,18 @@ def test_bad_built_in_reference_exits_two_on_its_line(
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"brane-gauge: {message} (line {line})\n"
+
+
+def test_a_failed_certificate_is_a_task_error(tmp_path, capsys, monkeypatch):
+    real = groebner.syzygy_module
+
+    def tampered(*args):
+        # a fake syzygy e_0: the relation matrix does not kill it
+        return real(*args) + [{(0, (0,) * args[-1]): 1}]
+
+    monkeypatch.setattr(groebner, "syzygy_module", tampered)
+    code = _run(tmp_path, OK_MANIFEST.split("\n[task annihilator]")[0])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert re.findall(r"status: (\w+)", out) == ["error", "ok"]
+    assert "message: syzygy certification failed: m * syz != 0" in out

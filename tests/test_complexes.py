@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from branegauge import groebner, modules
 from branegauge.complexes import (
     BoundedComplex,
     ComplexMap,
@@ -17,6 +18,7 @@ from branegauge.complexes import (
     cone_with_maps,
     embed_object,
     hom_complex,
+    induced_cohomology_map,
     is_acyclic,
     is_quasi_iso,
     rotate_triangle,
@@ -32,6 +34,7 @@ from branegauge.modules import (
     GradedMap,
     GradedModule,
     cokernel_with_projection,
+    exactness_failure,
     graded_piece_dim,
     hilbert_window,
     is_zero_module,
@@ -409,3 +412,50 @@ def test_cohomology_piece_dim_is_the_graded_piece_of_cohomology():
                 assert got == graded_piece_dim(h, d), (c, i, d)
                 nonzero += got > 0
     assert nonzero > 20
+
+
+# -- one Groebner basis per generator list ------------------------------------
+
+
+def _groebner_runs(monkeypatch):
+    """Record the non-empty generator lists of every module_groebner run,
+    under both names it is called by."""
+    runs = []
+    real = groebner.module_groebner
+
+    def recording(gens):
+        if any(gens):
+            runs.append(tuple(tuple(sorted(g.items())) for g in gens))
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "module_groebner", recording)
+    monkeypatch.setattr(modules, "module_groebner", recording)
+    return runs
+
+
+def test_exactness_failure_runs_each_list_once(monkeypatch):
+    # 0 -> R(-1) --x0--> R --> R/(x0) -> 0 on P^2
+    nv = 3
+    a, b = GradedModule.free(nv, (1,)), GradedModule.free(nv, (0,))
+    f = GradedMap(a, b, PolyMatrix(nv, (0,), (1,), [{(0, (1, 0, 0)): 1}]))
+    _, proj = cokernel_with_projection(f)
+    runs = _groebner_runs(monkeypatch)
+    assert exactness_failure(f, proj) is None
+    assert runs and len(runs) == len(set(runs))
+
+
+def test_subquotient_and_induced_map_share_one_basis(monkeypatch):
+    # R(-2) --(x1, -x0)--> R(-1)^2 --(x0, x1)--> R/(x2) on P^2, degrees -2..0
+    nv = 3
+    x = [{(0, tuple(int(k == j) for k in range(3))): 1} for j in range(3)]
+    c2 = GradedModule.free(nv, (2,))
+    c1 = GradedModule.free(nv, (1, 1))
+    c0 = GradedModule(PolyMatrix(nv, (0,), (1,), [x[2]]))
+    d2 = GradedMap(c2, c1, PolyMatrix(nv, (1, 1), (2,), [{
+        (0, (0, 1, 0)): 1, (1, (1, 0, 0)): -1}]))
+    d1 = GradedMap(c1, c0, PolyMatrix(nv, (0,), (1, 1), x[:2]))
+    c = BoundedComplex(nv, -2, [c2, c1, c0], [d2, d1])
+    runs = _groebner_runs(monkeypatch)
+    h = induced_cohomology_map(ComplexMap.identity(c), -1)
+    assert not is_zero_module(h.target)
+    assert runs and len(runs) == len(set(runs))

@@ -1,6 +1,7 @@
 """Sparse rational span tracking against a dense row-reduction oracle."""
 
 import random
+import signal
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,6 @@ def _dense(col: dict, width: int) -> list:
 ))
 @settings(max_examples=80, deadline=None)
 def test_rank_matches_dense_oracle(cols):
-    cols = [{k: v for k, v in c.items() if v} for c in cols]
     ours = sparse_rank(cols)
     dense = rref_rank([_dense(c, 6) for c in cols]) if cols else 0
     assert ours == dense
@@ -142,6 +142,27 @@ def test_nullspace_gives_exact_relations():
                 for k, v in cols[j].items():
                     acc[k] = acc.get(k, Fraction(0)) + c * v
             assert all(v == 0 for v in acc.values())
+
+
+def _no_end(signum, frame):
+    raise TimeoutError("the tracker did not terminate")
+
+
+def test_explicit_zero_entries_lead_nothing():
+    # a zero at a pivot's lead can loop forever: an alarm turns a
+    # regression into a failure rather than a hang
+    previous = signal.signal(signal.SIGALRM, _no_end)
+    signal.alarm(5)
+    try:
+        assert nullspace([{0: 1}, {0: 0}]) == [{1: 1}]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert sparse_rank([{0: 0}]) == 0
+    # a zero above the true lead must not become a pivot
+    assert sparse_rank([{0: 1, 1: 0}, {0: 1}]) == 1
+    assert nullspace([{0: 1, 1: 0}, {0: 1}]) == [{0: -1, 1: 1}]
+    assert solve_in_span([{0: 1, 1: 0}], {0: 2}) == {0: 2}
 
 
 def test_solve_in_span():

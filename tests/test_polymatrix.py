@@ -117,17 +117,18 @@ def test_a_tampered_syzygy_column_trips_the_certificate(data, draw):
         return
     k = draw.draw(st.sampled_from(live))
     real = groebner.syzygy_module
+    gb = groebner.module_groebner(list(m.vecs))
 
-    def tampered(gens, nvars):
+    def tampered(gens, gb, nvars):
         # a fake syzygy e_k, homogeneous of degree ct[k]; m * e_k is
         # column k, which is not zero
-        return real(gens, nvars) + [{(k, (0,) * nvars): 1}]
+        return real(gens, gb, nvars) + [{(k, (0,) * nvars): 1}]
 
-    assert (m * syzygy_basis(m)).is_zero
+    assert (m * syzygy_basis(m, gb)).is_zero
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "syzygy_module", tampered)
         with pytest.raises(AssertionError, match="m \\* syz != 0"):
-            syzygy_basis(m)
+            syzygy_basis(m, gb)
 
 
 def test_koszul_layout():
