@@ -20,6 +20,9 @@ and follows them transitively.  It fails when
 - `modules` reaches any module but those four and `groebner`: graded
   modules are presentations over the engine, below the derived and
   projective layers;
+- any module but `modules` imports `groebner` directly: the derived,
+  projective and gauge layers reach the engine only through graded
+  modules (the re-exports in `__init__` are exempt);
 - any module but `groebner` names `module_groebner` outside
   `modules.GradedModule.relation_gb` (apart from the import in `modules`
   that serves it): each Groebner basis has one owner, the presentation
@@ -71,6 +74,9 @@ def direct_imports(path: Path, modules: set[str]) -> set[str]:
                     out.add(a.name.split(".")[1])
     return out & modules
 
+
+# the one package module that may import the engine directly
+ENGINE_CLIENT = "modules"
 
 # the one function outside groebner that may run the engine
 GB_OWNER = ("modules", "GradedModule.relation_gb")
@@ -125,6 +131,10 @@ def main() -> int:
         for dep, chain in sorted(chains(mod, graph).items()):
             if (mod in ONLY and dep not in ONLY[mod]) or dep in BANNED.get(mod, ()):
                 broken.append(f"{mod} reaches {dep}: {' -> '.join(chain)}")
+    for mod in sorted(modules - {"groebner", ENGINE_CLIENT}):
+        if "groebner" in graph[mod]:
+            broken.append(f"{mod} imports groebner directly; only "
+                          f"{ENGINE_CLIENT} may")
     for mod in sorted(modules - {"groebner"}):
         tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
         for where in stray_groebner_runs(mod, tree):

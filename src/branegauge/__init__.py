@@ -15,17 +15,14 @@ from .complexes import (
     BoundedComplex,
     ComplexMap,
     HomComplexReport,
-    Subquotient,
     Triangle,
     cohomology,
     cohomology_piece_dim,
-    cohomology_subquotient,
     cone,
     cone_rotation_equiv,
     cone_with_maps,
     embed_object,
     hom_complex,
-    induced_cohomology_map,
     is_acyclic,
     is_quasi_iso,
     rotate_triangle,
@@ -87,6 +84,7 @@ from .modules import (
     is_iso,
     is_zero_module,
     kernel,
+    kernel_in_image,
     kernel_with_inclusion,
     minimal_presentation,
     saturate,

@@ -92,14 +92,17 @@ def _checked_bound(bound: int | None) -> int:
     return bound
 
 
-def cech_level_span(m, p: int, bound: int):
+def cech_level_span(m, p: int, bound: int, cache: dict | None = None):
     """The window at level p of the module m, a tracker spanning
     [R_p | D_{p-1}] in it, and rank R_p.
 
     The pivot vectors of the one degree-B(p+1) window go in at the offset of
     each chart set; each leads on its own coordinate, so nothing is reduced
     again.  Their rank is read off, then the coboundaries of level p - 1 join
-    them.  Residuals against the tracker decide class membership in h^p."""
+    them.  Residuals against the tracker decide class membership in h^p.
+    With `cache`, the level's three ranks (cech_level_ranks) are stored under
+    ("cech_ranks", m, p, bound), so a span built for its residuals also
+    serves the dimensions."""
     nv = m.nvars
     index, window = degree_window(m.relations, bound * (p + 1))
     lv = CechLevel(bound, tuple(chart_subsets(nv, p)), index)
@@ -120,6 +123,8 @@ def cech_level_span(m, p: int, bound: int):
             for r, mon in lower:
                 tracker.insert({off + index[(r, monomial_mul(mon, xj))]: sign
                                 for off, sign, xj in cofaces})
+    if cache is not None:
+        cache[("cech_ranks", m, p, bound)] = (tracker.rank, rel, lv.dim)
     return lv, tracker, rel
 
 
@@ -138,7 +143,7 @@ def cech_level_ranks(m, p: int, bound: int,
                      cache: dict | None = None) -> tuple[int, int, int]:
     """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound.
 
-    The memo of cech_level_span: the triple is stored in `cache` under
+    The memo of cech_level_span, which stores the triple in `cache` under
     ("cech_ranks", m, p, bound); only the three ints are kept, never the
     window or the tracker.  Levels outside 0..n are empty.
     """
@@ -147,11 +152,8 @@ def cech_level_ranks(m, p: int, bound: int,
     key = ("cech_ranks", m, p, bound)
     if cache is not None and key in cache:
         return cache[key]
-    lv, tracker, rel = cech_level_span(m, p, bound)
-    ranks = (tracker.rank, rel, lv.dim)
-    if cache is not None:
-        cache[key] = ranks
-    return ranks
+    lv, tracker, rel = cech_level_span(m, p, bound, cache)
+    return tracker.rank, rel, lv.dim
 
 
 def cech_h_dim_at(m, i: int, bound: int,

@@ -8,16 +8,22 @@ stays total.  Sign conventions, fixed once:
     cone:   Con(h)^i = A^{i+1} (+) B^i,  d = [[-d_A, 0], [h, d_B]]
     Hom:    (d g)^p = d_C o g^p + (-1)^{m+1} g^{p+1} o d_B  on Hom^m
 
-Cohomology objects are subquotient presentations: the kernel's generators
-inside the term's cover, with the lifted image columns appended to the
-relations; one basis, the cokernel of the kernel's inclusion, presents it
-and lifts the boundaries and every induced map.  A single graded piece of
-cohomology needs none of that: cohomology_piece_dim reads it off the
-differentials' ranks.  Induced maps are computed by lifting through those
-generators, never by choosing splittings.  Cone differentials and the
-inclusion, projection, comparison and rotation maps are PolyMatrix.blocks
-over the summands' twist groups; so is each Hom-complex differential, over
-the coordinate groups Hom(B^i, C^{i+m}) of its source and target.
+The derived layer certifies with two primitives and presents no
+cohomology.  is_acyclic is modules.kernel_in_image at every term, and h is
+a quasi-isomorphism iff Con(h) is acyclic.  The rest are degree-d window
+ranks: a graded piece is exact, so dim H^i(c)_d = dim C^i_d -
+rank d^{i-1}_d - rank d^i_d (cohomology_piece_dim), and for h: A -> B
+
+    rank H^i(h)_d = rank D_d - rank (d_A^i)_d - rank (d_B^{i-1})_d,
+
+D: Con(h)^{i-1} -> Con(h)^i.  Proof: im D = {(-d_A a, h a + d_B b)}
+projects onto im d_A^i with kernel 0 (+) (h(Z^i_A) + B^i_B), whose
+quotient by B^i_B is the image of H^i(h).  triangle_les_ok reads only
+these ranks, and _cone_differential writes the cone's signs for it and for
+cone().  Cone differentials and the inclusion, projection, comparison and
+rotation maps are PolyMatrix.blocks over the summands' twist groups; so is
+each Hom-complex differential, over the coordinate groups
+Hom(B^i, C^{i+m}) of its source and target.
 """
 
 from __future__ import annotations
@@ -38,9 +44,7 @@ from .modules import (
     GradedModule,
     direct_sum,
     exactness_failure,
-    graded_piece_dim,
-    is_iso,
-    is_zero_module,
+    kernel_in_image,
     kernel_with_inclusion,
     lift_map_through_inclusion,
     piece_dim_and_map_rank,
@@ -180,28 +184,35 @@ def negate_map(h: ComplexMap) -> ComplexMap:
 # -- cone -------------------------------------------------------------------
 
 
+def _cone_term(h: ComplexMap, i: int) -> GradedModule:
+    """Con(h)^i = A^{i+1} (+) B^i."""
+    return direct_sum(h.source.term(i + 1), h.target.term(i))
+
+
+def _cone_differential(h: ComplexMap, i: int, source: GradedModule,
+                       target: GradedModule) -> GradedMap:
+    """d^i of Con(h), [[-d_A^{i+1}, 0], [h^{i+1}, d_B^i]], from source =
+    Con(h)^i to target = Con(h)^{i+1}: the one place the cone's signs are
+    written."""
+    a, b = h.source, h.target
+    mat = PolyMatrix.blocks(
+        a.nvars,
+        [a.term(i + 2).cover_twists, b.term(i + 1).cover_twists],
+        [a.term(i + 1).cover_twists, b.term(i).cover_twists],
+        {(0, 0): -a.diff(i + 1).matrix, (1, 0): h.level(i + 1).matrix,
+         (1, 1): b.diff(i).matrix},
+    )
+    return GradedMap(source, target, mat, check=False)
+
+
 def cone(h: ComplexMap) -> BoundedComplex:
     """Con(h), checked to square to zero."""
-    a, b = h.source, h.target
-    nv = a.nvars
-    lo = min(a.lo - 1, b.lo)
-    hi = max(a.hi - 1, b.hi)
-    terms = []
-    for i in range(lo, hi + 1):
-        terms.append(direct_sum(a.term(i + 1), b.term(i)))
-    diffs = []
-    for i in range(lo, hi):
-        da = a.diff(i + 1)
-        db = b.diff(i)
-        hi_lvl = h.level(i + 1)
-        mat = PolyMatrix.blocks(
-            nv,
-            [a.term(i + 2).cover_twists, b.term(i + 1).cover_twists],
-            [a.term(i + 1).cover_twists, b.term(i).cover_twists],
-            {(0, 0): -da.matrix, (1, 0): hi_lvl.matrix, (1, 1): db.matrix},
-        )
-        diffs.append(GradedMap(terms[i - lo], terms[i + 1 - lo], mat, check=False))
-    return BoundedComplex(nv, lo, terms, diffs, check=True)
+    lo = min(h.source.lo - 1, h.target.lo)
+    hi = max(h.source.hi - 1, h.target.hi)
+    terms = [_cone_term(h, i) for i in range(lo, hi + 1)]
+    diffs = [_cone_differential(h, i, terms[i - lo], terms[i + 1 - lo])
+             for i in range(lo, hi)]
+    return BoundedComplex(h.source.nvars, lo, terms, diffs, check=True)
 
 
 def cone_with_maps(h: ComplexMap):
@@ -238,28 +249,16 @@ def cone_with_maps(h: ComplexMap):
 # -- cohomology -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subquotient:
-    """A cohomology object: presentation plus the inclusion of the cycles
-    (its generators) into the ambient term."""
-
-    module: GradedModule
-    cycles: GradedMap
-
-
-def cohomology_subquotient(c: BoundedComplex, i: int) -> Subquotient:
+def cohomology(c: BoundedComplex, i: int) -> GradedModule:
+    """H^i(c), presented on the cycles: the kernel of d^i with the lifted
+    boundaries appended to its relations.  No certificate reads it."""
     if i < c.lo or i > c.hi:
-        zero = GradedModule.zero(c.nvars)
-        return Subquotient(zero, GradedMap.identity(zero))
+        return GradedModule.zero(c.nvars)
     ker, incl = kernel_with_inclusion(c.diff(i))
     rel = ker.relations
     if i > c.lo:
         rel = rel.hstack(lift_map_through_inclusion(c.diff(i - 1), incl).matrix)
-    return Subquotient(GradedModule(rel), incl)
-
-
-def cohomology(c: BoundedComplex, i: int) -> GradedModule:
-    return cohomology_subquotient(c, i).module
+    return GradedModule(rel)
 
 
 def cohomology_piece_dim(c: BoundedComplex, i: int, d: int) -> int:
@@ -269,56 +268,18 @@ def cohomology_piece_dim(c: BoundedComplex, i: int, d: int) -> int:
     complex of vector spaces C^._d, and rank-nullity reads it off the
     degree-d windows of C^i (which also ranks d^{i-1}) and C^{i+1}, with no
     kernel presented."""
-    if i < c.lo or i > c.hi:
-        return 0
-    dim, incoming = piece_dim_and_map_rank(c.diff(i - 1), d)
-    return dim - incoming - piece_map_rank(c.diff(i), d)
-
-
-def _map_into_subquotient(
-    source: GradedModule, columns: PolyMatrix, target: Subquotient
-) -> GradedMap:
-    """Map presented by ambient-cover columns, lifted onto target generators."""
-    carrier = GradedMap(source, target.cycles.target, columns, check=False)
-    lifted = lift_map_through_inclusion(carrier, target.cycles)
-    # revalidate as a map of subquotients
-    return GradedMap(source, target.module, lifted.matrix, check=True)
-
-
-def _induced_maps(maps, i: int) -> list[GradedMap]:
-    """H^i of each map; each complex's subquotient is computed once, so a
-    complex shared by two maps (or a map's source that is its target) is
-    presented by one object, and the induced maps meet in it."""
-    subquotients: dict[int, Subquotient] = {}
-
-    def at(c: BoundedComplex) -> Subquotient:
-        got = subquotients.get(id(c))
-        if got is None:
-            got = subquotients[id(c)] = cohomology_subquotient(c, i)
-        return got
-
-    out = []
-    for h in maps:
-        s, t = at(h.source), at(h.target)
-        out.append(_map_into_subquotient(
-            s.module, h.level(i).matrix * s.cycles.matrix, t))
-    return out
-
-
-def induced_cohomology_map(h: ComplexMap, i: int) -> GradedMap:
-    return _induced_maps((h,), i)[0]
-
-
-def is_quasi_iso(h: ComplexMap) -> bool:
-    lo = min(h.source.lo, h.target.lo)
-    hi = max(h.source.hi, h.target.hi)
-    return all(
-        is_iso(induced_cohomology_map(h, i)) for i in range(lo, hi + 1)
-    )
+    return _WindowRanks().h_dim(c, i, d)
 
 
 def is_acyclic(c: BoundedComplex) -> bool:
-    return all(is_zero_module(cohomology(c, i)) for i in c.window())
+    """Exact at every term: ker d^i lies in im d^{i-1}
+    (modules.kernel_in_image)."""
+    return all(kernel_in_image(c.diff(i - 1), c.diff(i)) for i in c.window())
+
+
+def is_quasi_iso(h: ComplexMap) -> bool:
+    """h is a quasi-isomorphism iff its cone is acyclic."""
+    return is_acyclic(cone(h))
 
 
 # -- Hom complex ------------------------------------------------------------
@@ -534,11 +495,38 @@ def cone_rotation_equiv(h: ComplexMap) -> bool:
 # -- long exact sequence ranks ----------------------------------------------
 
 
-def _dim_and_rank(node: GradedModule, into: GradedMap, d: int) -> tuple[int, int]:
-    """(dim node_d, rank of into_d), from one window when into lands on node."""
-    if into.target is node:
-        return piece_dim_and_map_rank(into, d)
-    return graded_piece_dim(node, d), piece_map_rank(into, d)
+class _WindowRanks:
+    """Window ranks, each computed once per instance: (dim C^i_d,
+    rank d^{i-1}_d) per (complex, i, d), the cone differential
+    Con(h)^{i-1} -> Con(h)^i per (map, i), and rank H^i(h)_d per (map, i,
+    d).  Complexes and maps key by identity."""
+
+    def __init__(self):
+        self._pieces: dict = {}
+        self._cone_diffs: dict = {}
+        self._ranks: dict = {}
+
+    def _piece(self, c: BoundedComplex, i: int, d: int) -> tuple[int, int]:
+        if (c, i, d) not in self._pieces:
+            self._pieces[(c, i, d)] = (piece_dim_and_map_rank(c.diff(i - 1), d)
+                                       if c.lo <= i <= c.hi else (0, 0))
+        return self._pieces[(c, i, d)]
+
+    def h_dim(self, c: BoundedComplex, i: int, d: int) -> int:
+        dim, incoming = self._piece(c, i, d)
+        return dim - incoming - self._piece(c, i + 1, d)[1]
+
+    def h_rank(self, h: ComplexMap, i: int, d: int) -> int:
+        """rank H^i(h)_d, by the cone formula (module docstring)."""
+        if (h, i, d) not in self._ranks:
+            if (h, i) not in self._cone_diffs:
+                self._cone_diffs[(h, i)] = _cone_differential(
+                    h, i - 1, _cone_term(h, i - 1), _cone_term(h, i))
+            self._ranks[(h, i, d)] = (
+                piece_map_rank(self._cone_diffs[(h, i)], d)
+                - self._piece(h.source, i + 1, d)[1]
+                - self._piece(h.target, i, d)[1])
+        return self._ranks[(h, i, d)]
 
 
 def triangle_les_ok(t: Triangle, piece_lo: int, piece_hi: int) -> bool:
@@ -547,36 +535,20 @@ def triangle_les_ok(t: Triangle, piece_lo: int, piece_hi: int) -> bool:
     At every cohomological index and every internal degree d in the window,
     exactness demands dim = rank(in) + rank(out) at each node; the connecting
     map is delta followed by the shift identification, which preserves ranks.
-
-    The subquotients of A, B, C and A[1] are computed once per index i, and
-    each node gets one degree-d window per (i, d):
-
-        H^i(A)     dim_d, against the rank k_d of H^{i-1}(delta), which the
-                   window of H^{i-1}(A[1]) gave at index i - 1 (0 at the
-                   first index)
-        H^i(B)     dim_d and k_f, the rank of H^i(f) into it
-        H^i(C)     dim_d and k_g, the rank of H^i(g) into it
-        H^i(A[1])  k_d, the rank of H^i(delta) into it, carried to i + 1
-
-    (When a map's target is not the next map's source, as in a hand-built
-    triangle, that node's dimension and incoming rank take two windows.)
-    An empty degree window checks nothing, so piece_lo > piece_hi is a
-    ShapeError.
+    Every number is a window rank of one _WindowRanks, so no Groebner basis
+    runs.  An empty degree window checks nothing, so piece_lo > piece_hi is
+    a ShapeError.
     """
     if piece_lo > piece_hi:
         raise ShapeError(f"empty graded piece window {piece_lo}..{piece_hi}")
     lo = min(t.a.lo, t.b.lo, t.c.lo) - 1
     hi = max(t.a.hi, t.b.hi, t.c.hi) + 1
-    induced = {i: _induced_maps((t.f, t.g, t.delta), i) for i in range(lo, hi + 1)}
+    w = _WindowRanks()
     for d in range(piece_lo, piece_hi + 1):
-        k_d_prev = 0
         for i in range(lo, hi + 1):
-            rf, rg, rd = induced[i]
-            da = graded_piece_dim(rf.source, d)
-            db, k_f = _dim_and_rank(rg.source, rf, d)
-            dc, k_g = _dim_and_rank(rd.source, rg, d)
-            k_d = piece_map_rank(rd, d)
-            if da != k_d_prev + k_f or db != k_f + k_g or dc != k_g + k_d:
+            k_f, k_g, k_d = (w.h_rank(h, i, d) for h in (t.f, t.g, t.delta))
+            if (w.h_dim(t.f.source, i, d) != w.h_rank(t.delta, i - 1, d) + k_f
+                    or w.h_dim(t.g.source, i, d) != k_f + k_g
+                    or w.h_dim(t.delta.source, i, d) != k_g + k_d):
                 return False
-            k_d_prev = k_d
     return True

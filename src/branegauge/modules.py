@@ -11,8 +11,10 @@ map's kernel, the lifts through it and its surjectivity test.
 Every kernel goes through one path, kernel_generators, whose syzygy run
 carries the m * syz = 0 certificate; torsion removal is that kernel applied
 to multiplication by the variables (_times_variables), and saturation
-extends sections along the same map.  A short exact sequence is certified
-from the same generators (exactness_failure), without presenting a kernel.
+extends sections along the same map.  Exactness at B of A -> B -> C is
+one primitive on the same generators, kernel_in_image: every kernel
+generator of g lifts through cokernel(f).  exactness_failure and the
+derived layer's acyclicity test read it, and neither presents a kernel.
 Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
 degree-d window of a presentation, linalg.degree_window, which HomBasis
 (homspace.py) ranks too.
@@ -238,19 +240,17 @@ def _syzygies(q: GradedModule) -> PolyMatrix:
     return syzygy_basis(q.relations, q.relation_gb())
 
 
-def _submodule(
-    gens: PolyMatrix, ambient: GradedModule
-) -> tuple[GradedModule, GradedMap]:
-    """The submodule of ambient generated by the columns of gens, presented
-    on them, with its inclusion.
+def _submodule(f: GradedMap) -> tuple[GradedModule, GradedMap]:
+    """The image of f, presented on f's columns, with its inclusion into
+    f's target.
 
-    Its relations are the top block of the syzygies of [gens | ambient
-    relations], the inclusion's cokernel; that block's row twists are the
-    columns' degrees already."""
-    quotient = GradedModule(gens.hstack(ambient.relations))
-    top = _syzygies(quotient).select_rows(range(gens.cols))
+    Its relations are the top block of the syzygies of cokernel(f), [f |
+    target relations], which the inclusion keeps as its own cokernel; that
+    block's row twists are the columns' degrees already."""
+    quotient = cokernel(f)
+    top = _syzygies(quotient).select_rows(range(f.matrix.cols))
     sub = GradedModule(top.select_columns(c for c, v in enumerate(top.vecs) if v))
-    incl = GradedMap(sub, ambient, gens, check=False)
+    incl = GradedMap(sub, f.target, f.matrix, check=False)
     incl._cokernel = quotient
     return sub, incl
 
@@ -265,7 +265,9 @@ def kernel_generators(f: GradedMap) -> PolyMatrix:
 
 def kernel_with_inclusion(f: GradedMap) -> tuple[GradedModule, GradedMap]:
     """Kernel of f as a module plus its inclusion into the source."""
-    return _submodule(kernel_generators(f), f.source)
+    gens = kernel_generators(f)
+    free = GradedModule.free(f.source.nvars, gens.col_twists)
+    return _submodule(GradedMap(free, f.source, gens, check=False))
 
 
 def kernel(f: GradedMap) -> GradedModule:
@@ -273,8 +275,9 @@ def kernel(f: GradedMap) -> GradedModule:
 
 
 def image(f: GradedMap) -> GradedModule:
-    """Image of f, presented on the source generators."""
-    return _submodule(f.matrix, f.target)[0]
+    """Image of f, presented on the source generators; it reads the basis
+    of cokernel(f)."""
+    return _submodule(f)[0]
 
 
 def cokernel(f: GradedMap) -> GradedModule:
@@ -357,20 +360,28 @@ def is_iso(f: GradedMap) -> bool:
     return is_injective(f)
 
 
+def kernel_in_image(f: GradedMap, g: GradedMap) -> bool:
+    """ker g lies in im f, for A --f--> B --g--> C: every kernel generator
+    of g lifts through cokernel(f), [f | B's relations].  No kernel is
+    presented; the bases run are those of cokernel(g) and cokernel(f)."""
+    gens = kernel_generators(g)
+    return not gens.cols or None not in lift_through(
+        cokernel(f).relation_gb(), gens.vecs)
+
+
 def exactness_failure(f: GradedMap, g: GradedMap) -> str | None:
     """The first reason 0 -> A --f--> B --g--> C -> 0 is not exact, or None.
 
-    In order: g o f is zero, f is injective, g is surjective, and every
-    kernel generator of g lifts through [f | B's relations]; the kernel of
-    g is never presented.  Only cokernel(f), cokernel(g) and C run a basis."""
+    In order: g o f is zero, f is injective, g is surjective, and ker g
+    lies in im f (kernel_in_image).  Only cokernel(f), cokernel(g) and C
+    run a basis."""
     if not (g * f).is_zero_map():
         return "composite g o f is nonzero"
     if not is_injective(f):
         return "first map is not injective"
     if not is_zero_module(cokernel(g)):
         return "second map is not surjective"
-    gens = kernel_generators(g)
-    if gens.cols and None in lift_through(cokernel(f).relation_gb(), gens.vecs):
+    if not kernel_in_image(f, g):
         return "kernel of the second map exceeds the image"
     return None
 
@@ -539,7 +550,8 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
                                    [{(0, mon): 1} for mon in mons])
     gens = PolyMatrix.blocks(nv, [b.row_twists for b in parts.values()],
                              [b.col_twists for b in parts.values()], parts)
-    return _submodule(gens, m)
+    return _submodule(GradedMap(GradedModule.free(nv, gens.col_twists), m,
+                                gens, check=False))
 
 
 def _times_variables(m: GradedModule) -> GradedMap:

@@ -8,7 +8,10 @@ reference for its map-over-operator versions.  laurent_cech_ranks keeps the
 Cech level on its truncated Laurent spots, with no shift to a polynomial
 window.  MonicSpanTracker is the sparse tracker as it was before it went
 fraction-free: monic pivots over Fraction, the reference for every
-read-back of the integer one.
+read-back of the integer one.  The subquotient route is the exception to
+the rule above: it is how the derived layer used to present H^i and its
+induced maps, through the module code's kernels and Groebner lifts, kept
+as the reference for the window-rank certificates that replaced it.
 The two matrix builders at the end only
 spell a PolyMatrix row by row, as the tests write them; the package builds
 its matrices column by column and does not need them.  The last helper,
@@ -21,6 +24,13 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from branegauge.modules import (
+    GradedMap,
+    GradedModule,
+    is_iso,
+    kernel_with_inclusion,
+    lift_map_through_inclusion,
+)
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import (
     Polynomial,
@@ -346,6 +356,41 @@ def laurent_cech_ranks(relations, p: int, bound: int) -> tuple[int, int, int]:
                 col[index[(bigger, r, a)]] += (-1) ** bigger.index(j)
         diff.append(col)
     return rref_rank(diff + rel), rref_rank(rel), len(level)
+
+
+# The subquotient route: H^i(c) presented on the cycles, Z = ker d^i, with
+# the boundaries lifted onto Z appended to its relations, and H^i(h) lifted
+# onto the target's cycles.
+
+
+def subquotient_cohomology(c, i: int):
+    """(H^i(c), the inclusion of its cycles into C^i)."""
+    if i < c.lo or i > c.hi:
+        zero = GradedModule.zero(c.nvars)
+        return zero, GradedMap.identity(zero)
+    ker, incl = kernel_with_inclusion(c.diff(i))
+    rel = ker.relations
+    if i > c.lo:
+        rel = rel.hstack(lift_map_through_inclusion(c.diff(i - 1), incl).matrix)
+    return GradedModule(rel), incl
+
+
+def subquotient_induced_map(h, i: int) -> GradedMap:
+    """H^i(h): the source's cycles, mapped by h^i, lifted onto the target's
+    cycles, and checked well defined on the two presentations."""
+    src, src_cycles = subquotient_cohomology(h.source, i)
+    tgt, tgt_cycles = subquotient_cohomology(h.target, i)
+    carrier = GradedMap(src, tgt_cycles.target,
+                        h.level(i).matrix * src_cycles.matrix, check=False)
+    lifted = lift_map_through_inclusion(carrier, tgt_cycles)
+    return GradedMap(src, tgt, lifted.matrix, check=True)
+
+
+def subquotient_quasi_iso(h) -> bool:
+    """Whether every H^i(h) is an isomorphism."""
+    lo = min(h.source.lo, h.target.lo)
+    hi = max(h.source.hi, h.target.hi)
+    return all(is_iso(subquotient_induced_map(h, i)) for i in range(lo, hi + 1))
 
 
 def matrix_from_rows(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:

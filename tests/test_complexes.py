@@ -10,15 +10,14 @@ from branegauge import groebner, modules
 from branegauge.complexes import (
     BoundedComplex,
     ComplexMap,
+    _WindowRanks,
     cohomology,
     cohomology_piece_dim,
-    cohomology_subquotient,
     cone,
     cone_rotation_equiv,
     cone_with_maps,
     embed_object,
     hom_complex,
-    induced_cohomology_map,
     is_acyclic,
     is_quasi_iso,
     rotate_triangle,
@@ -38,12 +37,17 @@ from branegauge.modules import (
     graded_piece_dim,
     hilbert_window,
     is_zero_module,
+    piece_map_rank,
     twist,
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
 
-from _oracles import random_homogeneous
+from _oracles import (
+    random_homogeneous,
+    subquotient_induced_map,
+    subquotient_quasi_iso,
+)
 
 
 NV = 2
@@ -369,8 +373,7 @@ def test_triangle_from_ses_names_the_failing_check(why):
 
 def test_cohomology_subquotient_outside_window_is_zero():
     c = _koszul_complex()
-    s = cohomology_subquotient(c, 5)
-    assert is_zero_module(s.module)
+    assert is_zero_module(cohomology(c, 5))
 
 
 def _seeded_two_term(rng):
@@ -456,6 +459,84 @@ def test_subquotient_and_induced_map_share_one_basis(monkeypatch):
     d1 = GradedMap(c1, c0, PolyMatrix(nv, (0,), (1, 1), x[:2]))
     c = BoundedComplex(nv, -2, [c2, c1, c0], [d2, d1])
     runs = _groebner_runs(monkeypatch)
-    h = induced_cohomology_map(ComplexMap.identity(c), -1)
-    assert not is_zero_module(h.target)
+    h = cohomology(c, -1)
+    assert not is_zero_module(h)
     assert runs and len(runs) == len(set(runs))
+
+
+def test_les_check_runs_no_groebner_basis(monkeypatch):
+    # 0 -> R(-1)^2 --(x0, x1)--> R(-1)^2 (+) R --> coker -> 0 on P^2
+    nv = 3
+    a, b = GradedModule.free(nv, (1, 1)), GradedModule.free(nv, (1, 1, 0))
+    f = GradedMap(a, b, PolyMatrix(nv, (1, 1, 0), (1, 1), [
+        {(0, (0, 0, 0)): 1, (2, (1, 0, 0)): 1},
+        {(1, (0, 0, 0)): 1, (2, (0, 1, 0)): 1}]))
+    _, proj = cokernel_with_projection(f)
+    t = triangle_from_module_ses(f, proj)
+    runs = _groebner_runs(monkeypatch)
+    assert triangle_les_ok(t, -2, 3)
+    assert runs == []
+
+
+def test_image_reads_the_cokernel_basis(monkeypatch):
+    # R(-1)^2 --(x0, x1)--> R on P^1: image and injectivity share one basis
+    nv = 2
+    f = GradedMap(GradedModule.free(nv, (1, 1)), GradedModule.free(nv, (0,)),
+                  PolyMatrix(nv, (0,), (1, 1), [{(0, (1, 0)): 1},
+                                                {(0, (0, 1)): 1}]))
+    runs = _groebner_runs(monkeypatch)
+    assert hilbert_window(modules.image(f), 0, 2) == [0, 2, 3]
+    assert not modules.is_injective(f)
+    assert len(runs) == 1
+
+
+# -- the window-rank certificates against the subquotient route ---------------
+
+
+def _times_x0(c):
+    """Multiplication by x0, from c to c twisted by 1."""
+    nv = c.nvars
+    terms = [twist(c.term(i), 1) for i in c.window()]
+    up = BoundedComplex(nv, c.lo, terms, [
+        GradedMap(terms[k], terms[k + 1], c.diff(c.lo + k).matrix.twist_all(1))
+        for k in range(len(terms) - 1)])
+    x0 = (1,) + (0,) * (nv - 1)
+    return ComplexMap(c, up, {i: GradedMap(c.term(i), up.term(i), PolyMatrix(
+        nv, up.term(i).cover_twists, c.term(i).cover_twists,
+        [{(k, x0): 1} for k in range(c.term(i).rank)])) for i in c.window()})
+
+
+def _oracle_maps():
+    """Maps of complexes whose induced maps are isomorphisms, zero, or
+    neither: scaled identities and zero maps of seeded two-term complexes,
+    and multiplication by x0."""
+    rng = random.Random(19)
+    complexes = [_seeded_two_term(rng) for _ in range(5)]
+    maps = []
+    for c, r in zip(complexes, (3, -1, Fraction(1, 2), 2, -2)):
+        maps += [_scaled_identity(c, r), ComplexMap.zero(c, c)]
+    return maps + [_times_x0(c) for c in complexes[:3]]
+
+
+def test_cone_rank_formula_equals_the_subquotient_route():
+    checked = nonzero = 0
+    for h in _oracle_maps():
+        w = _WindowRanks()
+        lo = min(h.source.lo, h.target.lo) - 1
+        hi = max(h.source.hi, h.target.hi) + 1
+        for i in range(lo, hi + 1):
+            induced = subquotient_induced_map(h, i)
+            for d in range(-2, 5):
+                want = piece_map_rank(induced, d)
+                assert w.h_rank(h, i, d) == want, (h, i, d)
+                assert w.h_dim(h.source, i, d) == graded_piece_dim(
+                    induced.source, d)
+                checked += 1
+                nonzero += want > 0
+    assert checked > 300 and nonzero > 20
+
+
+def test_quasi_iso_by_cone_exactness_equals_the_subquotient_route():
+    verdicts = [is_quasi_iso(h) for h in _oracle_maps()]
+    assert verdicts == [subquotient_quasi_iso(h) for h in _oracle_maps()]
+    assert True in verdicts and False in verdicts

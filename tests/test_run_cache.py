@@ -273,3 +273,23 @@ def test_cech_manifest_matches_one_task_per_manifest():
     dims = [dict(payload).get("dim") for kind, _, payload in together
             if kind == "cech"]
     assert dims == ["0", "1", "0", "1"]
+
+
+def test_atiyah_span_serves_the_cech_ranks(monkeypatch):
+    # atiyah first, then h^i(Omega1): the level-1 span that the Atiyah
+    # generator builds stores its ranks, so no level is built twice
+    apart = [_cech_reports([t])[0] for t in CECH_TASKS]
+    calls = []
+    real = cech.cech_level_span
+
+    def counting(m, p, bound, cache=None):
+        calls.append((m, p, bound))
+        return real(m, p, bound, cache)
+
+    monkeypatch.setattr(cech, "cech_level_span", counting)
+    monkeypatch.setattr(gauge, "cech_level_span", counting)
+    assert _cech_reports(CECH_TASKS) == apart
+    assert len(calls) == len(set(calls))
+    om = cotangent_sheaf(ProjectiveSpace(2))
+    assert sorted((p, b) for m, p, b in calls if m == om) == [
+        (p, b) for p in range(3) for b in BOUNDS]
