@@ -15,8 +15,14 @@ files) fails the check when no file under `src/` or `tests/` names it: as a
 name that is read, as an attribute, or in an import.  Assigning a name does
 not name it.  Dunder names are exempt; Python reads them.
 
-Prints one `path:line: name` line per unused import and one
-`path:line: dead definition qualname` line per dead definition, and exits 1
+Unread fields: every field of a `@dataclass` class at the top level of
+`src/branegauge/*.py` (or of the given files) fails the check when no file
+under `src/` or `tests/` reads it as an attribute (`x.field` in a load).
+Passing it to the constructor by keyword does not read it.
+
+Prints one `path:line: name` line per unused import, one
+`path:line: dead definition qualname` line per dead definition and one
+`path:line: unread field Class.field` line per unread field, and exits 1
 if there is any, else 0.  Standard library only.
 """
 
@@ -86,6 +92,35 @@ def definitions(path: Path) -> list[tuple[int, str, str]]:
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(path: Path) -> list[tuple[int, str, str]]:
+    """(line, qualname, name) of every field of path's top-level
+    dataclasses."""
+    return [
+        (item.lineno, f"{node.name}.{item.target.id}", item.target.id)
+        for node in _tree(path).body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def read_attributes(paths) -> set[str]:
+    """Every attribute name the files read (`x.name` in a load)."""
+    return {
+        node.attr
+        for path in paths for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def named(paths) -> set[str]:
     """Every identifier the files name: names read, attributes and imports."""
     out: set[str] = set()
@@ -110,12 +145,19 @@ def main(argv: list[str]) -> int:
         for line, name in unused_imports(path):
             print(f"{path}:{line}: {name}")
             bad += 1
-    used = named(sorted((ROOT / "src").rglob("*.py"))
-                 + sorted((ROOT / "tests").rglob("*.py")))
+    readers = (sorted((ROOT / "src").rglob("*.py"))
+               + sorted((ROOT / "tests").rglob("*.py")))
+    used = named(readers)
     for path in paths:
         for line, qualname, name in definitions(path):
             if name not in used:
                 print(f"{path}:{line}: dead definition {qualname}")
+                bad += 1
+    read = read_attributes(readers)
+    for path in paths:
+        for line, qualname, name in dataclass_fields(path):
+            if name not in read:
+                print(f"{path}:{line}: unread field {qualname}")
                 bad += 1
     return 1 if bad else 0
 

@@ -12,7 +12,9 @@ read-back of the integer one.  The subquotient route is the exception to
 the rule above: it is how the derived layer used to present H^i and its
 induced maps, through the module code's kernels and Groebner lifts, kept
 as the reference for the window-rank certificates that replaced it.
-The two matrix builders at the end only
+ses_comparison_map is the other exception: the map Con(f) -> C that
+triangle_from_ses no longer builds, kept to test the mapping-cone lemma
+that replaced it.  The two matrix builders at the end only
 spell a PolyMatrix row by row, as the tests write them; the package builds
 its matrices column by column and does not need them.  The last helper,
 random_homogeneous, draws seeded test inputs.
@@ -24,6 +26,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from branegauge.complexes import ComplexMap
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -391,6 +394,24 @@ def subquotient_quasi_iso(h) -> bool:
     lo = min(h.source.lo, h.target.lo)
     hi = max(h.source.hi, h.target.hi)
     return all(is_iso(subquotient_induced_map(h, i)) for i in range(lo, hi + 1))
+
+
+def ses_comparison_map(f, g, con) -> ComplexMap:
+    """The map Con(f) -> C that is g on B and zero on A[1], for
+    A --f--> B --g--> C with con = Con(f), checked to commute with the
+    differentials.  By the mapping-cone lemma it is a quasi-isomorphism when
+    the sequence is exact in every degree."""
+    a, b, c = f.source, f.target, g.target
+    levels = {}
+    for i in con.window():
+        mat = PolyMatrix.blocks(
+            a.nvars,
+            [c.term(i).cover_twists],
+            [a.term(i + 1).cover_twists, b.term(i).cover_twists],
+            {(0, 1): g.level(i).matrix},
+        )
+        levels[i] = GradedMap(con.term(i), c.term(i), mat, check=False)
+    return ComplexMap(con, c, levels, check=True)
 
 
 def matrix_from_rows(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:

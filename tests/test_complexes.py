@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from branegauge import groebner, modules
+from branegauge import complexes, groebner, modules
 from branegauge.complexes import (
     BoundedComplex,
     ComplexMap,
@@ -27,7 +27,12 @@ from branegauge.complexes import (
     triangle_from_ses,
     triangle_les_ok,
 )
-from branegauge.errors import NotAComplexError, NotExactError, ShapeError
+from branegauge.errors import (
+    NotAComplexError,
+    NotExactError,
+    ShapeError,
+    ZeroDivisorError,
+)
 from branegauge.linalg import sparse_rank
 from branegauge.modules import (
     GradedMap,
@@ -36,15 +41,18 @@ from branegauge.modules import (
     exactness_failure,
     graded_piece_dim,
     hilbert_window,
+    is_injective,
     is_zero_module,
     piece_map_rank,
     twist,
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
+from branegauge.projective import ProjectiveSpace, generator, hyperplane_ses
 
 from _oracles import (
     random_homogeneous,
+    ses_comparison_map,
     subquotient_induced_map,
     subquotient_quasi_iso,
 )
@@ -376,6 +384,18 @@ def test_cohomology_subquotient_outside_window_is_zero():
     assert is_zero_module(cohomology(c, 5))
 
 
+def test_outside_the_window_each_zero_object_is_built_once():
+    c = _koszul_complex()
+    assert c.term(c.hi + 1) is c.term(c.lo - 3)
+    assert cohomology(c, 5) is c.term(5)
+    for i in (c.lo - 2, c.lo - 1, c.hi, c.hi + 1):
+        assert c.diff(i) is c.diff(i)
+        assert c.diff(i).source is c.term(i)
+        assert c.diff(i).target is c.term(i + 1)
+    assert c.diff(c.lo - 2) is c.diff(c.hi + 1)
+    assert c.diff(c.lo - 1) is not c.diff(c.hi)
+
+
 def _seeded_two_term(rng):
     """F1 -> F0 on P^2 in degrees -1, 0: one or two summands each, random
     homogeneous entries (some zero), so the map may or may not be injective."""
@@ -478,6 +498,25 @@ def test_les_check_runs_no_groebner_basis(monkeypatch):
     assert runs == []
 
 
+def test_triangle_from_ses_asks_each_exactness_question_once(monkeypatch):
+    # 0 -> R(-1) --x0--> R --> R/(x0) -> 0 on P^2
+    nv = 3
+    a, b = GradedModule.free(nv, (1,)), GradedModule.free(nv, (0,))
+    f = GradedMap(a, b, PolyMatrix(nv, (0,), (1,), [{(0, (1, 0, 0)): 1}]))
+    _, proj = cokernel_with_projection(f)
+    calls = []
+    real = modules.kernel_in_image
+
+    def recording(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(modules, "kernel_in_image", recording)
+    monkeypatch.setattr(complexes, "kernel_in_image", recording)
+    assert triangle_from_module_ses(f, proj).witness == "from_ses"
+    assert len(calls) == 1
+
+
 def test_image_reads_the_cokernel_basis(monkeypatch):
     # R(-1)^2 --(x0, x1)--> R on P^1: image and injectivity share one basis
     nv = 2
@@ -540,3 +579,72 @@ def test_quasi_iso_by_cone_exactness_equals_the_subquotient_route():
     verdicts = [is_quasi_iso(h) for h in _oracle_maps()]
     assert verdicts == [subquotient_quasi_iso(h) for h in _oracle_maps()]
     assert True in verdicts and False in verdicts
+
+
+# -- the mapping-cone lemma behind triangle_from_ses --------------------------
+
+
+def _injective_map(rng, rank, offsets):
+    """A seeded injective F1 -> F0 on P^2 in one of the complex-batch shapes
+    that become triangles: rank 1 of degree 1 or 2, or rank 2 with column
+    degree offsets (0, 1)."""
+    nv = 3
+    while True:
+        base = rng.randint(-2, 1)
+        t0 = tuple(base + rng.randint(0, 1) for _ in range(rank))
+        t1 = tuple(max(t0) + off for off in offsets)
+        cols = [[random_homogeneous(rng, nv, c - r) if c >= r
+                 else Polynomial.zero(nv) for r in t0] for c in t1]
+        f = GradedMap(GradedModule.free(nv, t1), GradedModule.free(nv, t0),
+                      PolyMatrix.from_columns(nv, t0, cols, list(t1)))
+        if is_injective(f):
+            return f
+
+
+def _termwise_cokernel(h):
+    """g: B -> C, the termwise cokernel of an injective map h: A -> B of
+    complexes, with C's differentials those of B."""
+    b = h.target
+    projections = [cokernel_with_projection(h.level(i)) for i in b.window()]
+    terms = [q for q, _ in projections]
+    c = BoundedComplex(b.nvars, b.lo, terms, [
+        GradedMap(terms[k], terms[k + 1], b.diff(b.lo + k).matrix)
+        for k in range(len(terms) - 1)])
+    return ComplexMap(b, c, {i: proj for i, (_, proj)
+                             in zip(b.window(), projections)})
+
+
+def _accepted_sequences():
+    """Short exact sequences A --f--> B --g--> C of complexes: the
+    hyperplane sequence of every generator S_k on P^1..P^3 that x0 does not
+    kill, seeded injective two-term maps of the complex-batch shapes onto
+    their cokernels, and x0 times a seeded free two-term complex onto its
+    quotient by x0."""
+    seqs = []
+    for n in (1, 2, 3):
+        p = ProjectiveSpace(n)
+        for k in range(1, n + 2):
+            try:
+                f, g = hyperplane_ses(generator(k, p).module)
+            except ZeroDivisorError:
+                continue
+            seqs.append((f, g))
+    rng = random.Random(20)
+    for rank, offsets in ((1, (1,)), (1, (2,)), (2, (0, 1))) * 2:
+        f = _injective_map(rng, rank, offsets)
+        seqs.append((f, cokernel_with_projection(f)[1]))
+    out = []
+    for f, g in seqs:
+        a, b, c = (embed_object(m) for m in (f.source, f.target, g.target))
+        out.append((ComplexMap(a, b, {0: f}), ComplexMap(b, c, {0: g})))
+    h = _times_x0(_seeded_two_term(random.Random(7)))
+    return out + [(h, _termwise_cokernel(h))]
+
+
+def test_cone_of_an_accepted_sequence_is_quasi_isomorphic_to_the_quotient():
+    seqs = _accepted_sequences()
+    assert len(seqs) == 10
+    assert any(f.source.hi > f.source.lo for f, _ in seqs)
+    for f, g in seqs:
+        t = triangle_from_ses(f, g)
+        assert is_quasi_iso(ses_comparison_map(t.f, g, t.c))

@@ -144,6 +144,10 @@ def test_jet_sequence_record_fields():
     p = ProjectiveSpace(2)
     rec = jet_sequence_record(3, p)
     assert rec.twist == 3
+    # 0 -> Omega1(3) -> J^1 -> O(3) -> 0: Omega1 has three generators of
+    # degree 2 and O(3) one of degree -3
+    assert rec.left_cover_twists == (-1, -1, -1)
+    assert rec.right_cover_twists == (-3,)
     assert rec.class_coordinate == Fraction(3)
     assert rec.splits is False
     assert jet_sequence_record(0, p).splits is True
