@@ -10,6 +10,9 @@ and follows them transitively.  It fails when
   floor layer that every other module builds on;
 - `homspace` reaches `groebner` or `modules`: `HomBasis` is the Groebner-free
   cross-check of the module-Hom path, so it must not depend on that path;
+- `complexes` reaches `projective`, `gauge`, `cech`, `tasks`, `manifest` or
+  `cli`: the derived layer sits below the projective layer, which reads
+  `complexes.rhom_complex` for sheaf Hom, so that edge never closes a cycle;
 - `polymatrix` or `linalg` reaches any module but `errors`, `polynomials`,
   `linalg` and `polymatrix`: the matrix form and the sparse algebra sit
   below the Groebner engine, which builds on them;
@@ -54,6 +57,7 @@ ONLY = {
 # module -> modules it must not reach, directly or through others
 BANNED = {
     "homspace": {"groebner", "modules"},
+    "complexes": {"projective", "gauge", "cech", "tasks", "manifest", "cli"},
 }
 
 

@@ -25,6 +25,7 @@ from .complexes import (
     hom_complex,
     is_acyclic,
     is_quasi_iso,
+    rhom_complex,
     rotate_triangle,
     shift,
     shift_map,
@@ -47,7 +48,6 @@ from .errors import (
     NotWellDefinedError,
     PolynomialSyntaxError,
     RingMismatchError,
-    SaturationCapError,
     ShapeError,
     SupportDisjointFinding,
     ZeroDivisorError,
@@ -87,9 +87,7 @@ from .modules import (
     kernel_in_image,
     kernel_with_inclusion,
     minimal_presentation,
-    saturate,
     tensor,
-    torsion_free_quotient,
     twist,
     twist_map,
 )

@@ -27,7 +27,11 @@ lemma (Weibel, An Introduction to Homological Algebra, 1.5), so it is not
 built.  Cone differentials and the inclusion, projection and rotation
 comparison maps are PolyMatrix.blocks over the summands' twist groups; so
 is each Hom-complex differential, over the coordinate groups
-Hom(B^i, C^{i+m}) of its source and target.
+Hom(B^i, C^{i+m}) of its source and target.  rhom_complex is the one
+builder of Hom(F_., N) for a free resolution F_. of M: its cohomology is
+Ext^k_R(M, N), and cohomology_piece_dim reads its graded pieces, which is
+how projective.sheaf_hom_dim applies local duality.  This layer sits below
+projective and never imports it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,10 @@ from .homspace import HomBasis
 from .modules import (
     GradedMap,
     GradedModule,
+    _direct_sum_of_twists,
     direct_sum,
     exactness_failure,
+    free_resolution,
     kernel_in_image,
     kernel_with_inclusion,
     lift_map_through_inclusion,
@@ -398,6 +404,27 @@ def hom_complex(b: BoundedComplex, c: BoundedComplex, hom_dim=None) -> HomComple
     return HomComplexReport(
         lo, hi, report_dims, tuple(blocks), zero, tuple(differentials), dd
     )
+
+
+# -- RHom -------------------------------------------------------------------
+
+
+def rhom_complex(m: GradedModule, n: GradedModule) -> BoundedComplex:
+    """Hom(F_., N) for the minimal free resolution F_. of m, in degrees
+    0..length, so its cohomology is Ext^k_R(M, N) and
+    cohomology_piece_dim(c, k, e) is dim Ext^k_R(M, N)_e.
+
+    Term k is (+)_t N(t) over F_k's twists and d^k is step_k dual (x) I_N,
+    the map hom_module builds for one step; d o d = 0 is certified.
+    """
+    res = free_resolution(m)
+    twists = [res.base_twists] + [step.col_twists for step in res.steps]
+    terms = [_direct_sum_of_twists(n, t) for t in twists]
+    ident = PolyMatrix.identity(n.nvars, n.cover_twists)
+    diffs = [GradedMap(terms[k], terms[k + 1], step.dual().kron(ident),
+                       check=False)
+             for k, step in enumerate(res.steps)]
+    return BoundedComplex(n.nvars, 0, terms, diffs, check=True)
 
 
 # -- triangles --------------------------------------------------------------

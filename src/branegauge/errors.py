@@ -52,10 +52,6 @@ class ZeroDivisorError(BraneGaugeError):
         self.witness = witness
 
 
-class SaturationCapError(BraneGaugeError):
-    """Saturation exceeded the hard degree/iteration cap (default 40)."""
-
-
 class CechStabilizationError(BraneGaugeError):
     """Truncated Cech dimensions did not agree at bound and bound + 1.
 

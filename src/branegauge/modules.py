@@ -2,26 +2,24 @@
 
 A GradedModule is the cokernel of a homogeneous relation matrix: the row
 twists of that matrix are the degrees of the cover generators.  Everything
-downstream (kernels, images, Hom, resolutions, saturation) is phrased as
-syzygy or membership computations against such presentations, so the whole
+downstream (kernels, images, Hom, resolutions) is phrased as syzygy or
+membership computations against such presentations, so the whole
 layer reduces to the Groebner kernel plus exact sparse linear algebra.
 GradedModule.relation_gb is the one Groebner run here; a map's cokernel
 [f | target relations] is built once per map, so its basis serves the
 map's kernel, the lifts through it and its surjectivity test.
 Every kernel goes through one path, kernel_generators, whose syzygy run
-carries the m * syz = 0 certificate; torsion removal is that kernel applied
-to multiplication by the variables (_times_variables), and saturation
-extends sections along the same map.  Exactness at B of A -> B -> C is
+carries the m * syz = 0 certificate.  Exactness at B of A -> B -> C is
 one primitive on the same generators, kernel_in_image: every kernel
 generator of g lifts through cokernel(f).  exactness_failure and the
 derived layer's acyclicity test read it, and neither presents a kernel.
 Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
 degree-d window of a presentation, linalg.degree_window, which HomBasis
 (homspace.py) ranks too.
-Direct sums, tensor products, twisted sums (+)_k N(t_k), Hom's
-composition-with-relations map and multiplication by the variables are
-PolyMatrix.blocks, kron and dual (see polymatrix.py for the layout); no
-function here computes a flattened cover index.
+Direct sums, tensor products, twisted sums (+)_k N(t_k) and Hom's
+composition-with-relations map are PolyMatrix.blocks, kron and dual (see
+polymatrix.py for the layout); no function here computes a flattened cover
+index.
 
 Twist convention: twist(M, k) is M(k), with M(k)_d = M_{d+k}; cover degrees
 drop by k.  The free rank-one module with a single generator in degree -a
@@ -36,7 +34,6 @@ from .errors import (
     CertificateError,
     NotWellDefinedError,
     RingMismatchError,
-    SaturationCapError,
     ShapeError,
 )
 from .groebner import (
@@ -49,8 +46,6 @@ from .groebner import (
 from .linalg import MVec, _expand, _mvec_axpy, degree_window
 from .polymatrix import PolyMatrix
 from .polynomials import Polynomial, monomials_of_degree, qinv
-
-SATURATION_CAP = 40
 
 
 class GradedModule:
@@ -536,7 +531,7 @@ def hom_module_with_inclusion(
     return kernel_with_inclusion(phi)
 
 
-# -- truncation and saturation ----------------------------------------------
+# -- truncation -------------------------------------------------------------
 
 
 def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMap]:
@@ -552,74 +547,6 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
                              [b.col_twists for b in parts.values()], parts)
     return _submodule(GradedMap(GradedModule.free(nv, gens.col_twists), m,
                                 gens, check=False))
-
-
-def _times_variables(m: GradedModule) -> GradedMap:
-    """The map M -> M(1)^(n+1), v |-> (x_0 v, ..., x_n v).
-
-    Its kernel is the colon (relations : (x0..xn)) modulo the relations, and
-    its target is Hom((x0..xn), M) on the ideal's cover (saturate)."""
-    nv = m.nvars
-    return GradedMap(
-        m, _direct_sum_of_twists(m, (1,) * nv),
-        PolyMatrix.koszul(nv, 1).dual().kron(
-            PolyMatrix.identity(nv, m.cover_twists)),
-        check=False,
-    )
-
-
-def torsion_free_quotient(m: GradedModule) -> GradedModule:
-    """Quotient by the irrelevant-ideal torsion submodule.
-
-    Each round adds to the relations the generators of the kernel of
-    multiplication by the variables (_times_variables), the elements that
-    every x_i sends into the relations; when that kernel is zero the module
-    has no torsion left.  Each round is one certified kernel run.
-    """
-    current = m
-    for _ in range(SATURATION_CAP):
-        new = kernel_generators(_times_variables(current))
-        if not new.cols:
-            return current
-        current = GradedModule(current.relations.hstack(new))
-    raise SaturationCapError(
-        f"torsion removal did not stabilize within {SATURATION_CAP} rounds"
-    )
-
-
-def saturation_floor(m: GradedModule) -> int:
-    return min([0] + [t for t in m.cover_twists])
-
-
-def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
-    """Saturation with respect to the irrelevant ideal, truncated at floor.
-
-    Torsion is removed as the kernel of multiplication by the variables
-    (torsion_free_quotient); sections are extended by iterating the natural
-    map M -> Hom((x0..xn), M), multiplication by the variables lifted
-    through Hom's inclusion, until it is an isomorphism.  The
-    result agrees with the full saturation in all degrees >= floor (default:
-    min(0, cover degrees)); point-supported sheaves have sections in every
-    low degree, so some floor is forced on any finitely generated answer.
-    """
-    if floor is None:
-        floor = saturation_floor(m)
-    current = minimal_presentation(torsion_free_quotient(m))
-    if is_zero_module(current):
-        return GradedModule.zero(m.nvars)
-    # (x0..xn) as a module: covers in degree 1, the Koszul relations
-    ideal = GradedModule(PolyMatrix.koszul(m.nvars, 2))
-    for _ in range(SATURATION_CAP):
-        hom, incl = hom_module_with_inclusion(ideal, current)
-        nat = lift_map_through_inclusion(_times_variables(current), incl)
-        trunc, tr_incl = truncate_module(hom, floor)
-        nat_t = lift_map_through_inclusion(nat, tr_incl)
-        if is_iso(nat_t):
-            return current
-        current = minimal_presentation(trunc)
-    raise SaturationCapError(
-        f"section extension did not stabilize within {SATURATION_CAP} rounds"
-    )
 
 
 def piece_dim_and_map_rank(f: GradedMap, d: int) -> tuple[int, int]:

@@ -3,9 +3,16 @@ sheaf Hom, and the hyperplane sequence, and the one reader of the built-in
 sheaf names O(a), S(k) and Omega1.
 
 The coordinate ring of P^n has n+1 variables x0..xn.  Sheaves are graded
-modules up to saturation; sheaf-level Hom dimensions are computed through
-torsion removal on the source and floor-truncated saturation on the target,
-then a degree-0 graded Hom computation.  The generator relations, the Euler
+modules up to saturation, and no module here is saturated: the sheaf Hom
+dimension is h^0 of H~ for the module H = Hom_R(F, G) (Hartshorne, Algebraic
+Geometry, II.5), read by graded local duality (Brodmann-Sharp, Local
+Cohomology) as
+
+    h^0(H~) = dim H_0 - dim Ext^{n+1}_R(H, R(-n-1))_0
+              + dim Ext^n_R(H, R(-n-1))_0,
+
+with both Ext pieces window ranks of complexes.rhom_complex, so no bound and
+no iteration cap enters.  The generator relations, the Euler
 map, Omega^1 and its inclusion and the hyperplane map are all columns of
 PolyMatrix.koszul, so the pair numbering of Omega^1's generators is the
 one in polymatrix.py.
@@ -16,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .complexes import cohomology_piece_dim, rhom_complex
 from .errors import (
     CertificateError,
     DeskScaleError,
@@ -31,11 +39,7 @@ from .modules import (
     exactness_failure,
     graded_piece_dim,
     hom_module,
-    is_zero_module,
     kernel_generators,
-    minimal_presentation,
-    saturate,
-    torsion_free_quotient,
     twist,
 )
 from .polymatrix import PolyMatrix
@@ -193,16 +197,22 @@ def euler_map(p: ProjectiveSpace) -> GradedMap:
 
 def sheaf_hom_dim(f: GradedModule, g: GradedModule,
                   cache: dict | None = None) -> int:
-    """Dimension of the space of sheaf maps F~ -> G~.
+    """Dimension of the space of sheaf maps F~ -> G~, with no saturation.
 
-    Source torsion cannot map anywhere in a saturated target, so the source
-    is replaced by its torsion-free quotient; the target is saturated with a
-    floor no higher than any surviving source generator, which keeps every
-    candidate image inside the truncated window.
+    Hom commutes with the localizations that define the charts, so
+    Hom(F~, G~) = H^0(P^n, H~) for H = Hom_R(F, G) (Hartshorne, Algebraic
+    Geometry, II.5).  The sequence 0 -> H^0_m(H) -> H -> (+)_d H^0(H~(d))
+    -> H^1_m(H) -> 0 and graded local duality (Brodmann-Sharp, Local
+    Cohomology) give
 
-    Both presentations are looked up in `cache` by the module's presentation
-    (keys ("torsion_free", f) and ("saturate", g, floor)); pass one dict
-    through a run to compute each distinct one once.
+        h^0(H~) = dim H_0 - dim Ext^{n+1}_R(H, R(-n-1))_0
+                  + dim Ext^n_R(H, R(-n-1))_0,
+
+    both Ext pieces read from window ranks of complexes.rhom_complex.
+
+    The int is looked up in `cache` under ("sheaf_hom", f, g), keyed by the
+    presentations; pass one dict through a run to compute each distinct
+    pair once.
     """
     if f.nvars != g.nvars:
         raise ShapeError("sheaf hom over mismatched rings")
@@ -210,20 +220,14 @@ def sheaf_hom_dim(f: GradedModule, g: GradedModule,
         return 0
     if cache is None:
         cache = {}
-    key = ("torsion_free", f)
-    src = cache.get(key)
-    if src is None:
-        src = cache[key] = minimal_presentation(torsion_free_quotient(f))
-    if src.rank == 0 or is_zero_module(src):
-        return 0
-    floor = min([0] + list(src.cover_twists) + list(g.cover_twists))
-    key = ("saturate", g, floor)
-    tgt = cache.get(key)
-    if tgt is None:
-        tgt = cache[key] = saturate(g, floor)
-    if tgt.rank == 0:
-        return 0
-    return graded_piece_dim(hom_module(src, tgt), 0)
+    key = ("sheaf_hom", f, g)
+    if key not in cache:
+        nv = f.nvars
+        h = hom_module(f, g)
+        c = rhom_complex(h, GradedModule.free(nv, (nv,)))
+        cache[key] = (graded_piece_dim(h, 0) - cohomology_piece_dim(c, nv, 0)
+                      + cohomology_piece_dim(c, nv - 1, 0))
+    return cache[key]
 
 
 def global_sections_dim(f: GradedModule) -> int:
@@ -237,9 +241,9 @@ def global_sections_dim(f: GradedModule) -> int:
 def hyperplane_ses(s: GradedModule) -> tuple[GradedMap, GradedMap]:
     """The two maps of 0 -> S(-1) --x0--> S -> S/x0S -> 0.
 
-    Requires x0 to be a nonzerodivisor on S; a nonzero kernel generator is
-    reported as the witness.  The sequence is then certified exact by
-    modules.exactness_failure.
+    The sequence is certified exact by modules.exactness_failure.  It needs
+    x0 to be a nonzerodivisor on S; when multiplication by x0 is not
+    injective, a nonzero kernel generator is reported as the witness.
     """
     nv = s.nvars
     x0 = PolyMatrix.koszul(nv, 1).select_columns([0])
@@ -247,14 +251,13 @@ def hyperplane_ses(s: GradedModule) -> tuple[GradedMap, GradedMap]:
         twist(s, -1), s, x0.kron(PolyMatrix.identity(nv, s.cover_twists)),
         check=False,
     )
-    ker = kernel_generators(mul)
-    if ker.cols:
-        witness = [str(q) for q in ker.column(0)]
+    _, proj = cokernel_with_projection(mul)
+    why = exactness_failure(mul, proj)
+    if why == "first map is not injective":
+        witness = [str(q) for q in kernel_generators(mul).column(0)]
         raise ZeroDivisorError(
             "x0 is a zerodivisor on the module", witness=witness
         )
-    _, proj = cokernel_with_projection(mul)
-    why = exactness_failure(mul, proj)
     if why is not None:
         raise NotExactError(f"hyperplane sequence: {why}")
     return mul, proj

@@ -38,12 +38,13 @@ class RunContext:
     """What every handler of one run shares.
 
     `cache` is the run's one memo dict, keyed by namespaced tuples such as
-    ("saturate", module, floor), ("hom_pair", n, i, j), the per-level Cech
+    ("sheaf_hom", source, target), ("hom_pair", n, i, j), the per-level Cech
     ranks ("cech_ranks", module, p, bound) and the checked O(1) Atiyah
     cochain with its residual ("atiyah_generator", n, bound).  run_tasks
     creates it and drops it when the run ends; the lem1-check, gauge-bound,
     sheaf-hom, cech and atiyah handlers pass it down explicitly.  Values are
-    ints, modules, cochains and residual dicts, never a tracker or a window.
+    ints (every Hom-side entry), cochains and residual dicts, never a
+    module, a tracker or a window.
     A failed check stores nothing.  Two other memos sit outside it: the
     process-wide tables polynomials.monomials_of_degree and
     linalg._cover_index, and the per-instance relation basis of a module

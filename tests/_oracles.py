@@ -8,16 +8,18 @@ reference for its map-over-operator versions.  laurent_cech_ranks keeps the
 Cech level on its truncated Laurent spots, with no shift to a polynomial
 window.  MonicSpanTracker is the sparse tracker as it was before it went
 fraction-free: monic pivots over Fraction, the reference for every
-read-back of the integer one.  The subquotient route is the exception to
-the rule above: it is how the derived layer used to present H^i and its
-induced maps, through the module code's kernels and Groebner lifts, kept
-as the reference for the window-rank certificates that replaced it.
-ses_comparison_map is the other exception: the map Con(f) -> C that
-triangle_from_ses no longer builds, kept to test the mapping-cone lemma
-that replaced it.  The two matrix builders at the end only
-spell a PolyMatrix row by row, as the tests write them; the package builds
-its matrices column by column and does not need them.  The last helper,
-random_homogeneous, draws seeded test inputs.
+read-back of the integer one.  Three exceptions to the rule above go
+through the module code's kernels and Groebner lifts.  The subquotient
+route is how the derived layer used to present H^i and its induced maps,
+kept as the reference for the window-rank certificates that replaced it.
+ses_comparison_map is the map Con(f) -> C that triangle_from_ses no longer
+builds, kept to test the mapping-cone lemma that replaced it.  The
+saturation route (torsion removal, floor-truncated saturation, then the
+degree-0 module Hom) is how sheaf Hom was computed before graded local
+duality, kept as the reference for projective.sheaf_hom_dim.  The two
+matrix builders at the end only spell a PolyMatrix row by row, as the tests
+write them; the package builds its matrices column by column and does not
+need them.  The last helper, random_homogeneous, draws seeded test inputs.
 """
 
 from __future__ import annotations
@@ -27,12 +29,21 @@ from fractions import Fraction
 from itertools import combinations
 
 from branegauge.complexes import ComplexMap
+from branegauge.errors import BraneGaugeError
 from branegauge.modules import (
     GradedMap,
     GradedModule,
+    _direct_sum_of_twists,
+    graded_piece_dim,
+    hom_module,
+    hom_module_with_inclusion,
     is_iso,
+    is_zero_module,
+    kernel_generators,
     kernel_with_inclusion,
     lift_map_through_inclusion,
+    minimal_presentation,
+    truncate_module,
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import (
@@ -412,6 +423,103 @@ def ses_comparison_map(f, g, con) -> ComplexMap:
         )
         levels[i] = GradedMap(con.term(i), c.term(i), mat, check=False)
     return ComplexMap(con, c, levels, check=True)
+
+
+# The saturation route: how sheaf Hom was computed before local duality,
+# through torsion removal on the source and floor-truncated saturation on
+# the target, kept as the reference for projective.sheaf_hom_dim.
+
+SATURATION_CAP = 40
+
+
+class SaturationCapError(BraneGaugeError):
+    """Saturation exceeded the hard iteration cap (SATURATION_CAP)."""
+
+
+def _times_variables(m: GradedModule) -> GradedMap:
+    """The map M -> M(1)^(n+1), v |-> (x_0 v, ..., x_n v).
+
+    Its kernel is the colon (relations : (x0..xn)) modulo the relations, and
+    its target is Hom((x0..xn), M) on the ideal's cover (saturate)."""
+    nv = m.nvars
+    return GradedMap(
+        m, _direct_sum_of_twists(m, (1,) * nv),
+        PolyMatrix.koszul(nv, 1).dual().kron(
+            PolyMatrix.identity(nv, m.cover_twists)),
+        check=False,
+    )
+
+
+def torsion_free_quotient(m: GradedModule) -> GradedModule:
+    """Quotient by the irrelevant-ideal torsion submodule.
+
+    Each round adds to the relations the generators of the kernel of
+    multiplication by the variables (_times_variables), the elements that
+    every x_i sends into the relations; when that kernel is zero the module
+    has no torsion left.  Each round is one certified kernel run.
+    """
+    current = m
+    for _ in range(SATURATION_CAP):
+        new = kernel_generators(_times_variables(current))
+        if not new.cols:
+            return current
+        current = GradedModule(current.relations.hstack(new))
+    raise SaturationCapError(
+        f"torsion removal did not stabilize within {SATURATION_CAP} rounds"
+    )
+
+
+def saturation_floor(m: GradedModule) -> int:
+    return min([0] + [t for t in m.cover_twists])
+
+
+def saturate(m: GradedModule, floor: int | None = None) -> GradedModule:
+    """Saturation with respect to the irrelevant ideal, truncated at floor.
+
+    Torsion is removed as the kernel of multiplication by the variables
+    (torsion_free_quotient); sections are extended by iterating the natural
+    map M -> Hom((x0..xn), M), multiplication by the variables lifted
+    through Hom's inclusion, until it is an isomorphism.  The
+    result agrees with the full saturation in all degrees >= floor (default:
+    min(0, cover degrees)); point-supported sheaves have sections in every
+    low degree, so some floor is forced on any finitely generated answer.
+    """
+    if floor is None:
+        floor = saturation_floor(m)
+    current = minimal_presentation(torsion_free_quotient(m))
+    if is_zero_module(current):
+        return GradedModule.zero(m.nvars)
+    # (x0..xn) as a module: covers in degree 1, the Koszul relations
+    ideal = GradedModule(PolyMatrix.koszul(m.nvars, 2))
+    for _ in range(SATURATION_CAP):
+        hom, incl = hom_module_with_inclusion(ideal, current)
+        nat = lift_map_through_inclusion(_times_variables(current), incl)
+        trunc, tr_incl = truncate_module(hom, floor)
+        nat_t = lift_map_through_inclusion(nat, tr_incl)
+        if is_iso(nat_t):
+            return current
+        current = minimal_presentation(trunc)
+    raise SaturationCapError(
+        f"section extension did not stabilize within {SATURATION_CAP} rounds"
+    )
+
+
+def saturation_sheaf_hom_dim(f: GradedModule, g: GradedModule) -> int:
+    """dim Hom(F~, G~) by saturation.  Source torsion cannot map anywhere in
+    a saturated target, so the source is replaced by its torsion-free
+    quotient; the target is saturated with a floor no higher than any
+    surviving source generator, which keeps every candidate image inside the
+    truncated window; the answer is the degree-0 piece of the module Hom."""
+    if f.rank == 0 or g.rank == 0:
+        return 0
+    src = minimal_presentation(torsion_free_quotient(f))
+    if src.rank == 0 or is_zero_module(src):
+        return 0
+    floor = min([0] + list(src.cover_twists) + list(g.cover_twists))
+    tgt = saturate(g, floor)
+    if tgt.rank == 0:
+        return 0
+    return graded_piece_dim(hom_module(src, tgt), 0)
 
 
 def matrix_from_rows(nvars: int, row_twists, col_twists, grid) -> PolyMatrix:

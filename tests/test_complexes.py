@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from branegauge import complexes, groebner, modules
+from branegauge.cech import cech_cohomology_dim
 from branegauge.complexes import (
     BoundedComplex,
     ComplexMap,
@@ -20,6 +21,7 @@ from branegauge.complexes import (
     hom_complex,
     is_acyclic,
     is_quasi_iso,
+    rhom_complex,
     rotate_triangle,
     shift,
     triangle_from_cone,
@@ -41,6 +43,7 @@ from branegauge.modules import (
     exactness_failure,
     graded_piece_dim,
     hilbert_window,
+    hom_module,
     is_injective,
     is_zero_module,
     piece_map_rank,
@@ -48,9 +51,15 @@ from branegauge.modules import (
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
-from branegauge.projective import ProjectiveSpace, generator, hyperplane_ses
+from branegauge.projective import (
+    ProjectiveSpace,
+    cotangent_sheaf,
+    generator,
+    hyperplane_ses,
+)
 
 from _oracles import (
+    bott_omega1_h,
     random_homogeneous,
     ses_comparison_map,
     subquotient_induced_map,
@@ -648,3 +657,62 @@ def test_cone_of_an_accepted_sequence_is_quasi_isomorphic_to_the_quotient():
     for f, g in seqs:
         t = triangle_from_ses(f, g)
         assert is_quasi_iso(ses_comparison_map(t.f, g, t.c))
+
+
+# -- RHom: Ext from the Hom of a free resolution -------------------------------
+
+
+def _duality_h(m: GradedModule, n: int):
+    """h^i(M~(d)) on P^n by graded local duality, read from one
+    rhom_complex(M, R(-n-1)): dim Ext^{n-i}(M, R(-n-1))_{-d} for i >= 1,
+    and dim M_d - dim Ext^{n+1}_{-d} + dim Ext^n_{-d} for i = 0."""
+    c = rhom_complex(m, GradedModule.free(n + 1, (n + 1,)))
+
+    def h(i: int, d: int) -> int:
+        if i >= 1:
+            return cohomology_piece_dim(c, n - i, -d)
+        return (graded_piece_dim(m, d) - cohomology_piece_dim(c, n + 1, -d)
+                + cohomology_piece_dim(c, n, -d))
+
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rhom_duality_gives_bott_for_the_cotangent_sheaf(n):
+    h = _duality_h(cotangent_sheaf(ProjectiveSpace(n)), n)
+    for d in range(-4, 4):
+        for i in range(n + 1):
+            assert h(i, d) == bott_omega1_h(n, d, i), (i, d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rhom_duality_equals_cech_on_the_generators(n):
+    p = ProjectiveSpace(n)
+    for k in range(1, n + 2):
+        m = generator(k, p).module
+        h = _duality_h(m, n)
+        for d in (-2, 0, 1):
+            cache: dict = {}
+            # on P^4, h^2..h^4 need the Cech levels 3 and 4, which cost
+            # seconds at d = 0, 1; they are compared at d = -2 only
+            levels = range(n + 1) if n < 4 or d == -2 else (0, 1)
+            for i in levels:
+                assert h(i, d) == cech_cohomology_dim(
+                    twist(m, d), i, cache=cache), (k, i, d)
+
+
+def test_rhom_euler_characteristic_and_ext0():
+    p = ProjectiveSpace(2)
+    om = cotangent_sheaf(p)
+    s1, s2, s3 = [generator(k, p).module for k in (1, 2, 3)]
+    for m, n in [(s2, GradedModule.free(3, (3,))), (s3, om), (om, s3),
+                 (s1, om), (om, twist(s2, 1))]:
+        c = rhom_complex(m, n)
+        ext0 = hom_module(m, n)
+        for e in range(-4, 3):
+            ext = [cohomology_piece_dim(c, k, e) for k in c.window()]
+            terms = [graded_piece_dim(c.term(k), e) for k in c.window()]
+            assert (sum((-1) ** k * x for k, x in enumerate(ext))
+                    == sum((-1) ** k * x for k, x in enumerate(terms)))
+            # Ext^0 is Hom
+            assert ext[0] == graded_piece_dim(ext0, e)

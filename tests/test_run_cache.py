@@ -15,7 +15,7 @@ from branegauge.errors import (
 )
 from branegauge.gauge import atiyah_class_line_bundle, hom_pair_dim
 from branegauge.manifest import parse_manifest
-from branegauge.modules import GradedModule, saturate, tensor, twist
+from branegauge.modules import GradedModule, tensor, twist
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
@@ -71,7 +71,9 @@ def test_integral_fraction_and_int_share_one_cache_entry():
     cache: dict = {}
     dims = [sheaf_hom_dim(source, g, cache) for g in (by_fraction, by_int, half)]
     assert dims[0] == dims[1]
-    assert len([key for key in cache if key[0] == "saturate"]) == 2
+    assert list(cache) == [("sheaf_hom", source, by_int),
+                           ("sheaf_hom", source, half)]
+    assert list(cache.values()) == dims[1:]
 
 
 def test_finding_fires_again_with_a_shared_cache():
@@ -82,7 +84,8 @@ def test_finding_fires_again_with_a_shared_cache():
             hom_pair_dim(1, 3, p, cache)
         assert e.value.details["hom_dim"] == 2
     assert ("hom_pair", 2, 1, 3) not in cache
-    assert any(key[0] == "saturate" for key in cache)
+    gi, gj = generator(1, p).module, generator(3, p).module
+    assert cache[("sheaf_hom", gi, tensor(cotangent_sheaf(p), gj))] == 2
 
 
 def test_cache_gives_the_uncached_answers(monkeypatch):
@@ -93,22 +96,24 @@ def test_cache_gives_the_uncached_answers(monkeypatch):
     plain = [sheaf_hom_dim(f, g) for f, g in pairs]
     cache: dict = {}
     assert [sheaf_hom_dim(f, g, cache) for f, g in pairs] == plain
-    saturations = [key for key in cache if key[0] == "saturate"]
-    assert saturations
-    for key in saturations:
-        _, module, floor = key
-        assert cache[key] == saturate(module, floor)
+    # one int per pair, the uncached answer
+    assert list(cache) == [("sheaf_hom", f, g) for f, g in pairs]
+    assert list(cache.values()) == plain
+    assert all(type(v) is int for v in plain)
 
-    # rebuilt, equal inputs hit the cache: no saturation is recomputed
+    # rebuilt, equal inputs hit the cache: no Hom module is recomputed
     calls = []
-    real = projective.saturate
-    monkeypatch.setattr(projective, "saturate",
+    real = projective.hom_module
+    monkeypatch.setattr(projective, "hom_module",
                         lambda *a: calls.append(a) or real(*a))
     rebuilt = [(generator(i, p).module,
                 tensor(cotangent_sheaf(p), generator(j, p).module))
                for i in (1, 2) for j in (1, 2)]
     assert [sheaf_hom_dim(f, g, cache) for f, g in rebuilt] == plain
     assert calls == []
+    # the recorder does see an uncached question
+    assert sheaf_hom_dim(*rebuilt[0]) == plain[0]
+    assert len(calls) == 1
 
 
 BOUNDS = (DEFAULT_CECH_BOUND, DEFAULT_CECH_BOUND + 1)
