@@ -30,7 +30,10 @@ and follows them transitively.  It fails when
   `modules.GradedModule.relation_gb` (apart from the import in `modules`
   that serves it): each Groebner basis has one owner, the presentation
   whose relations it spans, so no caller builds a second basis of the same
-  columns.
+  columns;
+- any module but `projective` names `cech_h_dim_at` (the re-export in
+  `__init__` is exempt): `projective.cech_cohomology_dim` checks each Cech
+  number against local duality, so no task reports one unchecked.
 
 Prints one line per broken rule, with the import chain or the place that
 breaks it, and exits 1 if there is any, else 0.  Standard library only.
@@ -86,9 +89,13 @@ ENGINE_CLIENT = "modules"
 GB_OWNER = ("modules", "GradedModule.relation_gb")
 
 
-def stray_groebner_runs(mod: str, tree: ast.AST) -> list[str]:
-    """Where mod names module_groebner outside GB_OWNER, as qualified
-    names; the import in GB_OWNER's module is allowed."""
+# the one package module that may read an unchecked Cech number
+CECH_READER = "projective"
+
+
+def naming_places(tree: ast.AST, name: str) -> list[tuple[str, bool]]:
+    """(qualified place, whether an import) for every node of tree that
+    names `name`: a name, an attribute or an imported alias."""
     out = []
 
     def visit(node, qual):
@@ -97,20 +104,25 @@ def stray_groebner_runs(mod: str, tree: ast.AST) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = f"{qual}.{child.name}" if qual else child.name
-            named = (
-                (isinstance(child, ast.Name) and child.id == "module_groebner")
-                or (isinstance(child, ast.Attribute)
-                    and child.attr == "module_groebner")
-                or (isinstance(child, ast.alias)
-                    and child.name == "module_groebner"
-                    and mod != GB_OWNER[0])
-            )
-            if named and (mod, inner) != GB_OWNER:
-                out.append(f"{mod}.{inner}" if inner else mod)
+            if ((isinstance(child, ast.Name) and child.id == name)
+                    or (isinstance(child, ast.Attribute)
+                        and child.attr == name)):
+                out.append((inner, False))
+            elif isinstance(child, ast.alias) and child.name == name:
+                out.append((inner, True))
             visit(child, inner)
 
     visit(tree, "")
     return out
+
+
+def stray_groebner_runs(mod: str, tree: ast.AST) -> list[str]:
+    """Where mod names module_groebner outside GB_OWNER, as qualified
+    names; the import in GB_OWNER's module is allowed."""
+    return [f"{mod}.{where}" if where else mod
+            for where, is_import in naming_places(tree, "module_groebner")
+            if (mod, where) != GB_OWNER
+            and not (is_import and mod == GB_OWNER[0])]
 
 
 def chains(start: str, graph: dict) -> dict[str, list[str]]:
@@ -139,11 +151,16 @@ def main() -> int:
         if "groebner" in graph[mod]:
             broken.append(f"{mod} imports groebner directly; only "
                           f"{ENGINE_CLIENT} may")
-    for mod in sorted(modules - {"groebner"}):
+    for mod in sorted(modules):
         tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
-        for where in stray_groebner_runs(mod, tree):
-            broken.append(f"{where} names module_groebner outside "
-                          f"{'.'.join(GB_OWNER)}")
+        if mod != "groebner":
+            for where in stray_groebner_runs(mod, tree):
+                broken.append(f"{where} names module_groebner outside "
+                              f"{'.'.join(GB_OWNER)}")
+        if mod != CECH_READER:
+            for where, _ in naming_places(tree, "cech_h_dim_at"):
+                broken.append(f"{mod}{'.' + where if where else ''} names "
+                              f"cech_h_dim_at; only {CECH_READER} may")
     for line in broken:
         print(line)
     return 1 if broken else 0

@@ -6,11 +6,7 @@ All arithmetic is exact rational; every mathematical claim in a result is
 either certified or reported as a structured finding.
 """
 
-from .cech import (
-    DEFAULT_CECH_BOUND,
-    cech_cohomology_dim,
-    cech_h_dim_at,
-)
+from .cech import DEFAULT_CECH_BOUND, cech_h_dim_at
 from .complexes import (
     BoundedComplex,
     ComplexMap,
@@ -97,6 +93,7 @@ from .projective import (
     GeneratorSheaf,
     Locus,
     ProjectiveSpace,
+    cech_cohomology_dim,
     cotangent_inclusion,
     cotangent_sheaf,
     euler_map,

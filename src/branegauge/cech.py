@@ -23,9 +23,11 @@ dim W_p), so h^i reads levels i and i + 1 and neighbouring degrees share a
 level (cech_level_ranks, memoized in the caller's cache).  One builder,
 cech_level_span, makes each level's span; the Atiyah class (gauge.py) reads
 its residuals at level 1, and _in_relation_span its cocycle check at level
-2.  One incidence rule, _cofaces, gives D and that cocycle check.  Kernels truncate exactly but images need not, so
-every public dimension is recomputed at B + 1 and must agree; disagreement
-raises CechStabilizationError rather than reporting an unstable number.
+2.  One incidence rule, _cofaces, gives D and that cocycle check.  Kernels
+truncate exactly but images need not, so cech_h_dim_at is a number at one
+bound: projective.cech_cohomology_dim, its one reader, checks it against
+h^i by local duality and raises CechStabilizationError rather than report
+an unchecked number.  This layer runs no Groebner basis.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CechStabilizationError, ShapeError
+from .errors import ShapeError
 from .linalg import SpanTracker, WindowIndex, _window_index, degree_window
 from .polynomials import monomial_mul
 
@@ -158,7 +160,8 @@ def cech_level_ranks(m, p: int, bound: int,
 
 def cech_h_dim_at(m, i: int, bound: int,
                   cache: dict | None = None) -> int:
-    """Cohomology dimension at a single bound, no stabilization check.
+    """Cohomology dimension at a single bound, unchecked; read it through
+    projective.cech_cohomology_dim, which checks it by local duality.
 
     h^i = dim W_i - joint(i+1) + rel(i+1) - joint(i), from the per-level
     ranks of cech_level_ranks.  `cache` is the caller's memo dict (one per
@@ -170,24 +173,3 @@ def cech_h_dim_at(m, i: int, bound: int,
     joint_i, _, dim_i = cech_level_ranks(m, i, bound, cache)
     joint_up, rel_up, _ = cech_level_ranks(m, i + 1, bound, cache)
     return dim_i - joint_up + rel_up - joint_i
-
-
-def cech_cohomology_dim(m, i: int, bound: int | None = None,
-                        cache: dict | None = None) -> int:
-    """Stabilized Cech cohomology dimension of the sheaf presented by m.
-
-    Computes at the bound and at bound + 1; a mismatch aborts, because the
-    truncated relation span can lag behind the true localized one.  `cache`
-    holds only the per-level ranks ("cech_ranks", m, p, bound), so the
-    comparison runs on every call and a CechStabilizationError fires again
-    with a shared cache.
-    """
-    bound = _checked_bound(bound)
-    first = cech_h_dim_at(m, i, bound, cache)
-    second = cech_h_dim_at(m, i, bound + 1, cache)
-    if first != second:
-        raise CechStabilizationError(
-            f"h^{i} gave {first} at bound {bound} but {second} at bound "
-            f"{bound + 1}; rerun with a larger bound"
-        )
-    return first

@@ -29,8 +29,8 @@ comparison maps are PolyMatrix.blocks over the summands' twist groups; so
 is each Hom-complex differential, over the coordinate groups
 Hom(B^i, C^{i+m}) of its source and target.  rhom_complex is the one
 builder of Hom(F_., N) for a free resolution F_. of M: its cohomology is
-Ext^k_R(M, N), and cohomology_piece_dim reads its graded pieces, which is
-how projective.sheaf_hom_dim applies local duality.  This layer sits below
+Ext^k_R(M, N), and its graded pieces are window ranks (_WindowRanks),
+which is how projective applies local duality.  This layer sits below
 projective and never imports it.
 """
 
@@ -119,9 +119,12 @@ def embed_object(m: GradedModule, at: int = 0) -> BoundedComplex:
 
 
 class ComplexMap:
-    """Map of complexes; levels commute with the differentials."""
+    """Map of complexes; levels commute with the differentials.  A level
+    not given is a zero map, built at most once per degree (per map, one
+    for all degrees outside both windows); _levels holds only the given
+    ones."""
 
-    __slots__ = ("source", "target", "_levels")
+    __slots__ = ("source", "target", "_levels", "_zeros")
 
     def __init__(self, source: BoundedComplex, target: BoundedComplex,
                  levels: dict, check: bool = True):
@@ -137,6 +140,7 @@ class ComplexMap:
                 raise ShapeError(f"level {i} target mismatch")
             kept[i] = f
         self._levels = kept
+        self._zeros: dict = {}
         if check:
             lo = min(source.lo, target.lo) - 1
             hi = max(source.hi, target.hi)
@@ -152,7 +156,11 @@ class ComplexMap:
         got = self._levels.get(i)
         if got is not None:
             return got
-        return GradedMap.zero_map(self.source.term(i), self.target.term(i))
+        a, b = self.source, self.target
+        key = i if a.lo <= i <= a.hi or b.lo <= i <= b.hi else None
+        if key not in self._zeros:
+            self._zeros[key] = GradedMap.zero_map(a.term(i), b.term(i))
+        return self._zeros[key]
 
     @classmethod
     def identity(cls, c: BoundedComplex) -> "ComplexMap":

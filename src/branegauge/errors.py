@@ -53,10 +53,12 @@ class ZeroDivisorError(BraneGaugeError):
 
 
 class CechStabilizationError(BraneGaugeError):
-    """Truncated Cech dimensions did not agree at bound and bound + 1.
+    """A truncated Cech window gave a number the exact check refutes.
 
-    The engine refuses to report an unstabilized dimension; rerun with a
-    larger --cech-bound.
+    A Cech dimension at the bound that differs from h^i by local duality
+    (projective.cech_cohomology_dim), or an Atiyah generating class that
+    reduces to a coboundary at the bound.  The engine refuses to report the
+    number; rerun with a larger --cech-bound.
     """
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cech import (
-    CechStabilizationError,
     _checked_bound,
     _cofaces,
     _in_relation_span,
@@ -23,6 +22,7 @@ from .cech import (
 )
 from .complexes import BoundedComplex
 from .errors import (
+    CechStabilizationError,
     NonGeneratorTermError,
     NotWellDefinedError,
     ShapeError,

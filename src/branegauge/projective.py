@@ -1,21 +1,22 @@
 """Projective-space constructions: the generator family, cotangent sheaf,
-sheaf Hom, and the hyperplane sequence, and the one reader of the built-in
-sheaf names O(a), S(k) and Omega1.
+sheaf cohomology and sheaf Hom, and the hyperplane sequence, and the one
+reader of the built-in sheaf names O(a), S(k) and Omega1.
 
 The coordinate ring of P^n has n+1 variables x0..xn.  Sheaves are graded
-modules up to saturation, and no module here is saturated: the sheaf Hom
-dimension is h^0 of H~ for the module H = Hom_R(F, G) (Hartshorne, Algebraic
-Geometry, II.5), read by graded local duality (Brodmann-Sharp, Local
-Cohomology) as
+modules up to saturation, and no module here is saturated: graded local
+duality (Brodmann-Sharp, Local Cohomology) reads the sheaf cohomology of M~
+off E^k = dim Ext^k_R(M, R(-n-1))_0 as
 
-    h^0(H~) = dim H_0 - dim Ext^{n+1}_R(H, R(-n-1))_0
-              + dim Ext^n_R(H, R(-n-1))_0,
+    h^0(M~) = dim M_0 - E^{n+1} + E^n,    h^i(M~) = E^{n-i} for i >= 1,
 
-with both Ext pieces window ranks of complexes.rhom_complex, so no bound and
-no iteration cap enters.  The generator relations, the Euler
-map, Omega^1 and its inclusion and the hyperplane map are all columns of
-PolyMatrix.koszul, so the pair numbering of Omega^1's generators is the
-one in polymatrix.py.
+each E^k a window rank of complexes.rhom_complex, so no bound and no
+iteration cap enters (_duality_h).  The sheaf Hom dimension is h^0 of H~
+for the module H = Hom_R(F, G) (Hartshorne, Algebraic Geometry, II.5), and
+cech_cohomology_dim is the one reader of cech.cech_h_dim_at: the Cech
+number at the bound, checked against the duality number.  The generator
+relations, the Euler map, Omega^1 and its inclusion and the hyperplane map
+are all columns of PolyMatrix.koszul, so the pair numbering of Omega^1's
+generators is the one in polymatrix.py.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .complexes import cohomology_piece_dim, rhom_complex
+from .cech import _checked_bound, cech_h_dim_at
+from .complexes import _WindowRanks, rhom_complex
 from .errors import (
+    CechStabilizationError,
     CertificateError,
     DeskScaleError,
     NonGeneratorTermError,
@@ -192,6 +195,57 @@ def euler_map(p: ProjectiveSpace) -> GradedMap:
     return GradedMap(middle, target, PolyMatrix.koszul(nv, 1), check=False)
 
 
+# -- sheaf cohomology by local duality --------------------------------------
+
+
+def _duality_h(m: GradedModule, top: int) -> tuple[int, ...]:
+    """(h^0(M~), .., h^top(M~)) on P^n by graded local duality
+    (Brodmann-Sharp, Local Cohomology; Eisenbud, The Geometry of Syzygies,
+    App. 1): with c = rhom_complex(M, R(-n-1)) and E^k = dim H^k(c)_0 =
+    dim Ext^k_R(M, R(-n-1))_0,
+
+        h^0 = dim M_0 - E^{n+1} + E^n,    h^i = E^{n-i} for i >= 1.
+
+    Every Ext piece is read through one _WindowRanks, so a window the
+    numbers share (term n for h^0 and h^1) is built once.
+    """
+    nv = m.nvars
+    c = rhom_complex(m, GradedModule.free(nv, (nv,)))
+    w = _WindowRanks()
+    h0 = graded_piece_dim(m, 0) - w.h_dim(c, nv, 0) + w.h_dim(c, nv - 1, 0)
+    return (h0,) + tuple(w.h_dim(c, nv - 1 - i, 0) for i in range(1, top + 1))
+
+
+def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None,
+                        cache: dict | None = None) -> int:
+    """Cech cohomology dimension h^i of the sheaf presented by m, checked
+    exactly by local duality.
+
+    Cech is computed once, at the bound (cech.cech_h_dim_at).  Kernels
+    truncate exactly but images need not, so the number is compared with
+    h^i by _duality_h, and a mismatch raises CechStabilizationError naming
+    both numbers and the bound.  `cache` holds the per-level Cech ranks
+    and, under ("sheaf_h", m), the tuple (h^0, .., h^n) by duality, never
+    the verdict: the comparison runs on every call, so the error fires
+    again with a shared cache.  Degrees outside 0..n give 0.
+    """
+    bound = _checked_bound(bound)
+    if not 0 <= i < m.nvars:
+        return 0
+    if cache is None:
+        cache = {}
+    key = ("sheaf_h", m)
+    if key not in cache:
+        cache[key] = _duality_h(m, m.nvars - 1)
+    got, want = cech_h_dim_at(m, i, bound, cache), cache[key][i]
+    if got != want:
+        raise CechStabilizationError(
+            f"h^{i} gave {got} by Cech at bound {bound} but {want} by local "
+            f"duality; rerun with a larger bound"
+        )
+    return got
+
+
 # -- sheaf Hom --------------------------------------------------------------
 
 
@@ -208,7 +262,8 @@ def sheaf_hom_dim(f: GradedModule, g: GradedModule,
         h^0(H~) = dim H_0 - dim Ext^{n+1}_R(H, R(-n-1))_0
                   + dim Ext^n_R(H, R(-n-1))_0,
 
-    both Ext pieces read from window ranks of complexes.rhom_complex.
+    the h^0 of _duality_h, both Ext pieces read from window ranks of
+    complexes.rhom_complex.
 
     The int is looked up in `cache` under ("sheaf_hom", f, g), keyed by the
     presentations; pass one dict through a run to compute each distinct
@@ -222,11 +277,7 @@ def sheaf_hom_dim(f: GradedModule, g: GradedModule,
         cache = {}
     key = ("sheaf_hom", f, g)
     if key not in cache:
-        nv = f.nvars
-        h = hom_module(f, g)
-        c = rhom_complex(h, GradedModule.free(nv, (nv,)))
-        cache[key] = (graded_piece_dim(h, 0) - cohomology_piece_dim(c, nv, 0)
-                      + cohomology_piece_dim(c, nv - 1, 0))
+        cache[key] = _duality_h(hom_module(f, g), 0)[0]
     return cache[key]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cech import DEFAULT_CECH_BOUND, cech_cohomology_dim
+from .cech import DEFAULT_CECH_BOUND
 from .complexes import (
     ComplexMap,
     cohomology_piece_dim,
@@ -29,7 +29,12 @@ from .modules import (
     cokernel_with_projection,
     free_resolution,
 )
-from .projective import generator, loci_disjoint, sheaf_hom_dim
+from .projective import (
+    cech_cohomology_dim,
+    generator,
+    loci_disjoint,
+    sheaf_hom_dim,
+)
 from .reports import TaskReport, fmt_bool, fmt_int_list, fmt_str_list
 
 
@@ -39,12 +44,13 @@ class RunContext:
 
     `cache` is the run's one memo dict, keyed by namespaced tuples such as
     ("sheaf_hom", source, target), ("hom_pair", n, i, j), the per-level Cech
-    ranks ("cech_ranks", module, p, bound) and the checked O(1) Atiyah
-    cochain with its residual ("atiyah_generator", n, bound).  run_tasks
-    creates it and drops it when the run ends; the lem1-check, gauge-bound,
-    sheaf-hom, cech and atiyah handlers pass it down explicitly.  Values are
-    ints (every Hom-side entry), cochains and residual dicts, never a
-    module, a tracker or a window.
+    ranks ("cech_ranks", module, p, bound), the duality numbers
+    ("sheaf_h", module) and the checked O(1) Atiyah cochain with its
+    residual ("atiyah_generator", n, bound).  run_tasks creates it and
+    drops it when the run ends; the lem1-check, gauge-bound, sheaf-hom, cech
+    and atiyah handlers pass it down explicitly.  Values are ints (every
+    Hom-side entry), tuples of ints (Cech ranks, duality numbers), cochains
+    and residual dicts, never a module, a complex, a tracker or a window.
     A failed check stores nothing.  Two other memos sit outside it: the
     process-wide tables polynomials.monomials_of_degree and
     linalg._cover_index, and the per-instance relation basis of a module
@@ -209,8 +215,7 @@ def _run_cech(task, ctx):
     b = ctx.cech_bound
     dim = cech_cohomology_dim(task.args["module"], task.args["i"], b,
                               ctx.cache)
-    return "ok", [("bound", str(b)), ("recheck", str(b + 1)),
-                  ("stable", "true"), ("dim", str(dim))]
+    return "ok", [("bound", str(b)), ("duality", str(dim)), ("dim", str(dim))]
 
 
 def _run_lem1_check(task, ctx):

@@ -6,7 +6,9 @@ code, so agreement is meaningful.  The monomial helpers and grevlex_key
 spell the package's monomial kernel with generator expressions, the
 reference for its map-over-operator versions.  laurent_cech_ranks keeps the
 Cech level on its truncated Laurent spots, with no shift to a polynomial
-window.  MonicSpanTracker is the sparse tracker as it was before it went
+window; stabilized_cech_dim reads the package's Cech number at two bounds,
+the check that local duality replaced, so the Bott tests read Cech numbers
+that no duality check has seen.  MonicSpanTracker is the sparse tracker as it was before it went
 fraction-free: monic pivots over Fraction, the reference for every
 read-back of the integer one.  Three exceptions to the rule above go
 through the module code's kernels and Groebner lifts.  The subquotient
@@ -28,8 +30,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from branegauge.cech import DEFAULT_CECH_BOUND, cech_h_dim_at
 from branegauge.complexes import ComplexMap
-from branegauge.errors import BraneGaugeError
+from branegauge.errors import BraneGaugeError, CechStabilizationError
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -370,6 +373,23 @@ def laurent_cech_ranks(relations, p: int, bound: int) -> tuple[int, int, int]:
                 col[index[(bigger, r, a)]] += (-1) ** bigger.index(j)
         diff.append(col)
     return rref_rank(diff + rel), rref_rank(rel), len(level)
+
+
+def stabilized_cech_dim(m, i: int, bound: int | None = None,
+                        cache: dict | None = None) -> int:
+    """h^i by Cech, as the package computed it before local duality: at
+    the bound and at bound + 1 (cech.cech_h_dim_at), and a
+    CechStabilizationError unless the two agree.  Empirical: both numbers
+    can be wrong together."""
+    bound = DEFAULT_CECH_BOUND if bound is None else bound
+    first = cech_h_dim_at(m, i, bound, cache)
+    second = cech_h_dim_at(m, i, bound + 1, cache)
+    if first != second:
+        raise CechStabilizationError(
+            f"h^{i} gave {first} at bound {bound} but {second} at bound "
+            f"{bound + 1}; rerun with a larger bound"
+        )
+    return first
 
 
 # The subquotient route: H^i(c) presented on the cycles, Z = ker d^i, with

@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 
-from branegauge.cech import DEFAULT_CECH_BOUND, cech_cohomology_dim
+from branegauge.cech import DEFAULT_CECH_BOUND
 from branegauge.cli import main as cli_main
 from branegauge.complexes import (
     BoundedComplex,
@@ -40,6 +40,7 @@ from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
+    cech_cohomology_dim,
     cotangent_sheaf,
     generator,
     generator_family,
@@ -228,7 +229,7 @@ def test_criterion_5_cech_values():
             detail.append(f"{label}: {got} != {want}")
     b = DEFAULT_CECH_BOUND
     _verdict(5, "cover cohomology values", ok,
-             "; ".join(detail) or f"stable at bounds {b} and {b + 1}")
+             "; ".join(detail) or f"at bound {b}, checked by local duality")
 
 
 # -- 6: connections on line bundles -----------------------------------------

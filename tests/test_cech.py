@@ -1,24 +1,30 @@
-"""Cover cohomology on the coordinate charts, with stabilization checks."""
+"""Cover cohomology on the coordinate charts, checked by local duality."""
 
 import pytest
 
+import branegauge.projective as projective
 from branegauge.cech import (
     DEFAULT_CECH_BOUND,
-    cech_cohomology_dim,
     cech_level_ranks,
     cech_level_span,
     chart_subsets,
 )
 from branegauge.errors import CechStabilizationError, ShapeError
 from branegauge.linalg import degree_window
-from branegauge.modules import twist
+from branegauge.modules import GradedModule, twist
 from branegauge.projective import (
     ProjectiveSpace,
+    cech_cohomology_dim,
     cotangent_sheaf,
     generator,
 )
 
-from _oracles import bott_omega1_h, laurent_cech_ranks, line_bundle_h
+from _oracles import (
+    bott_omega1_h,
+    laurent_cech_ranks,
+    line_bundle_h,
+    stabilized_cech_dim,
+)
 
 
 def test_chart_subsets_shape():
@@ -65,22 +71,25 @@ def test_cotangent_cohomology():
         assert cech_cohomology_dim(om, 1) == 1
 
 
-def _stable_dim(m, q, cache):
+def _stable_dim(m, q, cache, dim=stabilized_cech_dim):
     """The dimension at the first bound from the default on that
     stabilizes; only CechStabilizationError moves to a wider window."""
     for bound in range(DEFAULT_CECH_BOUND, DEFAULT_CECH_BOUND + 3):
         try:
-            return cech_cohomology_dim(m, q, bound, cache)
+            return dim(m, q, bound, cache)
         except CechStabilizationError:
             continue
     raise AssertionError(f"h^{q} did not stabilize up to bound {bound}")
 
 
+BOTT_GRID = ([(1, d) for d in range(-4, 4)] + [(2, d) for d in range(-4, 4)]
+             + [(3, d) for d in (-1, 0, 1)])
+
+
 def test_twisted_cotangent_cohomology_matches_bott():
-    # an oracle outside cech.py for the per-level rank path
-    cases = [(1, d) for d in range(-4, 4)] + [(2, d) for d in range(-4, 4)]
-    cases += [(3, d) for d in (-1, 0, 1)]
-    for n, d in cases:
+    # an oracle outside cech.py for the per-level rank path, on Cech
+    # numbers that no duality check has seen
+    for n, d in BOTT_GRID:
         m = twist(cotangent_sheaf(ProjectiveSpace(n)), d)
         cache: dict = {}
         for q in range(n + 1):
@@ -90,6 +99,38 @@ def test_twisted_cotangent_cohomology_matches_bott():
     with pytest.raises(CechStabilizationError):
         cech_cohomology_dim(m, 2)
     assert bott_omega1_h(2, -3, 2) == 8
+
+
+def test_bounded_and_checked_cech_agree_on_the_bott_grid():
+    # the bound + 1 rule and the local-duality check give the same numbers
+    for n, d in BOTT_GRID:
+        m = twist(cotangent_sheaf(ProjectiveSpace(n)), d)
+        old: dict = {}
+        new: dict = {}
+        for q in range(n + 1):
+            assert (_stable_dim(m, q, old)
+                    == _stable_dim(m, q, new, cech_cohomology_dim)), (n, d, q)
+
+
+def test_mismatch_names_both_numbers_and_the_bound(monkeypatch):
+    # a wrong Cech number is caught by the duality number, on every call
+    monkeypatch.setattr(projective, "cech_h_dim_at", lambda *a: 7)
+    om = cotangent_sheaf(ProjectiveSpace(2))
+    cache: dict = {}
+    for _ in range(2):
+        with pytest.raises(CechStabilizationError) as err:
+            cech_cohomology_dim(om, 1, 3, cache)
+        assert str(err.value) == ("h^1 gave 7 by Cech at bound 3 but 1 by "
+                                  "local duality; rerun with a larger bound")
+    assert cache == {("sheaf_h", om): (0, 1, 0)}
+
+
+def test_zero_module_and_degrees_outside_the_range_give_zero():
+    zero = GradedModule.zero(3)
+    assert [cech_cohomology_dim(zero, i) for i in range(-1, 4)] == [0] * 5
+    om = cotangent_sheaf(ProjectiveSpace(2))
+    assert cech_cohomology_dim(om, -1) == 0
+    assert cech_cohomology_dim(om, 3) == 0
 
 
 def test_skyscraper_cohomology():

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from branegauge import groebner
+from branegauge import groebner, projective
 from branegauge.cli import main
 from branegauge.reports import SCHEMA
 
@@ -166,6 +166,19 @@ i = 1
     out = capsys.readouterr().out
     assert code == 0
     assert "dim: 4" in out
+
+
+def test_cech_number_that_fails_the_duality_check_is_a_task_error(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(projective, "cech_h_dim_at", lambda *a: 3)
+    code = _run(tmp_path, OK_MANIFEST)
+    out = capsys.readouterr().out
+    assert code == 2
+    block = out.split("kind: cech")[1].split("kind: annihilator")[0]
+    assert "status: error" in block
+    assert ("message: h^1 gave 3 by Cech at bound 3 but 1 by local duality; "
+            "rerun with a larger bound") in block
+    assert "dim:" not in block
 
 
 def test_bad_cech_bound_rejected(tmp_path, capsys):

@@ -220,5 +220,6 @@ def test_no_float_in_the_run_cache(monkeypatch):
     reports = tasks.run_tasks(parse_manifest(text))
     assert [r.status for r in reports] == ["ok", "ok"]
     cache = contexts[0].cache
-    assert {key[0] for key in cache} == {"cech_ranks", "atiyah_generator"}
+    assert {key[0] for key in cache} == {"cech_ranks", "sheaf_h",
+                                         "atiyah_generator"}
     assert _assert_canonical(cache) > 0

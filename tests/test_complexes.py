@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from branegauge import complexes, groebner, modules
-from branegauge.cech import cech_cohomology_dim
 from branegauge.complexes import (
     BoundedComplex,
     ComplexMap,
@@ -62,6 +61,7 @@ from _oracles import (
     bott_omega1_h,
     random_homogeneous,
     ses_comparison_map,
+    stabilized_cech_dim,
     subquotient_induced_map,
     subquotient_quasi_iso,
 )
@@ -203,6 +203,27 @@ def test_quasi_iso_detects_resolution():
     assert is_quasi_iso(h)
     # but the identity of the Koszul complex onto itself shifted is not
     assert not is_quasi_iso(ComplexMap.zero(c, c))
+
+
+def test_each_missing_level_is_built_once_per_map(monkeypatch):
+    a, b = _koszul_complex(), _two_term("x0")
+    for c in (a, b):
+        for i in range(-4, 3):
+            c.diff(i)  # the complexes' own zero edges, built beforehand
+    calls = []
+    real = GradedMap.zero_map.__func__
+    monkeypatch.setattr(GradedMap, "zero_map", classmethod(
+        lambda cls, s, t: calls.append((s, t)) or real(cls, s, t)))
+    h = ComplexMap(a, b, {}, check=True)
+    # the commuting check reads degrees -3..1: one zero level for each of
+    # -2, -1, 0 and one for every degree outside both windows
+    assert len(calls) == 4
+    levels = [h.level(i) for i in range(-6, 4)]
+    cone(h)
+    assert len(calls) == 4
+    assert all(h.level(i) is f for i, f in zip(range(-6, 4), levels))
+    assert all(f.is_zero_map() for f in levels)
+    assert h._levels == {}
 
 
 def test_cone_rotation_equiv_on_sample_maps():
@@ -697,7 +718,7 @@ def test_rhom_duality_equals_cech_on_the_generators(n):
             # seconds at d = 0, 1; they are compared at d = -2 only
             levels = range(n + 1) if n < 4 or d == -2 else (0, 1)
             for i in levels:
-                assert h(i, d) == cech_cohomology_dim(
+                assert h(i, d) == stabilized_cech_dim(
                     twist(m, d), i, cache=cache), (k, i, d)
 
 

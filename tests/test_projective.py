@@ -2,7 +2,7 @@
 
 import pytest
 
-from branegauge import modules
+from branegauge import complexes, modules
 from branegauge.errors import DeskScaleError, ZeroDivisorError
 from branegauge.modules import (
     graded_piece_dim,
@@ -134,6 +134,31 @@ def test_duality_route_matches_the_saturation_oracle_on_line_bundles():
             for b in range(-2, 3):
                 f, g = p.structure_sheaf(a), p.structure_sheaf(b)
                 assert sheaf_hom_dim(f, g) == saturation_sheaf_hom_dim(f, g)
+
+
+def test_sheaf_hom_builds_each_ext_window_once(monkeypatch):
+    # every Ext piece of one RHom complex is read through one set of window
+    # ranks, so no (relations, degree) window is built twice in a call
+    calls = []
+    real = complexes.piece_dim_and_map_rank
+
+    def recording(f, d):
+        calls.append((f.target.relations, d))
+        return real(f, d)
+
+    monkeypatch.setattr(complexes, "piece_dim_and_map_rank", recording)
+    p = ProjectiveSpace(3)
+    om = cotangent_sheaf(p)
+    family = [g.module for g in generator_family(p)]
+    dims, builds = [], 0
+    for s in family:
+        for t in family:
+            calls.clear()
+            dims.append(sheaf_hom_dim(s, tensor(om, t)))
+            assert len(calls) == len(set(calls))
+            builds += len(calls)
+    assert dims == [0, 0, 0, 3] * 4
+    assert builds == 18
 
 
 def test_sheaf_hom_generator_pairs():

@@ -7,7 +7,7 @@ import pytest
 import branegauge.cech as cech
 import branegauge.gauge as gauge
 import branegauge.projective as projective
-from branegauge.cech import DEFAULT_CECH_BOUND, cech_cohomology_dim
+from branegauge.cech import DEFAULT_CECH_BOUND
 from branegauge.errors import (
     CechStabilizationError,
     NotWellDefinedError,
@@ -19,6 +19,7 @@ from branegauge.modules import GradedModule, tensor, twist
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
+    cech_cohomology_dim,
     cotangent_sheaf,
     generator,
     sheaf_hom_dim,
@@ -138,18 +139,22 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
     assert [atiyah_class_line_bundle(a, p, cache=cache) for p in spaces[:2]
             for a in twists] == plain_a
 
-    # one entry per (module, level, bound) and per (n, bound)
+    # one entry per (module, level, bound), per (n, bound) and per module:
+    # h^i reads every level at the bound, the Atiyah class level 1 at both
     ranks = _keys(cache, "cech_ranks")
     assert sorted((m.nvars, lv, b) for m, lv, b in ranks) == sorted(
-        (p.nvars, lv, b) for p in spaces for lv in range(p.n + 1)
-        for b in BOUNDS)
+        [(p.nvars, lv, BOUNDS[0]) for p in spaces for lv in range(p.n + 1)]
+        + [(p.nvars, 1, BOUNDS[1]) for p in spaces[:2]])
     assert sorted(_keys(cache, "atiyah_generator")) == [
         (n, b) for n in (1, 2) for b in BOUNDS]
-    assert len(cache) == len(ranks) + 4
-    # only ints, one cochain and one residual dict: no tracker, no window
+    assert [cache[("sheaf_h", m)] for m, i in cases if i == 0] == [
+        (0, 1), (0, 1, 0), (0, 1, 0, 0)]
+    assert len(cache) == len(ranks) + 4 + len(spaces)
+    # only ints, one cochain and one residual dict: no tracker, no window,
+    # no complex
     for key, value in cache.items():
-        if key[0] == "cech_ranks":
-            assert len(value) == 3
+        if key[0] in ("cech_ranks", "sheaf_h"):
+            assert type(value) is tuple
             assert all(type(v) is int for v in value)
         else:
             w, residual = value
@@ -157,11 +162,15 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
             assert all(type(c) in (int, Fraction) for c in w.values())
             assert all(type(c) in (int, Fraction) for c in residual.values())
 
-    # equal inputs hit the cache: no relation window is built again
+    # equal inputs hit the cache: no relation window and no RHom complex
+    # is built again
     calls = []
     real = cech.degree_window
     monkeypatch.setattr(cech, "degree_window",
                         lambda rel, d: calls.append(d) or real(rel, d))
+    real_rhom = projective.rhom_complex
+    monkeypatch.setattr(projective, "rhom_complex",
+                        lambda m, n: calls.append(m) or real_rhom(m, n))
     again = [cech_cohomology_dim(cotangent_sheaf(ProjectiveSpace(m.nvars - 1)),
                                  i, cache=cache) for m, i in cases]
     assert again == plain_h
@@ -183,7 +192,8 @@ def test_line_bundles_and_the_cotangent_sheaf_share_a_cache():
             for m in modules for i in (0, 1)] == plain
     assert plain == [0, 1, 0, 1, 1, 0, 0, 2]
     assert {m for m, _, _ in _keys(cache, "cech_ranks")} == set(modules)
-    assert len(cache) == 3 * 2 * len(BOUNDS)
+    assert {m for m, in _keys(cache, "sheaf_h")} == set(modules)
+    assert len(cache) == 3 * 2 + 3
 
 
 def test_stabilization_error_fires_again_with_a_shared_cache():
@@ -297,4 +307,4 @@ def test_atiyah_span_serves_the_cech_ranks(monkeypatch):
     assert len(calls) == len(set(calls))
     om = cotangent_sheaf(ProjectiveSpace(2))
     assert sorted((p, b) for m, p, b in calls if m == om) == [
-        (p, b) for p in range(3) for b in BOUNDS]
+        (0, BOUNDS[0]), (1, BOUNDS[0]), (1, BOUNDS[1]), (2, BOUNDS[0])]
