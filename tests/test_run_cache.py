@@ -153,8 +153,11 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
     # only ints, one cochain and one residual dict: no tracker, no window,
     # no complex
     for key, value in cache.items():
-        if key[0] in ("cech_ranks", "sheaf_h"):
-            assert type(value) is tuple
+        if key[0] == "cech_ranks":
+            assert type(value) is tuple and len(value) == 3
+            assert all(type(v) is int for v in value)
+        elif key[0] == "sheaf_h":
+            assert type(value) is tuple and len(value) == key[1].nvars
             assert all(type(v) is int for v in value)
         else:
             w, residual = value
