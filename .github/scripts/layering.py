@@ -26,14 +26,15 @@ and follows them transitively.  It fails when
 - any module but `modules` imports `groebner` directly: the derived,
   projective and gauge layers reach the engine only through graded
   modules (the re-exports in `__init__` are exempt);
-- any module but `groebner` names `module_groebner` outside
-  `modules.GradedModule.relation_gb` (apart from the import in `modules`
-  that serves it): each Groebner basis has one owner, the presentation
-  whose relations it spans, so no caller builds a second basis of the same
-  columns;
-- any module but `projective` names `cech_h_dim_at` (the re-export in
-  `__init__` is exempt): `projective.cech_cohomology_dim` checks each Cech
-  number against local duality, so no task reports one unchecked.
+- any module but `groebner`, `__init__` included, names `module_groebner`
+  outside `modules.GradedModule.relation_gb` (apart from the import in
+  `modules` that serves it): each Groebner basis has one owner, the
+  presentation whose relations it spans, so no caller builds a second basis
+  of the same columns;
+- any module, `__init__` included, names `cech_h_dim_at`: the package's
+  one h^i is `projective.sheaf_cohomology_dim`, by local duality, and the
+  Cech number at a bound is a test oracle (`tests/_oracles.py`), so no
+  second h^i route comes back into the package.
 
 Prints one line per broken rule, with the import chain or the place that
 breaks it, and exits 1 if there is any, else 0.  Standard library only.
@@ -88,14 +89,14 @@ ENGINE_CLIENT = "modules"
 # the one function outside groebner that may run the engine
 GB_OWNER = ("modules", "GradedModule.relation_gb")
 
-
-# the one package module that may read an unchecked Cech number
-CECH_READER = "projective"
+# the Cech h^i reader that lives in the test oracles, never in the package
+CECH_H_READER = "cech_h_dim_at"
 
 
 def naming_places(tree: ast.AST, name: str) -> list[tuple[str, bool]]:
     """(qualified place, whether an import) for every node of tree that
-    names `name`: a name, an attribute or an imported alias."""
+    names `name`: a definition, a name, an attribute or an imported alias
+    (on either side of `as`)."""
     out = []
 
     def visit(node, qual):
@@ -104,11 +105,14 @@ def naming_places(tree: ast.AST, name: str) -> list[tuple[str, bool]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = f"{qual}.{child.name}" if qual else child.name
+                if child.name == name:
+                    out.append((inner, False))
             if ((isinstance(child, ast.Name) and child.id == name)
                     or (isinstance(child, ast.Attribute)
                         and child.attr == name)):
                 out.append((inner, False))
-            elif isinstance(child, ast.alias) and child.name == name:
+            elif (isinstance(child, ast.alias)
+                  and name in (child.name, child.asname)):
                 out.append((inner, True))
             visit(child, inner)
 
@@ -151,16 +155,15 @@ def main() -> int:
         if "groebner" in graph[mod]:
             broken.append(f"{mod} imports groebner directly; only "
                           f"{ENGINE_CLIENT} may")
-    for mod in sorted(modules):
+    for mod in sorted(modules | {"__init__"}):
         tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
         if mod != "groebner":
             for where in stray_groebner_runs(mod, tree):
                 broken.append(f"{where} names module_groebner outside "
                               f"{'.'.join(GB_OWNER)}")
-        if mod != CECH_READER:
-            for where, _ in naming_places(tree, "cech_h_dim_at"):
-                broken.append(f"{mod}{'.' + where if where else ''} names "
-                              f"cech_h_dim_at; only {CECH_READER} may")
+        for where, _ in naming_places(tree, CECH_H_READER):
+            broken.append(f"{mod}{'.' + where if where else ''} names "
+                          f"{CECH_H_READER}; it is a test oracle")
     for line in broken:
         print(line)
     return 1 if broken else 0

@@ -6,7 +6,7 @@ All arithmetic is exact rational; every mathematical claim in a result is
 either certified or reported as a structured finding.
 """
 
-from .cech import DEFAULT_CECH_BOUND, cech_h_dim_at
+from .cech import DEFAULT_CECH_BOUND
 from .complexes import (
     BoundedComplex,
     ComplexMap,
@@ -93,15 +93,14 @@ from .projective import (
     GeneratorSheaf,
     Locus,
     ProjectiveSpace,
-    cech_cohomology_dim,
     cotangent_inclusion,
     cotangent_sheaf,
     euler_map,
     generator,
     generator_family,
-    global_sections_dim,
     hyperplane_ses,
     loci_disjoint,
+    sheaf_cohomology_dim,
     sheaf_hom_dim,
 )
 from .reports import TaskReport, exit_code, render_report

@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--report", metavar="PATH",
                      help="also write the report to this file")
     run.add_argument("--cech-bound", type=int, metavar="N", default=None,
-                     help="truncation bound for Cech windows (default 3)")
+                     help="truncation bound for the Atiyah class's Cech "
+                          "windows (default 3)")
     run.add_argument("--max-degree", type=int, metavar="N", default=5,
                      help="half-width of graded degree windows in reports")
     return parser

@@ -53,12 +53,12 @@ class ZeroDivisorError(BraneGaugeError):
 
 
 class CechStabilizationError(BraneGaugeError):
-    """A truncated Cech window gave a number the exact check refutes.
+    """The Atiyah class's generating cochain reduced to a coboundary in the
+    truncated Cech window (gauge.atiyah_class_line_bundle).
 
-    A Cech dimension at the bound that differs from h^i by local duality
-    (projective.cech_cohomology_dim), or an Atiyah generating class that
-    reduces to a coboundary at the bound.  The engine refuses to report the
-    number; rerun with a larger --cech-bound.
+    The engine refuses to report a coordinate; rerun with a larger
+    --cech-bound.  No h^i raises it: sheaf cohomology is exact, by local
+    duality (projective.sheaf_cohomology_dim).
     """
 
 

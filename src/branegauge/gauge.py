@@ -62,15 +62,13 @@ def _atiyah_generator(p: ProjectiveSpace, bound: int, cache: dict):
 
     Every check runs before w is stored: each entry lies in the level-1
     window (else ShapeError), w is a cocycle modulo R_2, and its residual
-    is non-zero, so a failure is raised again on every call.  The level-1
-    span stores its ranks in the cache (cech.cech_level_span), so a later
-    h^i of the cotangent sheaf does not build it again."""
+    is non-zero, so a failure is raised again on every call."""
     key = ("atiyah_generator", p.n, bound)
     if key in cache:
         return cache[key]
     om = cotangent_sheaf(p)
     w = _atiyah_vector(1, p)
-    lv, tracker, _ = cech_level_span(om, 1, bound, cache)
+    lv, tracker = cech_level_span(om, 1, bound)
     column = {lv.coordinate(spot): c for spot, c in w.items()}
     image: dict = {}  # D(w), on chart triples
     for (charts, r, a), coeff in w.items():
@@ -105,8 +103,7 @@ def atiyah_class_line_bundle(a: int, p: ProjectiveSpace,
 
     `cache` is the caller's memo dict (one per run in tasks.run_tasks).  It
     holds ("atiyah_generator", n, bound) -> (w, residual of w), one cochain
-    and one residual dict, and the level-1 ranks of the cotangent sheaf,
-    never a tracker or a window.
+    and one residual dict, never a tracker or a window.
     """
     bound = _checked_bound(bound)
     if cache is None:

@@ -10,10 +10,9 @@ off E^k = dim Ext^k_R(M, R(-n-1))_0 as
     h^0(M~) = dim M_0 - E^{n+1} + E^n,    h^i(M~) = E^{n-i} for i >= 1,
 
 each E^k a window rank of complexes.rhom_complex, so no bound and no
-iteration cap enters (_duality_h).  The sheaf Hom dimension is h^0 of H~
-for the module H = Hom_R(F, G) (Hartshorne, Algebraic Geometry, II.5), and
-cech_cohomology_dim is the one reader of cech.cech_h_dim_at: the Cech
-number at the bound, checked against the duality number.  The generator
+iteration cap enters (_duality_h).  sheaf_cohomology_dim is the package's
+one h^i, and the sheaf Hom dimension is h^0 of H~ for the module
+H = Hom_R(F, G) (Hartshorne, Algebraic Geometry, II.5).  The generator
 relations, the Euler map, Omega^1 and its inclusion and the hyperplane map
 are all columns of PolyMatrix.koszul, so the pair numbering of Omega^1's
 generators is the one in polymatrix.py.
@@ -24,10 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cech import _checked_bound, cech_h_dim_at
 from .complexes import _WindowRanks, rhom_complex
 from .errors import (
-    CechStabilizationError,
     CertificateError,
     DeskScaleError,
     NonGeneratorTermError,
@@ -216,20 +213,14 @@ def _duality_h(m: GradedModule, top: int) -> tuple[int, ...]:
     return (h0,) + tuple(w.h_dim(c, nv - 1 - i, 0) for i in range(1, top + 1))
 
 
-def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None,
-                        cache: dict | None = None) -> int:
-    """Cech cohomology dimension h^i of the sheaf presented by m, checked
-    exactly by local duality.
+def sheaf_cohomology_dim(m: GradedModule, i: int,
+                         cache: dict | None = None) -> int:
+    """h^i of the sheaf presented by m on P^n, exactly and with no bound.
 
-    Cech is computed once, at the bound (cech.cech_h_dim_at).  Kernels
-    truncate exactly but images need not, so the number is compared with
-    h^i by _duality_h, and a mismatch raises CechStabilizationError naming
-    both numbers and the bound.  `cache` holds the per-level Cech ranks
-    and, under ("sheaf_h", m), the tuple (h^0, .., h^n) by duality, never
-    the verdict: the comparison runs on every call, so the error fires
-    again with a shared cache.  Degrees outside 0..n give 0.
+    The number is read from the tuple (h^0, .., h^n) of _duality_h, which
+    `cache` holds under ("sheaf_h", m), so every degree of one module
+    shares one rhom_complex.  Degrees outside 0..n give 0.
     """
-    bound = _checked_bound(bound)
     if not 0 <= i < m.nvars:
         return 0
     if cache is None:
@@ -237,13 +228,7 @@ def cech_cohomology_dim(m: GradedModule, i: int, bound: int | None = None,
     key = ("sheaf_h", m)
     if key not in cache:
         cache[key] = _duality_h(m, m.nvars - 1)
-    got, want = cech_h_dim_at(m, i, bound, cache), cache[key][i]
-    if got != want:
-        raise CechStabilizationError(
-            f"h^{i} gave {got} by Cech at bound {bound} but {want} by local "
-            f"duality; rerun with a larger bound"
-        )
-    return got
+    return cache[key][i]
 
 
 # -- sheaf Hom --------------------------------------------------------------
@@ -279,11 +264,6 @@ def sheaf_hom_dim(f: GradedModule, g: GradedModule,
     if key not in cache:
         cache[key] = _duality_h(hom_module(f, g), 0)[0]
     return cache[key]
-
-
-def global_sections_dim(f: GradedModule) -> int:
-    one = GradedModule.free(f.nvars, (0,))
-    return sheaf_hom_dim(one, f)
 
 
 # -- hyperplane sequence ----------------------------------------------------

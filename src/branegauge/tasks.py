@@ -30,9 +30,9 @@ from .modules import (
     free_resolution,
 )
 from .projective import (
-    cech_cohomology_dim,
     generator,
     loci_disjoint,
+    sheaf_cohomology_dim,
     sheaf_hom_dim,
 )
 from .reports import TaskReport, fmt_bool, fmt_int_list, fmt_str_list
@@ -43,15 +43,15 @@ class RunContext:
     """What every handler of one run shares.
 
     `cache` is the run's one memo dict, keyed by namespaced tuples such as
-    ("sheaf_hom", source, target), ("hom_pair", n, i, j), the per-level Cech
-    ranks ("cech_ranks", module, p, bound), the duality numbers
-    ("sheaf_h", module) and the checked O(1) Atiyah cochain with its
+    ("sheaf_hom", source, target), ("hom_pair", n, i, j), the duality
+    numbers ("sheaf_h", module) and the checked O(1) Atiyah cochain with its
     residual ("atiyah_generator", n, bound).  run_tasks creates it and
     drops it when the run ends; the lem1-check, gauge-bound, sheaf-hom, cech
     and atiyah handlers pass it down explicitly.  Values are ints (every
-    Hom-side entry), tuples of ints (Cech ranks, duality numbers), cochains
-    and residual dicts, never a module, a complex, a tracker or a window.
-    A failed check stores nothing.  Two other memos sit outside it: the
+    Hom-side entry), tuples of ints (duality numbers), cochains and residual
+    dicts, never a module, a complex, a tracker or a window.  `cech_bound`
+    is the Atiyah class's window bound; no h^i reads it.  A failed check
+    stores nothing.  Two other memos sit outside it: the
     process-wide tables polynomials.monomials_of_degree and
     linalg._cover_index, and the per-instance relation basis of a module
     and cokernel of a map (modules), which the manifest's modules and maps
@@ -212,10 +212,8 @@ def _run_sheaf_hom(task, ctx):
 
 
 def _run_cech(task, ctx):
-    b = ctx.cech_bound
-    dim = cech_cohomology_dim(task.args["module"], task.args["i"], b,
-                              ctx.cache)
-    return "ok", [("bound", str(b)), ("duality", str(dim)), ("dim", str(dim))]
+    dim = sheaf_cohomology_dim(task.args["module"], task.args["i"], ctx.cache)
+    return "ok", [("dim", str(dim))]
 
 
 def _run_lem1_check(task, ctx):

@@ -6,11 +6,14 @@ code, so agreement is meaningful.  The monomial helpers and grevlex_key
 spell the package's monomial kernel with generator expressions, the
 reference for its map-over-operator versions.  laurent_cech_ranks keeps the
 Cech level on its truncated Laurent spots, with no shift to a polynomial
-window; stabilized_cech_dim reads the package's Cech number at two bounds,
-the check that local duality replaced, so the Bott tests read Cech numbers
-that no duality check has seen.  MonicSpanTracker is the sparse tracker as it was before it went
-fraction-free: monic pivots over Fraction, the reference for every
-read-back of the integer one.  Three exceptions to the rule above go
+window.  cech_level_ranks and cech_h_dim_at read h^i off the package's
+Cech level spans (cech.cech_level_span) at one bound, the route the
+package reported before local duality; stabilized_cech_dim checks that
+number at two bounds, so the Bott tests read Cech numbers that no duality
+number has seen, and the tests compare them with
+projective.sheaf_cohomology_dim.  MonicSpanTracker is the sparse tracker
+as it was before it went fraction-free: monic pivots over Fraction, the
+reference for every read-back of the integer one.  Three exceptions to the rule above go
 through the module code's kernels and Groebner lifts.  The subquotient
 route is how the derived layer used to present H^i and its induced maps,
 kept as the reference for the window-rank certificates that replaced it.
@@ -30,9 +33,10 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from branegauge.cech import DEFAULT_CECH_BOUND, cech_h_dim_at
+from branegauge.cech import DEFAULT_CECH_BOUND, cech_level_span
 from branegauge.complexes import ComplexMap
 from branegauge.errors import BraneGaugeError, CechStabilizationError
+from branegauge.linalg import degree_window
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -375,10 +379,47 @@ def laurent_cech_ranks(relations, p: int, bound: int) -> tuple[int, int, int]:
     return rref_rank(diff + rel), rref_rank(rel), len(level)
 
 
+def cech_level_ranks(m, p: int, bound: int,
+                     cache: dict | None = None) -> tuple[int, int, int]:
+    """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound,
+    from cech.cech_level_span.  R_p is one copy of the degree-B(p+1)
+    window's span per chart set, so its rank is len(charts) times the
+    window's.  With `cache`, the triple is kept under
+    ("cech_ranks", m, p, bound).  Levels outside 0..n are empty.
+    """
+    if p < 0 or p >= m.nvars:
+        return 0, 0, 0
+    key = ("cech_ranks", m, p, bound)
+    if cache is not None and key in cache:
+        return cache[key]
+    level, tracker = cech_level_span(m, p, bound)
+    window = degree_window(m.relations, bound * (p + 1))[1]
+    rel = len(level.charts) * window.rank if window is not None else 0
+    ranks = (tracker.rank, rel, level.dim)
+    if cache is not None:
+        cache[key] = ranks
+    return ranks
+
+
+def cech_h_dim_at(m, i: int, bound: int, cache: dict | None = None) -> int:
+    """h^i by Cech at a single bound, unchecked:
+
+        h^i = dim W_i - joint(i+1) + rel(i+1) - joint(i)
+
+    from the per-level ranks of cech_level_ranks.  Kernels truncate exactly
+    but images need not, so a window too small can give a wrong number.
+    """
+    if i < 0 or i >= m.nvars:
+        return 0
+    joint_i, _, dim_i = cech_level_ranks(m, i, bound, cache)
+    joint_up, rel_up, _ = cech_level_ranks(m, i + 1, bound, cache)
+    return dim_i - joint_up + rel_up - joint_i
+
+
 def stabilized_cech_dim(m, i: int, bound: int | None = None,
                         cache: dict | None = None) -> int:
     """h^i by Cech, as the package computed it before local duality: at
-    the bound and at bound + 1 (cech.cech_h_dim_at), and a
+    the bound and at bound + 1 (cech_h_dim_at), and a
     CechStabilizationError unless the two agree.  Empirical: both numbers
     can be wrong together."""
     bound = DEFAULT_CECH_BOUND if bound is None else bound

@@ -40,14 +40,19 @@ from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
-    cech_cohomology_dim,
     cotangent_sheaf,
     generator,
     generator_family,
     loci_disjoint,
+    sheaf_cohomology_dim,
 )
 
-from _oracles import dense_ideal_member, monomial_tuples, random_homogeneous
+from _oracles import (
+    dense_ideal_member,
+    monomial_tuples,
+    random_homogeneous,
+    stabilized_cech_dim,
+)
 
 
 def _verdict(num: int, title: str, ok: bool, detail: str = ""):
@@ -213,23 +218,23 @@ def test_criterion_4_hom_vanishing_table():
 def test_criterion_5_cech_values():
     ok = True
     detail = []
+    b = DEFAULT_CECH_BOUND
     p1 = ProjectiveSpace(1)
-    checks = [
-        ("h^0(O) on n=1", cech_cohomology_dim(p1.structure_sheaf(0), 0), 1),
-        ("h^1(O(-2)) on n=1",
-         cech_cohomology_dim(p1.structure_sheaf(-2), 1), 1),
-    ]
+    checks = [("h^0(O) on n=1", p1.structure_sheaf(0), 0, 1),
+              ("h^1(O(-2)) on n=1", p1.structure_sheaf(-2), 1, 1)]
     for n in (1, 2, 3):
         om = cotangent_sheaf(ProjectiveSpace(n))
-        checks.append((f"h^0(Omega1) n={n}", cech_cohomology_dim(om, 0), 0))
-        checks.append((f"h^1(Omega1) n={n}", cech_cohomology_dim(om, 1), 1))
-    for label, got, want in checks:
-        if got != want:
-            ok = False
-            detail.append(f"{label}: {got} != {want}")
-    b = DEFAULT_CECH_BOUND
+        checks.append((f"h^0(Omega1) n={n}", om, 0, 0))
+        checks.append((f"h^1(Omega1) n={n}", om, 1, 1))
+    for label, m, i, want in checks:
+        for route, got in (("duality", sheaf_cohomology_dim(m, i)),
+                           ("Cech", stabilized_cech_dim(m, i, b))):
+            if got != want:
+                ok = False
+                detail.append(f"{label} by {route}: {got} != {want}")
     _verdict(5, "cover cohomology values", ok,
-             "; ".join(detail) or f"at bound {b}, checked by local duality")
+             "; ".join(detail)
+             or f"by local duality, and by Cech windows at bound {b}")
 
 
 # -- 6: connections on line bundles -----------------------------------------

@@ -1,26 +1,23 @@
-"""Cover cohomology on the coordinate charts, checked by local duality."""
+"""Sheaf cohomology by local duality, and the Cech windows on the
+coordinate charts that the tests check it against."""
 
 import pytest
 
-import branegauge.projective as projective
-from branegauge.cech import (
-    DEFAULT_CECH_BOUND,
-    cech_level_ranks,
-    cech_level_span,
-    chart_subsets,
-)
+from branegauge.cech import DEFAULT_CECH_BOUND, cech_level_span, chart_subsets
 from branegauge.errors import CechStabilizationError, ShapeError
+from branegauge.gauge import atiyah_class_line_bundle
 from branegauge.linalg import degree_window
 from branegauge.modules import GradedModule, twist
 from branegauge.projective import (
     ProjectiveSpace,
-    cech_cohomology_dim,
     cotangent_sheaf,
     generator,
+    sheaf_cohomology_dim,
 )
 
 from _oracles import (
     bott_omega1_h,
+    cech_level_ranks,
     laurent_cech_ranks,
     line_bundle_h,
     stabilized_cech_dim,
@@ -48,7 +45,7 @@ def test_line_bundle_cohomology_on_the_line():
         o = p.structure_sheaf(a)
         for i in (0, 1):
             want = line_bundle_h(1, a, i)
-            assert cech_cohomology_dim(o, i, bound=4) == want
+            assert sheaf_cohomology_dim(o, i) == want
 
 
 def test_line_bundle_cohomology_on_the_plane():
@@ -60,15 +57,15 @@ def test_line_bundle_cohomology_on_the_plane():
     ]
     for a, i, want in cases:
         assert want == line_bundle_h(2, a, i)  # keep the oracle honest
-        assert cech_cohomology_dim(p.structure_sheaf(a), i) == want
+        assert sheaf_cohomology_dim(p.structure_sheaf(a), i) == want
 
 
 def test_cotangent_cohomology():
     for n in (1, 2, 3):
         p = ProjectiveSpace(n)
         om = cotangent_sheaf(p)
-        assert cech_cohomology_dim(om, 0) == 0
-        assert cech_cohomology_dim(om, 1) == 1
+        assert sheaf_cohomology_dim(om, 0) == 0
+        assert sheaf_cohomology_dim(om, 1) == 1
 
 
 def _stable_dim(m, q, cache, dim=stabilized_cech_dim):
@@ -88,7 +85,7 @@ BOTT_GRID = ([(1, d) for d in range(-4, 4)] + [(2, d) for d in range(-4, 4)]
 
 def test_twisted_cotangent_cohomology_matches_bott():
     # an oracle outside cech.py for the per-level rank path, on Cech
-    # numbers that no duality check has seen
+    # numbers that no duality number has seen
     for n, d in BOTT_GRID:
         m = twist(cotangent_sheaf(ProjectiveSpace(n)), d)
         cache: dict = {}
@@ -97,60 +94,59 @@ def test_twisted_cotangent_cohomology_matches_bott():
     # very negative twists outgrow the default window: an error, not a number
     m = twist(cotangent_sheaf(ProjectiveSpace(2)), -3)
     with pytest.raises(CechStabilizationError):
-        cech_cohomology_dim(m, 2)
+        stabilized_cech_dim(m, 2)
     assert bott_omega1_h(2, -3, 2) == 8
 
 
 def test_bounded_and_checked_cech_agree_on_the_bott_grid():
-    # the bound + 1 rule and the local-duality check give the same numbers
+    # the bound + 1 rule on Cech windows and local duality give the same
+    # numbers
     for n, d in BOTT_GRID:
         m = twist(cotangent_sheaf(ProjectiveSpace(n)), d)
         old: dict = {}
         new: dict = {}
         for q in range(n + 1):
             assert (_stable_dim(m, q, old)
-                    == _stable_dim(m, q, new, cech_cohomology_dim)), (n, d, q)
+                    == sheaf_cohomology_dim(m, q, new)), (n, d, q)
 
 
-def test_mismatch_names_both_numbers_and_the_bound(monkeypatch):
-    # a wrong Cech number is caught by the duality number, on every call
-    monkeypatch.setattr(projective, "cech_h_dim_at", lambda *a: 7)
-    om = cotangent_sheaf(ProjectiveSpace(2))
-    cache: dict = {}
-    for _ in range(2):
-        with pytest.raises(CechStabilizationError) as err:
-            cech_cohomology_dim(om, 1, 3, cache)
-        assert str(err.value) == ("h^1 gave 7 by Cech at bound 3 but 1 by "
-                                  "local duality; rerun with a larger bound")
-    assert cache == {("sheaf_h", om): (0, 1, 0)}
+def test_wide_window_numbers_need_no_bound():
+    # both outgrow the default Cech window, which cannot stabilize on them;
+    # local duality reads them exactly
+    cases = [(ProjectiveSpace(1).structure_sheaf(-5), 1, 4),
+             (twist(cotangent_sheaf(ProjectiveSpace(2)), -3), 2, 8)]
+    for m, i, want in cases:
+        assert sheaf_cohomology_dim(m, i) == want
+        with pytest.raises(CechStabilizationError):
+            stabilized_cech_dim(m, i, DEFAULT_CECH_BOUND)
 
 
 def test_skyscraper_cohomology():
     p = ProjectiveSpace(2)
     sky = generator(3, p).module
-    assert cech_cohomology_dim(sky, 0) == 1
-    assert cech_cohomology_dim(sky, 1) == 0
-    assert cech_cohomology_dim(sky, 2) == 0
+    assert sheaf_cohomology_dim(sky, 0) == 1
+    assert sheaf_cohomology_dim(sky, 1) == 0
+    assert sheaf_cohomology_dim(sky, 2) == 0
 
 
 def test_torsion_generator_has_no_cohomology_in_top_degree():
     p = ProjectiveSpace(2)
     s2 = generator(2, p).module
-    assert cech_cohomology_dim(s2, 0) == 0
-    assert cech_cohomology_dim(s2, 1) == 0
+    assert sheaf_cohomology_dim(s2, 0) == 0
+    assert sheaf_cohomology_dim(s2, 1) == 0
 
 
 def test_degree_outside_range_is_zero():
     p = ProjectiveSpace(1)
     o = p.structure_sheaf(0)
-    assert cech_cohomology_dim(o, -1) == 0
-    assert cech_cohomology_dim(o, 5) == 0
+    assert sheaf_cohomology_dim(o, -1) == 0
+    assert sheaf_cohomology_dim(o, 5) == 0
     om = cotangent_sheaf(ProjectiveSpace(2))
-    assert cech_cohomology_dim(om, -1) == 0
-    assert cech_cohomology_dim(om, 3) == 0
+    assert sheaf_cohomology_dim(om, -1) == 0
+    assert sheaf_cohomology_dim(om, 3) == 0
     # the zero module has no cohomology in any degree
     zero = GradedModule.zero(3)
-    assert [cech_cohomology_dim(zero, i) for i in range(-1, 4)] == [0] * 5
+    assert [sheaf_cohomology_dim(zero, i) for i in range(-1, 4)] == [0] * 5
 
 
 def test_stabilization_error_when_window_too_small():
@@ -159,14 +155,14 @@ def test_stabilization_error_when_window_too_small():
     p = ProjectiveSpace(1)
     o = p.structure_sheaf(-5)
     with pytest.raises(CechStabilizationError):
-        cech_cohomology_dim(o, 1, bound=2)
-    assert cech_cohomology_dim(o, 1, bound=4) == 4
+        stabilized_cech_dim(o, 1, bound=2)
+    assert stabilized_cech_dim(o, 1, bound=4) == 4
 
 
 def test_bound_must_be_positive():
     p = ProjectiveSpace(1)
     with pytest.raises(ShapeError):
-        cech_cohomology_dim(p.structure_sheaf(0), 0, bound=0)
+        atiyah_class_line_bundle(1, p, bound=0)
 
 
 def test_default_bound_is_exported():
@@ -176,7 +172,7 @@ def test_default_bound_is_exported():
 def test_coboundary_tracker_level_consistency():
     p = ProjectiveSpace(1)
     o = p.structure_sheaf(-2)
-    level, tracker, _ = cech_level_span(o, 1, 3)
+    level, tracker = cech_level_span(o, 1, 3)
     assert level.dim > 0
     # rank of the coboundary span never exceeds the level dimension
     assert tracker.rank <= level.dim

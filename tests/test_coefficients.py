@@ -175,7 +175,7 @@ def test_no_float_in_groebner_and_syzygy_results():
 
 def test_no_float_in_span_tracker_pivots():
     p = ProjectiveSpace(2)
-    _, tracker, _ = cech_level_span(cotangent_sheaf(p), 1, 2)
+    _, tracker = cech_level_span(cotangent_sheaf(p), 1, 2)
     assert tracker.rank and _assert_canonical(tracker.pivots) > 0
     rng = random.Random(5)
     tracker = SpanTracker()
@@ -220,6 +220,5 @@ def test_no_float_in_the_run_cache(monkeypatch):
     reports = tasks.run_tasks(parse_manifest(text))
     assert [r.status for r in reports] == ["ok", "ok"]
     cache = contexts[0].cache
-    assert {key[0] for key in cache} == {"cech_ranks", "sheaf_h",
-                                         "atiyah_generator"}
+    assert {key[0] for key in cache} == {"sheaf_h", "atiyah_generator"}
     assert _assert_canonical(cache) > 0

@@ -53,13 +53,12 @@ def test_atiyah_bound_must_be_positive():
 def test_vanishing_generating_class_is_a_structured_error(monkeypatch):
     real = gauge.cech_level_span
 
-    def spans_the_generator(m, p, bound, cache=None):
-        # a coboundary span that (wrongly) contains the O(1) cochain; the
-        # cache is not handed on, so nothing of the corrupt span is stored
-        lv, tracker, rel = real(m, p, bound)
+    def spans_the_generator(m, p, bound):
+        # a coboundary span that (wrongly) contains the O(1) cochain
+        lv, tracker = real(m, p, bound)
         basis = gauge._atiyah_vector(1, ProjectiveSpace(m.nvars - 1))
         tracker.insert({lv.coordinate(s): c for s, c in basis.items()})
-        return lv, tracker, rel
+        return lv, tracker
 
     monkeypatch.setattr(gauge, "cech_level_span", spans_the_generator)
     p = ProjectiveSpace(1)

@@ -19,10 +19,10 @@ from branegauge.projective import (
     euler_map,
     generator,
     generator_family,
-    global_sections_dim,
     hyperplane_ses,
     loci_disjoint,
     parse_sheaf_name,
+    sheaf_cohomology_dim,
     sheaf_hom_dim,
     sheaf_module,
 )
@@ -54,7 +54,10 @@ def test_structure_sheaf_sections():
         p = ProjectiveSpace(n)
         for a in range(-3, 4):
             o = p.structure_sheaf(a)
-            assert global_sections_dim(o) == line_bundle_h(n, a, 0)
+            assert sheaf_cohomology_dim(o, 0) == line_bundle_h(n, a, 0)
+            # h^0 is also Hom(O, O(a)), by the sheaf Hom route
+            assert sheaf_hom_dim(p.structure_sheaf(0), o) == line_bundle_h(
+                n, a, 0)
 
 
 def test_generator_family_hilbert_windows():
@@ -174,9 +177,10 @@ def test_sheaf_hom_into_twisted_cotangent():
     # Hom(O, Omega1(2)) = H^0(Omega1(2)): 3 on the plane
     p = ProjectiveSpace(2)
     om2 = twist(cotangent_sheaf(p), 2)
-    assert global_sections_dim(om2) == 3
+    assert sheaf_hom_dim(p.structure_sheaf(0), om2) == 3
+    assert sheaf_cohomology_dim(om2, 0) == 3
     # and H^0(Omega1(1)) = 0
-    assert global_sections_dim(twist(cotangent_sheaf(p), 1)) == 0
+    assert sheaf_cohomology_dim(twist(cotangent_sheaf(p), 1), 0) == 0
 
 
 def test_hyperplane_ses_on_line_bundle():

@@ -19,14 +19,14 @@ from branegauge.modules import GradedModule, tensor, twist
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
-    cech_cohomology_dim,
     cotangent_sheaf,
     generator,
+    sheaf_cohomology_dim,
     sheaf_hom_dim,
 )
 from branegauge.tasks import run_tasks
 
-from _oracles import from_strings, matrix_from_rows
+from _oracles import from_strings, matrix_from_rows, stabilized_cech_dim
 
 
 def _module(entry: str, twist_: int = 0) -> GradedModule:
@@ -128,35 +128,28 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
     spaces = [ProjectiveSpace(n) for n in (1, 2, 3)]
     cases = [(cotangent_sheaf(p), i) for p in spaces for i in range(p.n + 1)]
     twists = range(-3, 4)
-    plain_h = [cech_cohomology_dim(m, i) for m, i in cases]
+    plain_h = [sheaf_cohomology_dim(m, i) for m, i in cases]
     plain_a = [atiyah_class_line_bundle(a, p) for p in spaces[:2]
                for a in twists]
     assert plain_h == [0, 1, 0, 1, 0, 0, 1, 0, 0]
     assert plain_a == [Fraction(a) for a in twists] * 2
 
     cache: dict = {}
-    assert [cech_cohomology_dim(m, i, cache=cache) for m, i in cases] == plain_h
+    assert [sheaf_cohomology_dim(m, i, cache=cache) for m, i in cases] == plain_h
     assert [atiyah_class_line_bundle(a, p, cache=cache) for p in spaces[:2]
             for a in twists] == plain_a
 
-    # one entry per (module, level, bound), per (n, bound) and per module:
-    # h^i reads every level at the bound, the Atiyah class level 1 at both
-    ranks = _keys(cache, "cech_ranks")
-    assert sorted((m.nvars, lv, b) for m, lv, b in ranks) == sorted(
-        [(p.nvars, lv, BOUNDS[0]) for p in spaces for lv in range(p.n + 1)]
-        + [(p.nvars, 1, BOUNDS[1]) for p in spaces[:2]])
+    # one entry per (n, bound) and per module: the Atiyah class reads its
+    # window at both bounds, h^i one tuple of duality numbers per module
     assert sorted(_keys(cache, "atiyah_generator")) == [
         (n, b) for n in (1, 2) for b in BOUNDS]
     assert [cache[("sheaf_h", m)] for m, i in cases if i == 0] == [
         (0, 1), (0, 1, 0), (0, 1, 0, 0)]
-    assert len(cache) == len(ranks) + 4 + len(spaces)
+    assert len(cache) == 4 + len(spaces)
     # only ints, one cochain and one residual dict: no tracker, no window,
     # no complex
     for key, value in cache.items():
-        if key[0] == "cech_ranks":
-            assert type(value) is tuple and len(value) == 3
-            assert all(type(v) is int for v in value)
-        elif key[0] == "sheaf_h":
+        if key[0] == "sheaf_h":
             assert type(value) is tuple and len(value) == key[1].nvars
             assert all(type(v) is int for v in value)
         else:
@@ -174,8 +167,8 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
     real_rhom = projective.rhom_complex
     monkeypatch.setattr(projective, "rhom_complex",
                         lambda m, n: calls.append(m) or real_rhom(m, n))
-    again = [cech_cohomology_dim(cotangent_sheaf(ProjectiveSpace(m.nvars - 1)),
-                                 i, cache=cache) for m, i in cases]
+    again = [sheaf_cohomology_dim(cotangent_sheaf(ProjectiveSpace(m.nvars - 1)),
+                                  i, cache=cache) for m, i in cases]
     assert again == plain_h
     assert [atiyah_class_line_bundle(a, p, cache=cache) for p in spaces[:2]
             for a in twists] == plain_a
@@ -189,23 +182,25 @@ def test_line_bundles_and_the_cotangent_sheaf_share_a_cache():
     o, om = p.structure_sheaf(-2), cotangent_sheaf(p)
     assert o == om and hash(o) == hash(om)
     modules = [o, om, p.structure_sheaf(0), p.structure_sheaf(-3)]
-    plain = [cech_cohomology_dim(m, i) for m in modules for i in (0, 1)]
+    plain = [sheaf_cohomology_dim(m, i) for m in modules for i in (0, 1)]
     cache: dict = {}
-    assert [cech_cohomology_dim(m, i, cache=cache)
+    assert [sheaf_cohomology_dim(m, i, cache=cache)
             for m in modules for i in (0, 1)] == plain
     assert plain == [0, 1, 0, 1, 1, 0, 0, 2]
-    assert {m for m, _, _ in _keys(cache, "cech_ranks")} == set(modules)
     assert {m for m, in _keys(cache, "sheaf_h")} == set(modules)
-    assert len(cache) == 3 * 2 + 3
+    assert len(cache) == 3
 
 
 def test_stabilization_error_fires_again_with_a_shared_cache():
+    # the Cech oracle's memo keeps level ranks, never its verdict; the
+    # package's number needs no window at all
     o = ProjectiveSpace(1).structure_sheaf(-5)
     cache: dict = {}
     for _ in range(2):
         with pytest.raises(CechStabilizationError):
-            cech_cohomology_dim(o, 1, bound=2, cache=cache)
-    assert cech_cohomology_dim(o, 1, bound=4, cache=cache) == 4
+            stabilized_cech_dim(o, 1, bound=2, cache=cache)
+    assert stabilized_cech_dim(o, 1, bound=4, cache=cache) == 4
+    assert sheaf_cohomology_dim(o, 1, cache=cache) == 4
 
 
 def test_corrupt_generating_cochain_is_never_cached(monkeypatch):
@@ -293,21 +288,35 @@ def test_cech_manifest_matches_one_task_per_manifest():
     assert dims == ["0", "1", "0", "1"]
 
 
-def test_atiyah_span_serves_the_cech_ranks(monkeypatch):
-    # atiyah first, then h^i(Omega1): the level-1 span that the Atiyah
-    # generator builds stores its ranks, so no level is built twice
-    apart = [_cech_reports([t])[0] for t in CECH_TASKS]
+def _record_cech_levels(monkeypatch):
     calls = []
     real = cech.cech_level_span
 
-    def counting(m, p, bound, cache=None):
+    def recording(m, p, bound):
         calls.append((m, p, bound))
-        return real(m, p, bound, cache)
+        return real(m, p, bound)
 
-    monkeypatch.setattr(cech, "cech_level_span", counting)
-    monkeypatch.setattr(gauge, "cech_level_span", counting)
+    monkeypatch.setattr(cech, "cech_level_span", recording)
+    monkeypatch.setattr(gauge, "cech_level_span", recording)
+    return calls
+
+
+def test_cech_manifest_builds_only_the_atiyah_levels(monkeypatch):
+    # the Atiyah generator builds the level-1 span of Omega1 at B and B + 1,
+    # once each; no h^i builds a Cech level
+    apart = [_cech_reports([t])[0] for t in CECH_TASKS]
+    calls = _record_cech_levels(monkeypatch)
     assert _cech_reports(CECH_TASKS) == apart
-    assert len(calls) == len(set(calls))
     om = cotangent_sheaf(ProjectiveSpace(2))
-    assert sorted((p, b) for m, p, b in calls if m == om) == [
-        (0, BOUNDS[0]), (1, BOUNDS[0]), (1, BOUNDS[1]), (2, BOUNDS[0])]
+    assert calls == [(om, 1, BOUNDS[0]), (om, 1, BOUNDS[1])]
+
+
+def test_cech_tasks_build_no_cech_level(monkeypatch):
+    calls = _record_cech_levels(monkeypatch)
+    cech_tasks = [t for t in CECH_TASKS if t.startswith("[task cech]")]
+    reports = _cech_reports(cech_tasks)
+    assert [dict(payload) for _, _, payload in reports] == [
+        {"module": m, "i": i, "dim": d} for m, i, d in
+        [("Omega1", "0", "0"), ("Omega1", "1", "1"), ("Omega1", "2", "0"),
+         ("O(-3)", "2", "1")]]
+    assert calls == []
