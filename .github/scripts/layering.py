@@ -31,6 +31,11 @@ and follows them transitively.  It fails when
   `modules` that serves it): each Groebner basis has one owner, the
   presentation whose relations it spans, so no caller builds a second basis
   of the same columns;
+- any module, `__init__` included, names `_prune_constants` outside
+  `modules.GradedModule.pruned_relations` (apart from its definition in
+  `modules`): each presentation prunes its unit entries once, and every
+  dimension, rank and zero test reads that one pruned presentation, so no
+  caller prunes the same relations again;
 - any module, `__init__` included, names `cech_h_dim_at`: the package's
   one h^i is `projective.sheaf_cohomology_dim`, by local duality, and the
   Cech number at a bound is a test oracle (`tests/_oracles.py`), so no
@@ -86,17 +91,23 @@ def direct_imports(path: Path, modules: set[str]) -> set[str]:
 # the one package module that may import the engine directly
 ENGINE_CLIENT = "modules"
 
-# the one function outside groebner that may run the engine
-GB_OWNER = ("modules", "GradedModule.relation_gb")
+# name -> (module, function, kind): the one function that may name it; its
+# module may also name it by that kind of place, the import that serves the
+# function or the definition.  groebner, which defines and runs
+# module_groebner, is not scanned for it
+ONE_OWNER = {
+    "module_groebner": ("modules", "GradedModule.relation_gb", "import"),
+    "_prune_constants": ("modules", "GradedModule.pruned_relations", "def"),
+}
 
 # the Cech h^i reader that lives in the test oracles, never in the package
 CECH_H_READER = "cech_h_dim_at"
 
 
-def naming_places(tree: ast.AST, name: str) -> list[tuple[str, bool]]:
-    """(qualified place, whether an import) for every node of tree that
-    names `name`: a definition, a name, an attribute or an imported alias
-    (on either side of `as`)."""
+def naming_places(tree: ast.AST, name: str) -> list[tuple[str, str]]:
+    """(qualified place, kind) for every node of tree that names `name`:
+    a definition ("def"), an imported alias on either side of `as`
+    ("import"), or a name or an attribute ("use")."""
     out = []
 
     def visit(node, qual):
@@ -106,27 +117,29 @@ def naming_places(tree: ast.AST, name: str) -> list[tuple[str, bool]]:
                                   ast.ClassDef)):
                 inner = f"{qual}.{child.name}" if qual else child.name
                 if child.name == name:
-                    out.append((inner, False))
+                    out.append((inner, "def"))
             if ((isinstance(child, ast.Name) and child.id == name)
                     or (isinstance(child, ast.Attribute)
                         and child.attr == name)):
-                out.append((inner, False))
+                out.append((inner, "use"))
             elif (isinstance(child, ast.alias)
                   and name in (child.name, child.asname)):
-                out.append((inner, True))
+                out.append((inner, "import"))
             visit(child, inner)
 
     visit(tree, "")
     return out
 
 
-def stray_groebner_runs(mod: str, tree: ast.AST) -> list[str]:
-    """Where mod names module_groebner outside GB_OWNER, as qualified
-    names; the import in GB_OWNER's module is allowed."""
+def stray_names(mod: str, tree: ast.AST, name: str) -> list[str]:
+    """Where mod names `name` outside its ONE_OWNER function, as qualified
+    names; the owner module's own import or definition of it (as ONE_OWNER
+    says) is allowed."""
+    owner_mod, owner_fn, allowed = ONE_OWNER[name]
     return [f"{mod}.{where}" if where else mod
-            for where, is_import in naming_places(tree, "module_groebner")
-            if (mod, where) != GB_OWNER
-            and not (is_import and mod == GB_OWNER[0])]
+            for where, kind in naming_places(tree, name)
+            if (mod, where) != (owner_mod, owner_fn)
+            and not (kind == allowed and mod == owner_mod)]
 
 
 def chains(start: str, graph: dict) -> dict[str, list[str]]:
@@ -157,10 +170,12 @@ def main() -> int:
                           f"{ENGINE_CLIENT} may")
     for mod in sorted(modules | {"__init__"}):
         tree = ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8"))
-        if mod != "groebner":
-            for where in stray_groebner_runs(mod, tree):
-                broken.append(f"{where} names module_groebner outside "
-                              f"{'.'.join(GB_OWNER)}")
+        for name, (owner_mod, owner_fn, _) in ONE_OWNER.items():
+            if name == "module_groebner" and mod == "groebner":
+                continue
+            for where in stray_names(mod, tree, name):
+                broken.append(f"{where} names {name} outside "
+                              f"{owner_mod}.{owner_fn}")
         for where, _ in naming_places(tree, CECH_H_READER):
             broken.append(f"{mod}{'.' + where if where else ''} names "
                           f"{CECH_H_READER}; it is a test oracle")

@@ -13,9 +13,13 @@ carries the m * syz = 0 certificate.  Exactness at B of A -> B -> C is
 one primitive on the same generators, kernel_in_image: every kernel
 generator of g lifts through cokernel(f).  exactness_failure and the
 derived layer's acyclicity test read it, and neither presents a kernel.
-Graded pieces and piece-map ranks skip the Groebner kernel: they rank the
-degree-d window of a presentation, linalg.degree_window, which HomBasis
-(homspace.py) ranks too.
+Dimensions, piece-map ranks and zero tests skip the Groebner kernel and
+read one pruned presentation per module, GradedModule.pruned_relations:
+every unit entry pivoted out once (_prune_constants), so an identity block
+costs no rank in any degree.  A graded piece is the degree-d window of that
+presentation, linalg.degree_window (which HomBasis, homspace.py, ranks on
+its own presentations); a piece-map rank is dim N_d - dim coker(f)_d; and
+M = 0 iff no cover generator survives pruning (graded Nakayama).
 Direct sums, tensor products, twisted sums (+)_k N(t_k) and Hom's
 composition-with-relations map are PolyMatrix.blocks, kron and dual (see
 polymatrix.py for the layout); no function here computes a flattened cover
@@ -53,17 +57,19 @@ class GradedModule:
 
     cover_twists are the generator degrees; relations columns are relations
     among those generators.  Instances are immutable; the relation Groebner
-    basis is computed lazily and cached per instance.  Equality and hash are
-    those of the relation matrix, so a presentation can key a run cache.
+    basis and the pruned relations are computed lazily and cached per
+    instance.  Equality and hash are those of the relation matrix, so a
+    presentation can key a run cache.
     """
 
-    __slots__ = ("nvars", "cover_twists", "relations", "_gb")
+    __slots__ = ("nvars", "cover_twists", "relations", "_gb", "_pruned")
 
     def __init__(self, relations: PolyMatrix):
         self.nvars = relations.nvars
         self.cover_twists = relations.row_twists
         self.relations = relations
         self._gb = None
+        self._pruned = None
 
     @classmethod
     def free(cls, nvars: int, twists) -> "GradedModule":
@@ -82,6 +88,14 @@ class GradedModule:
         if self._gb is None:
             self._gb = module_groebner(list(self.relations.vecs))
         return self._gb
+
+    def pruned_relations(self) -> PolyMatrix:
+        """The relations with every unit entry pivoted out
+        (_prune_constants): the same module, presented on the cover
+        generators that survive, with every entry in (x0..xn)."""
+        if self._pruned is None:
+            self._pruned = _prune_constants(self.relations)
+        return self._pruned
 
     def reduces_to_zero(self, vec: MVec) -> bool:
         """Membership of an ambient cover vector in the relation submodule."""
@@ -321,11 +335,14 @@ def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
 def graded_piece_dim(m: GradedModule, d: int) -> int:
     """Dimension of M_d over the rationals, by exact linear algebra.
 
-    Size of the degree-d window of the cover minus the rank of the relation
-    multiples in it (linalg.degree_window).  Independent of any Groebner
-    computation.
+    Size of the degree-d window of the pruned presentation minus the rank
+    of its relation multiples (linalg.degree_window).  A unit pivot that
+    pruning removed is an identity block in every degree: it spans the
+    N(d - t) window coordinates of its generator of twist t, so those and
+    its relation's multiples leave the window together.  Independent of any
+    Groebner computation.
     """
-    index, tracker = degree_window(m.relations, d)
+    index, tracker = degree_window(m.pruned_relations(), d)
     return len(index) - tracker.rank if index else 0
 
 
@@ -334,12 +351,10 @@ def hilbert_window(m: GradedModule, lo: int, hi: int) -> list[int]:
 
 
 def is_zero_module(m: GradedModule) -> bool:
-    if m.rank == 0:
-        return True
-    zero_mon = (0,) * m.nvars
-    return all(
-        m.reduces_to_zero({(i, zero_mon): 1}) for i in range(m.rank)
-    )
+    """M = 0 iff no cover generator survives pruning.  Graded Nakayama:
+    every pruned relation entry lies in (x0..xn), so the surviving
+    generators are a basis of M / (x0..xn)M.  No Groebner basis runs."""
+    return m.pruned_relations().rows == 0
 
 
 def is_injective(f: GradedMap) -> bool:
@@ -384,31 +399,45 @@ def exactness_failure(f: GradedMap, g: GradedMap) -> str | None:
 # -- minimal presentations and resolutions ----------------------------------
 
 
+def _pivot_on_unit(vecs: dict, r0: int, c0: int, zero_mon) -> None:
+    """Pivot the columns {c: MVec} on their unit entry (r0, c0), in place:
+    for every term v * x^mon of row r0 in another column, subtract
+    (v / u) * x^mon * column c0, which leaves row r0 in column c0 alone;
+    then drop column c0.  On a differential this is the Schur complement
+    of the unit."""
+    col0 = vecs.pop(c0)
+    inv = qinv(col0[(r0, zero_mon)])
+    for vec in vecs.values():
+        for mon, v in [(mon, v) for (r, mon), v in vec.items() if r == r0]:
+            _mvec_axpy(vec, -v * inv, mon, col0)
+
+
 def _prune_constants(rel: PolyMatrix) -> PolyMatrix:
     """Eliminate unit entries by column operations.
 
     Each nonzero constant entry (r0, c0) says generator r0 is expressible in
-    the others: subtracting (v / u) * x^mon * column c0 for every term
-    v * x^mon of row r0 clears that row from every other column, and row r0
-    and column c0 drop out.  Pivots are taken least (row, column) first,
-    and the surviving rows keep their order.  The result presents an
-    isomorphic module with no unit entries.
+    the others: _pivot_on_unit clears that row from every other column, and
+    row r0 and column c0 drop out.  Pivots are taken least (row, column)
+    first, and the surviving rows keep their order.  The result presents an
+    isomorphic module with no unit entries; with no unit to begin with, it
+    is rel itself.
     """
     zero_mon = (0,) * rel.nvars
+
+    def units(columns):
+        return [(r, c) for c, vec in columns for r, mon in vec
+                if mon == zero_mon]
+
+    found = units(enumerate(rel.vecs))
+    if not found:
+        return rel
     vecs = {c: dict(vec) for c, vec in enumerate(rel.vecs)}
     dead_rows: set[int] = set()
-    while True:
-        units = [(r, c) for c, vec in vecs.items()
-                 for r, mon in vec if mon == zero_mon]
-        if not units:
-            break
-        r0, c0 = min(units)
-        col0 = vecs.pop(c0)
-        inv = qinv(col0[(r0, zero_mon)])
-        for vec in vecs.values():
-            for mon, v in [(mon, v) for (r, mon), v in vec.items() if r == r0]:
-                _mvec_axpy(vec, -v * inv, mon, col0)
+    while found:
+        r0, c0 = min(found)
+        _pivot_on_unit(vecs, r0, c0, zero_mon)
         dead_rows.add(r0)
+        found = units(vecs.items())
     rows = [r for r in range(rel.rows) if r not in dead_rows]
     row_pos = {r: k for k, r in enumerate(rows)}
     return PolyMatrix(
@@ -447,7 +476,7 @@ def _minimal_columns(m: PolyMatrix) -> PolyMatrix:
 
 
 def minimal_presentation(m: GradedModule) -> GradedModule:
-    return GradedModule(_minimal_columns(_prune_constants(m.relations)))
+    return GradedModule(_minimal_columns(m.pruned_relations()))
 
 
 @dataclass(frozen=True)
@@ -550,27 +579,15 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
 
 
 def piece_dim_and_map_rank(f: GradedMap, d: int) -> tuple[int, int]:
-    """(dim N_d, rank of the induced map M_d -> N_d), for f: M -> N, from
-    one degree-d window of N.
+    """(dim N_d, rank of the induced map M_d -> N_d), for f: M -> N.
 
-    The window's size less the rank of its relation multiples is dim N_d
-    (graded_piece_dim); the map's columns times monomials then join the
-    relation multiples, and the rank they add is the map's rank.
+    The image of M_d is what cokernel(f) = [f | N's relations] divides out
+    of N_d, so the rank is dim N_d - dim coker(f)_d: two graded pieces, each
+    read on its module's pruned presentation (graded_piece_dim), where a
+    unit entry of f, an identity block say, costs no rank.
     """
-    index, tracker = degree_window(f.target.relations, d)
-    if not index:
-        return 0, 0
-    base = tracker.rank
-    mat = f.matrix
-    for c, tc in enumerate(mat.col_twists):
-        if d - tc < 0:
-            continue
-        vec = mat.vecs[c]
-        if not vec:
-            continue
-        for mult in monomials_of_degree(f.target.nvars, d - tc):
-            tracker.insert(_expand(vec, mult, index))
-    return len(index) - base, tracker.rank - base
+    dim = graded_piece_dim(f.target, d)
+    return dim, dim - graded_piece_dim(cokernel(f), d)
 
 
 def piece_map_rank(f: GradedMap, d: int) -> int:

@@ -53,9 +53,9 @@ class RunContext:
     is the Atiyah class's window bound; no h^i reads it.  A failed check
     stores nothing.  Two other memos sit outside it: the
     process-wide tables polynomials.monomials_of_degree and
-    linalg._cover_index, and the per-instance relation basis of a module
-    and cokernel of a map (modules), which the manifest's modules and maps
-    keep for the whole run.
+    linalg._cover_index, and the per-instance relation basis and pruned
+    relations of a module and cokernel of a map (modules), which the
+    manifest's modules and maps keep for the whole run.
     """
 
     manifest: Manifest

@@ -19,6 +19,11 @@ route is how the derived layer used to present H^i and its induced maps,
 kept as the reference for the window-rank certificates that replaced it.
 ses_comparison_map is the map Con(f) -> C that triangle_from_ses no longer
 builds, kept to test the mapping-cone lemma that replaced it.  The
+unpruned route is how modules ranked and tested modules before each
+module pruned its unit entries once: graded pieces and piece-map ranks on
+one degree window of the full presentation, the zero test by Groebner
+membership of every generator, and acyclicity by kernel_in_image at every
+term with no trivial summand split off.  The
 saturation route (torsion removal, floor-truncated saturation, then the
 degree-0 module Hom) is how sheaf Hom was computed before graded local
 duality, kept as the reference for projective.sheaf_hom_dim.  The two
@@ -36,7 +41,7 @@ from itertools import combinations
 from branegauge.cech import DEFAULT_CECH_BOUND, cech_level_span
 from branegauge.complexes import ComplexMap
 from branegauge.errors import BraneGaugeError, CechStabilizationError
-from branegauge.linalg import degree_window
+from branegauge.linalg import _expand, degree_window
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -47,6 +52,7 @@ from branegauge.modules import (
     is_iso,
     is_zero_module,
     kernel_generators,
+    kernel_in_image,
     kernel_with_inclusion,
     lift_map_through_inclusion,
     minimal_presentation,
@@ -484,6 +490,45 @@ def ses_comparison_map(f, g, con) -> ComplexMap:
         )
         levels[i] = GradedMap(con.term(i), c.term(i), mat, check=False)
     return ComplexMap(con, c, levels, check=True)
+
+
+# The unpruned route: dimensions, ranks, zero tests and acyclicity on the
+# full presentation, with no unit entry pivoted out.
+
+
+def one_tracker_piece_dim(m: GradedModule, d: int) -> int:
+    """dim M_d: the size of the degree-d window of m's own relations less
+    the rank of their multiples."""
+    index, tracker = degree_window(m.relations, d)
+    return len(index) - tracker.rank if index else 0
+
+
+def one_tracker_piece_dim_and_map_rank(f: GradedMap, d: int) -> tuple[int, int]:
+    """(dim N_d, rank M_d -> N_d) for f: M -> N from one tracker: N's
+    relation multiples first, then f's columns times monomials, whose added
+    rank is the map's rank."""
+    index, tracker = degree_window(f.target.relations, d)
+    if not index:
+        return 0, 0
+    base = tracker.rank
+    for vec, tc in zip(f.matrix.vecs, f.matrix.col_twists):
+        if d - tc < 0 or not vec:
+            continue
+        for mult in monomials_of_degree(f.target.nvars, d - tc):
+            tracker.insert(_expand(vec, mult, index))
+    return len(index) - base, tracker.rank - base
+
+
+def membership_is_zero_module(m: GradedModule) -> bool:
+    """M = 0 iff every cover generator reduces to zero against the relation
+    Groebner basis."""
+    zero_mon = (0,) * m.nvars
+    return all(m.reduces_to_zero({(i, zero_mon): 1}) for i in range(m.rank))
+
+
+def kernel_in_image_acyclic(c) -> bool:
+    """Exactness at every term of c by kernel_in_image, on c as it is."""
+    return all(kernel_in_image(c.diff(i - 1), c.diff(i)) for i in c.window())
 
 
 # The saturation route: how sheaf Hom was computed before local duality,

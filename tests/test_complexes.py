@@ -59,6 +59,7 @@ from branegauge.projective import (
 
 from _oracles import (
     bott_omega1_h,
+    kernel_in_image_acyclic,
     random_homogeneous,
     ses_comparison_map,
     stabilized_cech_dim,
@@ -609,6 +610,98 @@ def test_quasi_iso_by_cone_exactness_equals_the_subquotient_route():
     verdicts = [is_quasi_iso(h) for h in _oracle_maps()]
     assert verdicts == [subquotient_quasi_iso(h) for h in _oracle_maps()]
     assert True in verdicts and False in verdicts
+
+
+def test_acyclicity_equals_the_unreduced_oracle():
+    cones = [cone(h) for h in _oracle_maps()]
+    verdicts = [is_acyclic(c) for c in cones]
+    assert verdicts == [kernel_in_image_acyclic(c) for c in cones]
+    assert (verdicts.count(False), verdicts.count(True)) == (8, 5)
+
+
+def _presented_complexes():
+    """Two-term complexes on P^1, each with its exactness, whose
+    differential has unit entries on generators that lie in a relation:
+    R --1--> R/(x0) (not injective), R/(x0) --1--> R/(x0) (an isomorphism)
+    and R (+) R --[1 0]--> R/(x0) (not injective).  Each has the free unit
+    R(-1) --1--> R(-1) summed on."""
+    q = GradedModule(_mat((0,), (1,), [["x0"]]))
+    cases = [(_free(0), [[1, 0], [0, 1]], False),
+             (q, [[1, 0], [0, 1]], True),
+             (_free(0, 0), [[1, 0], [0, 0], [0, 1]], False)]
+    b = modules.direct_sum(q, _free(1))
+    out = []
+    for src, cols, exact in cases:
+        a = modules.direct_sum(src, _free(1))
+        d = GradedMap(a, b, _mat(b.cover_twists, a.cover_twists, cols))
+        out.append((BoundedComplex(NV, 0, [a, b], [d]), exact))
+    return out
+
+
+def test_units_on_generators_in_relations_stay():
+    for c, exact in _presented_complexes():
+        reduced = complexes._split_trivial(c)
+        # only the free unit R(-1) --1--> R(-1) is split off
+        assert [reduced.term(i).rank for i in c.window()] == [
+            c.term(i).rank - 1 for i in c.window()]
+        assert is_acyclic(c) == exact == kernel_in_image_acyclic(c)
+
+
+def _random_presented_map(rng):
+    """A seeded map M -> N on P^2 of presented modules with generators in
+    degrees 0 and 1, so its matrix and both relation matrices carry unit
+    entries; N's relations hold the images of M's, so it is well defined.
+    Half the time N's generators have M's twists, so that some maps are
+    isomorphisms."""
+    nv = 3
+
+    def mat(rt, ct):
+        return PolyMatrix.from_columns(nv, rt, [
+            [random_homogeneous(rng, nv, c - r) if c >= r and rng.random() < 0.8
+             else Polynomial.zero(nv) for r in rt] for c in ct], list(ct))
+
+    def twists(lo, hi):
+        return tuple(rng.randint(0, 1) for _ in range(rng.randint(lo, hi)))
+
+    src = twists(1, 3)
+    tgt = src if rng.random() < 0.5 else twists(1, 3)
+    src_rel = mat(src, tuple(t + 1 for t in twists(0, 1)))
+    f = mat(tgt, src)
+    tgt_rel = mat(tgt, tuple(t + rng.randint(0, 1) for t in twists(0, 1)))
+    return GradedMap(GradedModule(src_rel),
+                     GradedModule(tgt_rel.hstack(f * src_rel)), f)
+
+
+def test_acyclicity_of_random_presented_maps_equals_the_oracle():
+    rng = random.Random(25)
+    verdicts = []
+    for _ in range(60):
+        f = _random_presented_map(rng)
+        c = BoundedComplex(3, 0, [f.source, f.target], [f])
+        verdicts.append(is_acyclic(c))
+        assert verdicts[-1] == kernel_in_image_acyclic(c)
+    assert verdicts.count(True) >= 5
+
+
+def test_quasi_iso_of_a_scaled_identity_runs_no_groebner_basis(monkeypatch):
+    # the complex-batch shapes: injective maps of rank 1 and 2, and a
+    # singular rank-2 map whose second column is a multiple of the first
+    rng = random.Random(25)
+    maps = [_injective_map(rng, rank, offsets)
+            for rank, offsets in ((1, (1,)), (1, (2,)), (2, (0, 1)))]
+    f = maps[-1]
+    x1 = (0, 1, 0)
+    second = {(r, tuple(a + b for a, b in zip(mon, x1))): v
+              for (r, mon), v in f.matrix.vecs[0].items()}
+    twists = (f.matrix.col_twists[0], f.matrix.col_twists[0] + 1)
+    singular = PolyMatrix(3, f.matrix.row_twists, twists,
+                          [f.matrix.vecs[0], second])
+    maps.append(GradedMap(GradedModule.free(3, twists), f.target, singular))
+    scaled = [_scaled_identity(BoundedComplex(3, -1, [g.source, g.target], [g]),
+                               r) for g, r in zip(maps, (-2, 3, 1, 2))]
+    runs = _groebner_runs(monkeypatch)
+    assert all(is_quasi_iso(h) for h in scaled)
+    assert runs == []
 
 
 # -- the mapping-cone lemma behind triangle_from_ses --------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branegauge import modules
 from branegauge.errors import ShapeError
 from branegauge.groebner import module_groebner, mvec_member
 from branegauge.modules import (
@@ -33,13 +34,14 @@ from branegauge.modules import (
     kernel,
     kernel_with_inclusion,
     minimal_presentation,
+    piece_dim_and_map_rank,
     piece_map_rank,
     tensor,
     twist,
     twist_map,
 )
 from branegauge.polymatrix import PolyMatrix
-from branegauge.polynomials import Polynomial, parse_polynomial
+from branegauge.polynomials import Polynomial, parse_polynomial, qinv, qnorm
 from branegauge.projective import ProjectiveSpace, generator, hyperplane_ses
 
 import _oracles
@@ -467,6 +469,126 @@ def test_piece_map_rank_is_target_minus_cokernel(data):
     for d in range(-1, 4):
         assert piece_map_rank(f, d) == (
             graded_piece_dim(n, d) - graded_piece_dim(cokernel(f), d))
+
+
+# -- the pruned presentation against the unpruned oracles ----------------------
+
+
+@st.composite
+def _maps_with_units(draw):
+    """A random map F -> N over P^1 or P^2 from a free module, N free or
+    presented.  Twists come from a small range, so the matrix and N's
+    relations carry constant entries; a row whose constants are zero can
+    gain a unit from the pivots on other rows (fill-in)."""
+    nv = draw(st.sampled_from([2, 3]))
+    rows = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    rel_twists = draw(st.lists(st.integers(0, 2), max_size=3)
+                      if draw(st.booleans()) else st.just([]))
+    target = GradedModule(_draw_matrix(draw, nv, rows, rel_twists))
+    src_twists = draw(st.lists(st.integers(0, 2), max_size=3))
+    return GradedMap(GradedModule.free(nv, src_twists), target,
+                     _draw_matrix(draw, nv, rows, src_twists))
+
+
+@given(_maps_with_units())
+@settings(max_examples=60, deadline=None)
+def test_piece_ranks_equal_the_one_tracker_oracle(f):
+    for d in range(-2, 7):
+        want = _oracles.one_tracker_piece_dim_and_map_rank(f, d)
+        assert piece_dim_and_map_rank(f, d) == want, d
+        assert graded_piece_dim(f.target, d) == want[0]
+        assert graded_piece_dim(cokernel(f), d) == (
+            _oracles.one_tracker_piece_dim(cokernel(f), d))
+
+
+@given(_maps_with_units())
+@settings(max_examples=60, deadline=None)
+def test_zero_test_equals_the_membership_oracle(f):
+    for m in (f.target, cokernel(f)):
+        assert is_zero_module(m) == _oracles.membership_is_zero_module(m)
+
+
+@st.composite
+def _zero_by_a_chain_of_units(draw):
+    """A presentation of the zero module: generators e_0..e_k of falling
+    twists and the relations c_j = e_j + (terms on e_{j+1}..e_k).  Where an
+    earlier c_i of the same twist has a constant c on e_j, c_j becomes
+    c_j - c_i / c, whose unit on e_j cancels: pruning gets it back only by
+    fill-in, from the pivot on e_i.  Random relations of positive degree
+    are appended."""
+    nv = draw(st.sampled_from([2, 3]))
+    twists = sorted(draw(st.lists(st.integers(0, 1), min_size=1,
+                                  max_size=4)), reverse=True)
+    k = len(twists)
+    one = (0,) * nv
+    cols = []
+    for j, tj in enumerate(twists):
+        col = {(j, one): 1}
+        for i in range(j + 1, k):
+            for mon, c in _draw_poly(draw, nv, tj - twists[i]).items():
+                col[(i, mon)] = c
+        cols.append(col)
+    mixed = []
+    for j, col in enumerate(cols):
+        col = dict(col)
+        hide = [i for i in range(j) if (j, one) in cols[i]]
+        if hide and draw(st.booleans()):
+            i = hide[0]
+            inv = qinv(cols[i][(j, one)])
+            for key, v in cols[i].items():
+                col[key] = col.get(key, 0) - inv * v
+        mixed.append({key: qnorm(v) for key, v in col.items() if v})
+    rel = PolyMatrix(nv, twists, twists, mixed)
+    extra = draw(st.lists(st.integers(0, 2), max_size=2))
+    return rel.hstack(_draw_matrix(draw, nv, twists, [
+        max(twists) + 1 + e for e in extra]))
+
+
+@given(_zero_by_a_chain_of_units())
+@settings(max_examples=60, deadline=None)
+def test_zero_modules_through_a_chain_of_units(rel):
+    m = GradedModule(rel)
+    assert is_zero_module(m)
+    assert _oracles.membership_is_zero_module(m)
+    assert minimal_presentation(m).rank == 0
+    assert all(_oracles.one_tracker_piece_dim(m, d) == graded_piece_dim(m, d)
+               == 0 for d in range(-2, 5))
+
+
+def test_a_unit_made_by_fill_in_kills_the_last_generator():
+    # e0 + e1 and e0 on two generators of twist 0: the pivot on (0, 0)
+    # turns the second column into -e1, a unit that was not there before
+    nv = 3
+    one = (0,) * nv
+    rel = PolyMatrix(nv, (0, 0), (0, 0), [{(0, one): 1, (1, one): 1},
+                                          {(0, one): 1}])
+    m = GradedModule(rel)
+    assert (1, one) not in rel.vecs[1]
+    assert m.pruned_relations().rows == 0
+    assert is_zero_module(m) and _oracles.membership_is_zero_module(m)
+    # without the second relation the module is R, generated by e1
+    m1 = GradedModule(rel.select_columns([0]))
+    assert not is_zero_module(m1)
+    assert hilbert_window(m1, 0, 2) == [1, 3, 6]
+
+
+def test_each_module_prunes_once(monkeypatch):
+    calls = []
+    real = modules._prune_constants
+
+    def recording(rel):
+        calls.append(rel)
+        return real(rel)
+
+    monkeypatch.setattr(modules, "_prune_constants", recording)
+    nv = 3
+    one = (0,) * nv
+    m = GradedModule(PolyMatrix(nv, (0, 1), (0,), [{(0, one): 2}]))
+    assert hilbert_window(m, 0, 3) == [0, 1, 3, 6]
+    assert not is_zero_module(m)
+    assert minimal_presentation(m).cover_twists == (1,)
+    assert free_resolution(m).base_twists == (1,)
+    assert len(calls) == 1
 
 
 # -- injectivity without the kernel's presentation ----------------------------
