@@ -16,8 +16,9 @@ and follows them transitively.  It fails when
 - `polymatrix` or `linalg` reaches any module but `errors`, `polynomials`,
   `linalg` and `polymatrix`: the matrix form and the sparse algebra sit
   below the Groebner engine, which builds on them;
-- `cech` reaches any module but those four: every Cech level is copies of
-  `linalg.degree_window`, so the Cech layer runs no Groebner basis;
+- `cech` reaches any package module: it is only the chart sets and the
+  incidence rule of Cech cochains, which the Atiyah class in `gauge` reads,
+  and it builds no window;
 - `groebner` reaches any module but those four: the engine works on the
   matrix form's columns and knows nothing of modules;
 - `modules` reaches any module but those four and `groebner`: graded
@@ -36,10 +37,18 @@ and follows them transitively.  It fails when
   `modules`): each presentation prunes its unit entries once, and every
   dimension, rank and zero test reads that one pruned presentation, so no
   caller prunes the same relations again;
-- any module, `__init__` included, names `cech_h_dim_at`: the package's
-  one h^i is `projective.sheaf_cohomology_dim`, by local duality, and the
-  Cech number at a bound is a test oracle (`tests/_oracles.py`), so no
-  second h^i route comes back into the package.
+- any module, `__init__` included, defines, imports or names one of the
+  Cech window names that live in the test oracles (`tests/_oracles.py`):
+  `CechLevel`, `cech_level_span`, `_in_relation_span`,
+  `DEFAULT_CECH_BOUND`, `_checked_bound`, `CechStabilizationError` and
+  `cech_h_dim_at`.  The package's one h^i is
+  `projective.sheaf_cohomology_dim`, by local duality, and the Atiyah class
+  is certified by the Euler sequence, so no certificate reads a truncation
+  bound and no second h^i route comes back into the package;
+- any module, `__init__` included, imports `dataclasses`: the records are
+  `typing.NamedTuple`s and `__slots__` classes, so importing the package
+  pulls in neither `dataclasses` nor the `inspect`, `ast`, `dis` and
+  `tokenize` it loads, which is most of the package's import time.
 
 Prints one line per broken rule, with the import chain or the place that
 breaks it, and exits 1 if there is any, else 0.  Standard library only.
@@ -59,7 +68,7 @@ ONLY = {
     "polynomials": {"errors"},
     "polymatrix": BASE,
     "linalg": BASE,
-    "cech": BASE,
+    "cech": set(),
     "groebner": BASE,
     "modules": BASE | {"groebner"},
 }
@@ -100,8 +109,22 @@ ONE_OWNER = {
     "_prune_constants": ("modules", "GradedModule.pruned_relations", "def"),
 }
 
-# the Cech h^i reader that lives in the test oracles, never in the package
-CECH_H_READER = "cech_h_dim_at"
+# the Cech window names that live in the test oracles, never in the package
+ORACLE_NAMES = ("CechLevel", "cech_level_span", "_in_relation_span",
+                "DEFAULT_CECH_BOUND", "_checked_bound",
+                "CechStabilizationError", "cech_h_dim_at")
+
+
+def imports_dataclasses(tree: ast.AST) -> bool:
+    """Whether tree imports the dataclasses module or a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "dataclasses" for a in node.names):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "dataclasses"):
+            return True
+    return False
 
 
 def naming_places(tree: ast.AST, name: str) -> list[tuple[str, str]]:
@@ -176,9 +199,13 @@ def main() -> int:
             for where in stray_names(mod, tree, name):
                 broken.append(f"{where} names {name} outside "
                               f"{owner_mod}.{owner_fn}")
-        for where, _ in naming_places(tree, CECH_H_READER):
-            broken.append(f"{mod}{'.' + where if where else ''} names "
-                          f"{CECH_H_READER}; it is a test oracle")
+        for name in ORACLE_NAMES:
+            for where, _ in naming_places(tree, name):
+                broken.append(f"{mod}{'.' + where if where else ''} names "
+                              f"{name}; it is a test oracle")
+        if imports_dataclasses(tree):
+            broken.append(f"{mod} imports dataclasses; package records are "
+                          f"NamedTuples and __slots__ classes")
     for line in broken:
         print(line)
     return 1 if broken else 0

@@ -15,10 +15,14 @@ files) fails the check when no file under `src/` or `tests/` names it: as a
 name that is read, as an attribute, or in an import.  Assigning a name does
 not name it.  Dunder names are exempt; Python reads them.
 
-Unread fields: every field of a `@dataclass` class at the top level of
+Unread fields: every field of a record class at the top level of
 `src/branegauge/*.py` (or of the given files) fails the check when no file
 under `src/` or `tests/` reads it as an attribute (`x.field` in a load).
-Passing it to the constructor by keyword does not read it.
+A record is a `typing.NamedTuple`, in class syntax or as the
+`NamedTuple("Name", [(field, type), ...])` base of a subclass, or a class
+with `__slots__`; its fields are the annotated names, the listed pairs or
+the slot names.  Passing a field to the constructor by keyword does not
+read it.
 
 Prints one `path:line: name` line per unused import, one
 `path:line: dead definition qualname` line per dead definition and one
@@ -92,23 +96,39 @@ def definitions(path: Path) -> list[tuple[int, str, str]]:
     return out
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        dec = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
-            return True
-    return False
+def _named(node: ast.AST, name: str) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == name
 
 
-def dataclass_fields(path: Path) -> list[tuple[int, str, str]]:
-    """(line, qualname, name) of every field of path's top-level
-    dataclasses."""
+def _record_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """(line, name) of the fields of a record class: the annotated names of
+    a `NamedTuple` class, the ("name", type) pairs of a
+    `NamedTuple("Name", [...])` base, and the names in `__slots__`."""
+    out = []
+    for base in node.bases:
+        if _named(base, "NamedTuple"):
+            out.extend((item.lineno, item.target.id) for item in node.body
+                       if isinstance(item, ast.AnnAssign)
+                       and isinstance(item.target, ast.Name))
+        elif (isinstance(base, ast.Call) and _named(base.func, "NamedTuple")
+              and len(base.args) == 2 and isinstance(base.args[1], ast.List)):
+            out.extend((pair.lineno, pair.elts[0].value)
+                       for pair in base.args[1].elts)
+    for item in node.body:
+        if (isinstance(item, ast.Assign)
+                and any(_named(t, "__slots__") for t in item.targets)
+                and isinstance(item.value, ast.Tuple)):
+            out.extend((item.lineno, elt.value) for elt in item.value.elts)
+    return out
+
+
+def record_fields(path: Path) -> list[tuple[int, str, str]]:
+    """(line, qualname, name) of every field of path's top-level record
+    classes (_record_fields)."""
     return [
-        (item.lineno, f"{node.name}.{item.target.id}", item.target.id)
-        for node in _tree(path).body
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        (line, f"{node.name}.{name}", name)
+        for node in _tree(path).body if isinstance(node, ast.ClassDef)
+        for line, name in _record_fields(node)
     ]
 
 
@@ -155,7 +175,7 @@ def main(argv: list[str]) -> int:
                 bad += 1
     read = read_attributes(readers)
     for path in paths:
-        for line, qualname, name in dataclass_fields(path):
+        for line, qualname, name in record_fields(path):
             if name not in read:
                 print(f"{path}:{line}: unread field {qualname}")
                 bad += 1

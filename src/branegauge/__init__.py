@@ -6,7 +6,6 @@ All arithmetic is exact rational; every mathematical claim in a result is
 either certified or reported as a structured finding.
 """
 
-from .cech import DEFAULT_CECH_BOUND
 from .complexes import (
     BoundedComplex,
     ComplexMap,
@@ -32,7 +31,6 @@ from .complexes import (
 )
 from .errors import (
     BraneGaugeError,
-    CechStabilizationError,
     CertificateError,
     DeskScaleError,
     Finding,

@@ -1,6 +1,9 @@
 """Command line front end.
 
-    brane-gauge run <manifest> [--report <path>] [--cech-bound N] [--max-degree N]
+    brane-gauge run <manifest> [--report <path>] [--max-degree N]
+
+No option sets a truncation bound: sheaf cohomology is exact by local
+duality, and the Atiyah class is certified by the Euler sequence.
 
 Exit codes: 0 every task succeeded, 1 some task produced a mathematical
 false or finding, 2 structural error (bad manifest, bad data, internal
@@ -29,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("manifest", help="manifest file path")
     run.add_argument("--report", metavar="PATH",
                      help="also write the report to this file")
-    run.add_argument("--cech-bound", type=int, metavar="N", default=None,
-                     help="truncation bound for the Atiyah class's Cech "
-                          "windows (default 3)")
     run.add_argument("--max-degree", type=int, metavar="N", default=5,
                      help="half-width of graded degree windows in reports")
     return parser
@@ -50,14 +50,10 @@ def main(argv=None) -> int:
     except BraneGaugeError as e:
         print(f"brane-gauge: {e}", file=sys.stderr)
         return 2
-    if args.cech_bound is not None and args.cech_bound < 1:
-        print("brane-gauge: --cech-bound must be at least 1", file=sys.stderr)
-        return 2
     if args.max_degree < 0:
         print("brane-gauge: --max-degree must be at least 0", file=sys.stderr)
         return 2
-    reports = run_tasks(manifest, cech_bound=args.cech_bound,
-                        max_degree=args.max_degree)
+    reports = run_tasks(manifest, max_degree=args.max_degree)
     text_out = render_report(args.manifest, manifest.n, reports)
     sys.stdout.write(text_out)
     if args.report:

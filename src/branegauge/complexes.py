@@ -40,7 +40,7 @@ projective and never imports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CertificateError,
@@ -374,8 +374,7 @@ def is_quasi_iso(h: ComplexMap) -> bool:
 # -- Hom complex ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomComplexReport:
+class HomComplexReport(NamedTuple):
     """Dimension table of the Hom complex, optionally with differentials.
 
     dims[m - lo] is the total dimension of the degree-m term; blocks lists
@@ -502,8 +501,7 @@ def rhom_complex(m: GradedModule, n: GradedModule) -> BoundedComplex:
 # -- triangles --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Distinguished triangle a -> b -> c -> a[1] with explicit maps.
 
     For from_ses triangles c is the cone of the inclusion, which the cone

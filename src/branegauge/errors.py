@@ -52,16 +52,6 @@ class ZeroDivisorError(BraneGaugeError):
         self.witness = witness
 
 
-class CechStabilizationError(BraneGaugeError):
-    """The Atiyah class's generating cochain reduced to a coboundary in the
-    truncated Cech window (gauge.atiyah_class_line_bundle).
-
-    The engine refuses to report a coordinate; rerun with a larger
-    --cech-bound.  No h^i raises it: sheaf cohomology is exact, by local
-    duality (projective.sheaf_cohomology_dim).
-    """
-
-
 class DeskScaleError(BraneGaugeError):
     """Input exceeds the supported desk scale (for projective spaces, n <= 4)."""
 

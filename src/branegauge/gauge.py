@@ -1,9 +1,10 @@
 """Holomorphic gauge-field counting for branes built from the generator
 family.
 
-The obstruction side is the Atiyah class of a line bundle, computed as an
-honest Cech 1-cocycle with values in the cotangent sheaf and located against
-the generating class of h^1.  The uniqueness side is the vanishing of the
+The obstruction side is the Atiyah class of a line bundle: the Cech
+1-cochain of logarithmic transition derivatives, with values in the
+cotangent sheaf, certified exactly as the connecting image of 1 under the
+Euler sequence, which spans h^1.  The uniqueness side is the vanishing of the
 sheaf-level Hom table between generators twisted by the cotangent sheaf;
 support metadata provides a shortcut prediction, and any disagreement between
 the shortcut and the exact computation aborts with a structured finding.
@@ -11,18 +12,12 @@ the shortcut and the exact computation aborts with a structured finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cech import (
-    _checked_bound,
-    _cofaces,
-    _in_relation_span,
-    cech_level_span,
-    chart_subsets,
-)
+from .cech import _cofaces, chart_subsets
 from .complexes import BoundedComplex
 from .errors import (
-    CechStabilizationError,
+    CertificateError,
     NonGeneratorTermError,
     NotWellDefinedError,
     ShapeError,
@@ -30,13 +25,16 @@ from .errors import (
 )
 from .linalg import vec_axpy
 from .modules import direct_sum, tensor
-from .polynomials import Coeff
+from .polynomials import Coeff, monomial_mul
 from .projective import (
     ProjectiveSpace,
+    cotangent_inclusion,
     cotangent_sheaf,
+    euler_map,
     generator,
     loci_disjoint,
     parse_component,
+    sheaf_cohomology_dim,
     sheaf_hom_dim,
     sheaf_module,
 )
@@ -56,60 +54,80 @@ def _atiyah_vector(a: int, p: ProjectiveSpace) -> dict:
     return vector
 
 
-def _atiyah_generator(p: ProjectiveSpace, bound: int, cache: dict):
-    """The checked O(1) cochain w and its residual modulo coboundaries and
-    in-window relations, memoized under ("atiyah_generator", n, bound).
+def _apply(matrix, cochain: dict) -> dict:
+    """A cochain {(charts, generator, exponents): coeff} of Laurent
+    sections pushed through a map's matrix, chart by chart: the entry
+    x^a e_c goes to the sum of the column c terms x^(a + b) e_r."""
+    out: dict = {}
+    for (charts, c, a), coeff in cochain.items():
+        vec_axpy(out, coeff, {(charts, r, monomial_mul(a, b)): v
+                              for (r, b), v in matrix.vecs[c].items()})
+    return out
 
-    Every check runs before w is stored: each entry lies in the level-1
-    window (else ShapeError), w is a cocycle modulo R_2, and its residual
-    is non-zero, so a failure is raised again on every call."""
-    key = ("atiyah_generator", p.n, bound)
-    if key in cache:
-        return cache[key]
-    om = cotangent_sheaf(p)
+
+def _cech_d(cochain: dict, nvars: int) -> dict:
+    """The Cech differential of a cochain, by the incidence rule _cofaces."""
+    out: dict = {}
+    for (charts, r, a), coeff in cochain.items():
+        for bigger, sign, _ in _cofaces(charts, nvars):
+            vec_axpy(out, sign * coeff, {(bigger, r, a): 1})
+    return out
+
+
+def _euler_generator(p: ProjectiveSpace, cache: dict) -> dict:
+    """The O(1) cochain w, certified to span h^1 of the cotangent sheaf.
+
+    The Euler sequence 0 -> Omega1 -> O(-1)^{n+1} -> O -> 0 (Hartshorne,
+    Algebraic Geometry, II.8.13) has a connecting map d: H^0(O) ->
+    H^1(Omega1).  On chart U_i, 1 lifts to s_i = e_i / x_i, which the Euler
+    map sends to 1; on U_ij, s_j - s_i is the image of w under
+    cotangent_inclusion, so w = d(1) as Cech cochains.  Both identities are
+    checked term by term (else NotWellDefinedError).  d is injective since
+    h^0(O(-1)^{n+1}) = 0, and h^1(Omega1) = 1, both by
+    sheaf_cohomology_dim and kept in `cache` under ("sheaf_h", module)
+    (else CertificateError).  So [w] is non-zero and spans h^1.  It is a
+    cocycle too: its image D(s) is one, and the inclusion is injective.
+    """
+    nv = p.nvars
+    incl = cotangent_inclusion(p)
+    lifts = {((i,), i, tuple(-1 if k == i else 0 for k in range(nv))): 1
+             for i in range(nv)}
+    if _apply(euler_map(p).matrix, lifts) != {((i,), 0, (0,) * nv): 1
+                                              for i in range(nv)}:
+        raise NotWellDefinedError("the chart lifts e_i / x_i do not map to 1")
     w = _atiyah_vector(1, p)
-    lv, tracker = cech_level_span(om, 1, bound)
-    column = {lv.coordinate(spot): c for spot, c in w.items()}
-    image: dict = {}  # D(w), on chart triples
-    for (charts, r, a), coeff in w.items():
-        for bigger, sign, _ in _cofaces(charts, om.nvars):
-            vec_axpy(image, sign * coeff, {(bigger, r, a): 1})
-    if not _in_relation_span(om, 2, bound, image):
+    if _apply(incl.matrix, w) != _cech_d(lifts, nv):
         raise NotWellDefinedError(
-            "cochain fails the triple-overlap cocycle condition"
+            "the O(1) cochain is not the Euler sequence's connecting image of 1"
         )
-    r_basis = tracker.residual(column)
-    if not r_basis:
-        raise CechStabilizationError(
-            f"generating class of h^1 reduced to a coboundary at bound {bound}"
+    if sheaf_cohomology_dim(incl.target, 0, cache) != 0:
+        raise CertificateError(
+            "h^0(O(-1)^(n+1)) is not 0: the connecting map need not be injective"
         )
-    cache[key] = (w, r_basis)
-    return cache[key]
+    if sheaf_cohomology_dim(incl.source, 1, cache) != 1:
+        raise CertificateError("h^1 of the cotangent sheaf is not 1")
+    return w
 
 
 def atiyah_class_line_bundle(a: int, p: ProjectiveSpace,
-                             bound: int | None = None,
                              cache: dict | None = None) -> int:
     """Coordinate of the Atiyah class of O(a) against the generating class
     of h^1 of the cotangent sheaf: a itself, once it is certified.
 
-    The O(1) cochain w is checked at the bound and at bound + 1: its window,
-    the cocycle condition modulo R_2, and that its residual modulo
-    coboundaries and relations is non-zero (else CechStabilizationError).
-    The O(a) cochain is then checked entrywise to equal a * w, and the O(a)
-    class follows exactly: the Cech differential is linear and the relation
-    span is a subspace, so a * w is a cocycle with residual a * residual(w),
-    whose coordinate against the class of w is a.
+    The O(1) cochain w is certified by the Euler sequence
+    (_euler_generator), exactly and with no window.  The O(a) cochain is
+    then checked entrywise to equal a * w, and the O(a) class follows: the
+    Cech differential is linear, so a * w is a cocycle whose coordinate
+    against the class of w is a.  This is the classical fact that the
+    Atiyah class of O(1) is the Euler extension class (M. F. Atiyah,
+    "Complex analytic connections in fibre bundles", Trans. AMS 85, 1957).
 
-    `cache` is the caller's memo dict (one per run in tasks.run_tasks).  It
-    holds ("atiyah_generator", n, bound) -> (w, residual of w), one cochain
-    and one residual dict, never a tracker or a window.
+    `cache` is the caller's memo dict (one per run in tasks.run_tasks); it
+    gets the two duality tuples of the certificate, and nothing else.
     """
-    bound = _checked_bound(bound)
     if cache is None:
         cache = {}
-    for b in (bound, bound + 1):
-        w, _ = _atiyah_generator(p, b, cache)
+    w = _euler_generator(p, cache)
     if _atiyah_vector(a, p) != {s: a * c for s, c in w.items() if a}:
         raise NotWellDefinedError(
             f"atiyah cochain of O({a}) is not {a} times the generating cochain"
@@ -117,14 +135,12 @@ def atiyah_class_line_bundle(a: int, p: ProjectiveSpace,
     return a
 
 
-def connection_exists_line_bundle(a: int, p: ProjectiveSpace,
-                                  bound: int | None = None) -> bool:
+def connection_exists_line_bundle(a: int, p: ProjectiveSpace) -> bool:
     """A holomorphic connection on O(a) exists iff the Atiyah class vanishes."""
-    return atiyah_class_line_bundle(a, p, bound) == 0
+    return atiyah_class_line_bundle(a, p) == 0
 
 
-@dataclass(frozen=True)
-class JetSequenceRecord:
+class JetSequenceRecord(NamedTuple):
     """The first-jet extension 0 -> left -> J^1 -> right -> 0 of a line
     bundle, with the extension class coordinate and its splitting verdict."""
 
@@ -135,14 +151,13 @@ class JetSequenceRecord:
     splits: bool
 
 
-def jet_sequence_record(a: int, p: ProjectiveSpace,
-                        bound: int | None = None) -> JetSequenceRecord:
+def jet_sequence_record(a: int, p: ProjectiveSpace) -> JetSequenceRecord:
     from .modules import twist as twist_module
 
     om = cotangent_sheaf(p)
     left = twist_module(om, a)
     right = p.structure_sheaf(a)
-    coord = atiyah_class_line_bundle(a, p, bound)
+    coord = atiyah_class_line_bundle(a, p)
     return JetSequenceRecord(
         twist=a,
         left_cover_twists=left.cover_twists,
@@ -298,33 +313,49 @@ _COUNTS = ("exactly_0", "exactly_1", "at_most_1", "no_bound")
 _STATUSES = ("zero", "nonzero", "undecided")
 
 
-@dataclass(frozen=True)
 class GaugeReport:
-    """Outcome of the gauge-field counting pipeline for one brane."""
+    """Outcome of the gauge-field counting pipeline for one brane.  Frozen,
+    and equal and hashed by its fields."""
 
-    brane_id: str
-    hom_dim: int
-    atiyah_status: str
-    count: str
+    __slots__ = ("brane_id", "hom_dim", "atiyah_status", "count")
 
-    def __post_init__(self):
-        if self.count not in _COUNTS:
-            raise ShapeError(f"unknown count verdict {self.count!r}")
-        if self.atiyah_status not in _STATUSES:
-            raise ShapeError(f"unknown atiyah status {self.atiyah_status!r}")
-        if self.hom_dim == 0 and self.count == "no_bound":
+    def __init__(self, brane_id: str, hom_dim: int, atiyah_status: str,
+                 count: str):
+        if count not in _COUNTS:
+            raise ShapeError(f"unknown count verdict {count!r}")
+        if atiyah_status not in _STATUSES:
+            raise ShapeError(f"unknown atiyah status {atiyah_status!r}")
+        if hom_dim == 0 and count == "no_bound":
             raise ShapeError("vanishing hom table cannot leave the count unbounded")
-        if self.hom_dim > 0 and self.count != "no_bound":
+        if hom_dim > 0 and count != "no_bound":
             raise ShapeError("nonzero hom table cannot certify a count bound")
-        if self.count == "exactly_0" and self.atiyah_status != "nonzero":
+        if count == "exactly_0" and atiyah_status != "nonzero":
             raise ShapeError("nonexistence requires a nonzero obstruction class")
-        if self.count == "exactly_1" and self.atiyah_status != "zero":
+        if count == "exactly_1" and atiyah_status != "zero":
             raise ShapeError("existence and uniqueness require a vanishing class")
+        for name, value in zip(self.__slots__,
+                               (brane_id, hom_dim, atiyah_status, count)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GaugeReport is frozen: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.brane_id, self.hom_dim, self.atiyah_status, self.count)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def gauge_field_count_bound(f: BoundedComplex, decomposition,
                             p: ProjectiveSpace, brane_id: str = "brane",
-                            bound: int | None = None,
                             cache: dict | None = None) -> GaugeReport:
     """Count bound for holomorphic gauge fields on a declared brane.
 
@@ -336,7 +367,7 @@ def gauge_field_count_bound(f: BoundedComplex, decomposition,
     hom_dim = sum(row["dim"] for row in _component_rows(parsed, p, cache))
     comps = [c for i in sorted(parsed) for c in parsed[i]]
     if len(comps) == 1 and comps[0][0] == "O":
-        coord = atiyah_class_line_bundle(comps[0][1], p, bound, cache)
+        coord = atiyah_class_line_bundle(comps[0][1], p, cache)
         status = "zero" if coord == 0 else "nonzero"
     else:
         status = "undecided"

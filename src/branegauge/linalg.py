@@ -22,8 +22,7 @@ Pivots lead on real indices only, so the tags ride along through the same
 elimination loop, and a vector whose real part reduces away is left with
 tag entries that weigh the tagged columns: nullspace, solve_in_span and
 HomBasis read relations and coordinates from them.  Untagged columns cost no
-bookkeeping, which is what the rank-only windows (degree_window, the Cech
-level spans, the Atiyah cocycle check) use.
+bookkeeping, which is what the rank-only windows (degree_window) use.
 
 Matrix columns and the Groebner engine's module elements share one form,
 MVec: a sparse vector {(row, monomial): coefficient} of a free module.
@@ -36,12 +35,10 @@ numbers the cover's (row, monomial) coordinates of degree d and spans every
 relation column times every monomial that lands it there.  Graded pieces and
 piece-map ranks in modules.py and the Groebner-free HomBasis in homspace.py
 all rank that one window, so homspace needs nothing from groebner or
-modules.  So do the Cech levels (cech.py): level p at bound B is one copy of
-the degree-B(p+1) window per chart set.  A window's index depends only on
-the ring, the row twists and d, so it is built once per such triple and
-shared (_window_index): degree_window, cech_level_span and HomBasis all read
-the same dict, and no caller may mutate it.  Each degree_window call gets
-a fresh tracker of its own.
+modules.  A window's index depends only on the ring, the row twists and d,
+so it is built once per such triple and shared (_window_index):
+degree_window and HomBasis read the same dict, and no caller may mutate
+it.  Each degree_window call gets a fresh tracker of its own.
 """
 
 from __future__ import annotations
@@ -255,18 +252,17 @@ def degree_window(relations, d: int) -> tuple[WindowIndex, SpanTracker | None]:
     order and monomials in monomials_of_degree order; it is the shared dict
     of _window_index, read-only to every caller.  The tracker spans every
     relation column times every monomial that lands it in degree d, inserted
-    in column order, then in monomials_of_degree order.  An empty window
-    gets no tracker (None).
+    in column order, then in monomials_of_degree order; a zero column spans
+    nothing and is skipped.  An empty window gets no tracker (None).
     """
     index = _window_index(relations, d)
     if not index:
         return index, None
     nv = relations.nvars
     tracker = SpanTracker()
-    for c, s in enumerate(relations.col_twists):
-        if d - s < 0:
+    for vec, s in zip(relations.vecs, relations.col_twists):
+        if d - s < 0 or not vec:
             continue
-        vec = relations.vecs[c]
         for mult in monomials_of_degree(nv, d - s):
             tracker.insert(_expand(vec, mult, index))
     return index, tracker

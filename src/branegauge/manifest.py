@@ -32,7 +32,6 @@ matrices are parsed when the task runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .complexes import BoundedComplex
 from .errors import BraneGaugeError, ManifestError
@@ -78,25 +77,53 @@ _TASK_PARAMS = {
 TASK_KINDS = tuple(_TASK_PARAMS)
 
 
-@dataclass(slots=True)  # one per task: no instance dict
 class TaskDef:
-    kind: str
-    index: int
-    line: int
-    params: dict = field(default_factory=dict)  # name -> (raw value, line)
-    args: dict = field(default_factory=dict)  # name -> checked value
-    matrices: dict = field(default_factory=dict)  # "matrix" or ("level", i)
-    matrix_lines: dict = field(default_factory=dict)  # the line of each key
+    """One task block: its kind, 1-based index and line, and what the parser
+    read of it.  Mutable, with no instance dict (one per task); equal by
+    its fields."""
+
+    __slots__ = ("kind", "index", "line", "params", "args", "matrices",
+                 "matrix_lines")
+
+    def __init__(self, kind: str, index: int, line: int,
+                 params: dict | None = None, args: dict | None = None,
+                 matrices: dict | None = None,
+                 matrix_lines: dict | None = None):
+        self.kind = kind
+        self.index = index
+        self.line = line
+        self.params = {} if params is None else params  # name -> (raw value, line)
+        self.args = {} if args is None else args  # name -> checked value
+        # "matrix" or ("level", i) -> columns, and the line of each key
+        self.matrices = {} if matrices is None else matrices
+        self.matrix_lines = {} if matrix_lines is None else matrix_lines
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
-@dataclass
 class Manifest:
-    n: int
-    space: ProjectiveSpace
-    modules: dict  # name -> GradedModule
-    complexes: dict  # name -> BoundedComplex
-    complex_layout: dict  # name -> dict with degrees/terms/maps/generators
-    tasks: list
+    """A parsed manifest: the ring, its named modules and complexes with
+    their declared layout, and the tasks in order.  Equal by its fields."""
+
+    __slots__ = ("n", "space", "modules", "complexes", "complex_layout",
+                 "tasks")
+
+    def __init__(self, n: int, space: ProjectiveSpace, modules: dict,
+                 complexes: dict, complex_layout: dict, tasks: list):
+        self.n = n
+        self.space = space
+        self.modules = modules  # name -> GradedModule
+        self.complexes = complexes  # name -> BoundedComplex
+        self.complex_layout = complex_layout  # name -> degrees/terms/maps/generators
+        self.tasks = tasks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def resolve_module(self, ref: str, line: int | None = None) -> GradedModule:
         return resolve_module_ref(ref, self.space, self.modules, line)

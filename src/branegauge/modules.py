@@ -32,7 +32,7 @@ models R(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CertificateError,
@@ -479,8 +479,7 @@ def minimal_presentation(m: GradedModule) -> GradedModule:
     return GradedModule(_minimal_columns(m.pruned_relations()))
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Minimal free resolution: steps[k] maps F_{k+1} onto the syzygies of
     steps[k-1] (steps[0] presents the module on base_twists)."""
 

@@ -21,7 +21,7 @@ generators is the one in polymatrix.py.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import _WindowRanks, rhom_complex
 from .errors import (
@@ -45,15 +45,15 @@ from .modules import (
 from .polymatrix import PolyMatrix
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(NamedTuple("ProjectiveSpace", [("n", int)])):
     """P^n with homogeneous coordinates x0..xn; desk scale caps n at 4."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise DeskScaleError(f"projective space dimension {self.n} outside 1..4")
+    def __new__(cls, n: int):
+        if not 1 <= n <= 4:
+            raise DeskScaleError(f"projective space dimension {n} outside 1..4")
+        return super().__new__(cls, n)
 
     @property
     def nvars(self) -> int:
@@ -64,18 +64,18 @@ class ProjectiveSpace:
         return GradedModule.free(self.nvars, (-a,))
 
 
-@dataclass(frozen=True)
-class Locus:
+class Locus(NamedTuple("Locus", [("n", int), ("zero_indices", frozenset),
+                                  ("nonzero_index", "int | None")])):
     """Construction-level support data: coordinates forced zero, one forced
     nonzero.  Carried as metadata; never recomputed from annihilators."""
 
-    n: int
-    zero_indices: frozenset
-    nonzero_index: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nonzero_index is not None and self.nonzero_index in self.zero_indices:
+    def __new__(cls, n: int, zero_indices: frozenset,
+                nonzero_index: int | None):
+        if nonzero_index is not None and nonzero_index in zero_indices:
             raise ShapeError("a coordinate cannot be both zero and nonzero")
+        return super().__new__(cls, n, zero_indices, nonzero_index)
 
 
 def loci_disjoint(a: Locus, b: Locus) -> bool:
@@ -90,11 +90,32 @@ def loci_disjoint(a: Locus, b: Locus) -> bool:
     return a.zero_indices | b.zero_indices >= set(range(a.n + 1))
 
 
-@dataclass(frozen=True)
 class GeneratorSheaf:
-    index: int
-    module: GradedModule
-    locus: Locus
+    """A member of the generator family: its index, module and locus.
+    Frozen, and equal and hashed by its fields."""
+
+    __slots__ = ("index", "module", "locus")
+
+    def __init__(self, index: int, module: GradedModule, locus: Locus):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "locus", locus)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GeneratorSheaf is frozen: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.index, self.module, self.locus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def generator(k: int, p: ProjectiveSpace) -> GeneratorSheaf:

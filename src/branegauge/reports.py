@@ -7,17 +7,26 @@ output, so every value formatter is order-stable and locale-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 SCHEMA = "brane-gauge-report/1"
 
 
-@dataclass
 class TaskReport:
-    index: int
-    kind: str
-    status: str
-    payload: list = field(default_factory=list)  # ordered (key, value) pairs
+    """One task's outcome: index, kind, status and the ordered (key, value)
+    payload pairs.  Mutable; equal by its fields."""
+
+    __slots__ = ("index", "kind", "status", "payload")
+
+    def __init__(self, index: int, kind: str, status: str,
+                 payload: list | None = None):
+        self.index = index
+        self.kind = kind
+        self.status = status
+        self.payload = [] if payload is None else payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
     def line_items(self):
         yield ("task", str(self.index))

@@ -7,9 +7,6 @@ negative), finding (a structured mathematical finding), error (structural).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .cech import DEFAULT_CECH_BOUND
 from .complexes import (
     ComplexMap,
     cohomology_piece_dim,
@@ -38,40 +35,41 @@ from .projective import (
 from .reports import TaskReport, fmt_bool, fmt_int_list, fmt_str_list
 
 
-@dataclass
 class RunContext:
     """What every handler of one run shares.
 
     `cache` is the run's one memo dict, keyed by namespaced tuples such as
-    ("sheaf_hom", source, target), ("hom_pair", n, i, j), the duality
-    numbers ("sheaf_h", module) and the checked O(1) Atiyah cochain with its
-    residual ("atiyah_generator", n, bound).  run_tasks creates it and
-    drops it when the run ends; the lem1-check, gauge-bound, sheaf-hom, cech
-    and atiyah handlers pass it down explicitly.  Values are ints (every
-    Hom-side entry), tuples of ints (duality numbers), cochains and residual
-    dicts, never a module, a complex, a tracker or a window.  `cech_bound`
-    is the Atiyah class's window bound; no h^i reads it.  A failed check
-    stores nothing.  Two other memos sit outside it: the
-    process-wide tables polynomials.monomials_of_degree and
-    linalg._cover_index, and the per-instance relation basis and pruned
-    relations of a module and cokernel of a map (modules), which the
-    manifest's modules and maps keep for the whole run.
+    ("sheaf_hom", source, target), ("hom_pair", n, i, j) and the duality
+    numbers ("sheaf_h", module), which the cech tasks and the Atiyah
+    class's Euler certificate share.  run_tasks creates it and drops it
+    when the run ends; the lem1-check, gauge-bound, sheaf-hom, cech and
+    atiyah handlers pass it down explicitly.  Values are ints (every
+    Hom-side entry) and tuples of ints (duality numbers), never a module, a
+    complex, a tracker or a window.  A failed check stores no verdict.  Two
+    other memos sit outside it: the process-wide tables
+    polynomials.monomials_of_degree and linalg._cover_index, and the
+    per-instance relation basis and pruned relations of a module and
+    cokernel of a map (modules), which the manifest's modules and maps keep
+    for the whole run.  Mutable; equal by its fields.
     """
 
-    manifest: Manifest
-    cech_bound: int
-    max_degree: int
-    cache: dict = field(default_factory=dict)
+    __slots__ = ("manifest", "max_degree", "cache")
+
+    def __init__(self, manifest: Manifest, max_degree: int,
+                 cache: dict | None = None):
+        self.manifest = manifest
+        self.max_degree = max_degree
+        self.cache = {} if cache is None else cache
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
-def run_tasks(m: Manifest, cech_bound: int | None = None,
-              max_degree: int = 5) -> list:
+def run_tasks(m: Manifest, max_degree: int = 5) -> list:
     """Execute every task in manifest order; one report per task."""
-    ctx = RunContext(
-        manifest=m,
-        cech_bound=cech_bound if cech_bound is not None else DEFAULT_CECH_BOUND,
-        max_degree=max_degree,
-    )
+    ctx = RunContext(manifest=m, max_degree=max_degree)
     reports = []
     for task in m.tasks:
         handler = _HANDLERS[task.kind]
@@ -243,11 +241,8 @@ def _run_lem1_check(task, ctx):
 
 def _run_atiyah(task, ctx):
     space = ctx.manifest.space
-    coord = atiyah_class_line_bundle(task.args["a"], space, ctx.cech_bound,
-                                     ctx.cache)
+    coord = atiyah_class_line_bundle(task.args["a"], space, ctx.cache)
     return "ok", [
-        ("bound", str(ctx.cech_bound)),
-        ("recheck", str(ctx.cech_bound + 1)),
         ("class-coordinate", str(coord)),
         ("connection-exists", fmt_bool(coord == 0)),
     ]
@@ -259,8 +254,7 @@ def _run_gauge_bound(task, ctx):
     decomposition = m.complex_layout[name]["generators"]
     brane_id = task.args.get("brane-id", name)
     rep = gauge_field_count_bound(task.args["complex"], decomposition, m.space,
-                                  brane_id=brane_id, bound=ctx.cech_bound,
-                                  cache=ctx.cache)
+                                  brane_id=brane_id, cache=ctx.cache)
     payload = [
         ("brane-id", rep.brane_id),
         ("hom-dim", str(rep.hom_dim)),

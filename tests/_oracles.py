@@ -4,14 +4,17 @@ Everything here is computed with plain dense linear algebra over Fraction
 and closed-form counting, never through the engine's Groebner or module
 code, so agreement is meaningful.  The monomial helpers and grevlex_key
 spell the package's monomial kernel with generator expressions, the
-reference for its map-over-operator versions.  laurent_cech_ranks keeps the
-Cech level on its truncated Laurent spots, with no shift to a polynomial
-window.  cech_level_ranks and cech_h_dim_at read h^i off the package's
-Cech level spans (cech.cech_level_span) at one bound, the route the
-package reported before local duality; stabilized_cech_dim checks that
+reference for its map-over-operator versions.  The Cech window route
+(cech_level_span and its truncated windows) is how the package read h^i
+before local duality and the Atiyah class before the Euler sequence:
+laurent_cech_ranks keeps a Cech level on its truncated Laurent spots, with
+no shift to a polynomial window; cech_level_ranks and cech_h_dim_at read
+h^i off the level spans at one bound, and stabilized_cech_dim checks that
 number at two bounds, so the Bott tests read Cech numbers that no duality
 number has seen, and the tests compare them with
-projective.sheaf_cohomology_dim.  MonicSpanTracker is the sparse tracker
+projective.sheaf_cohomology_dim; cech_atiyah_residual is the Atiyah
+class's old B/B+1 residual check, the cross-check of gauge's Euler
+certificate.  MonicSpanTracker is the sparse tracker
 as it was before it went fraction-free: monic pivots over Fraction, the
 reference for every read-back of the integer one.  Three exceptions to the rule above go
 through the module code's kernels and Groebner lifts.  The subquotient
@@ -35,13 +38,21 @@ need them.  The last helper, random_homogeneous, draws seeded test inputs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from branegauge.cech import DEFAULT_CECH_BOUND, cech_level_span
+from branegauge.cech import _cofaces, chart_subsets
 from branegauge.complexes import ComplexMap
-from branegauge.errors import BraneGaugeError, CechStabilizationError
-from branegauge.linalg import _expand, degree_window
+from branegauge.errors import BraneGaugeError, NotWellDefinedError, ShapeError
+from branegauge.gauge import _cech_d
+from branegauge.linalg import (
+    SpanTracker,
+    WindowIndex,
+    _expand,
+    _window_index,
+    degree_window,
+)
 from branegauge.modules import (
     GradedMap,
     GradedModule,
@@ -61,10 +72,12 @@ from branegauge.modules import (
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import (
     Polynomial,
+    monomial_mul,
     monomials_of_degree,
     parse_polynomial,
     qinv,
 )
+from branegauge.projective import ProjectiveSpace, cotangent_sheaf
 
 
 def count_monomials(nv: int, d: int) -> int:
@@ -343,6 +356,137 @@ def bott_omega1_h(n: int, d: int, q: int) -> int:
     return 0
 
 
+# The Cech window route: Cech cochains over the standard affine charts, on
+# a truncated window.  A graded module M presents a sheaf; over the chart
+# intersection U_S the sections are degree-0 Laurent combinations x^a e_r of
+# the cover generators, with negative exponents allowed only on the charts
+# in S.  The window truncates those exponents at a_i >= -B.  For
+# |S| = p + 1, multiplying by (prod_{i in S} x_i)^B maps the truncated spots
+# one to one onto the cover monomials of degree B(p+1), and relation
+# multiples onto relation multiples.  So level p at bound B is one copy of
+# the polynomial window linalg.degree_window(M, B(p+1)) per chart set, its
+# relation span R_p is that window's span in every copy, and the Cech
+# differential from S to S + {j} is multiplication by x_j^B with the sign
+# (-1)^(position of j).  This is the Koszul cocomplex of M on x0^B..xn^B in
+# degree 0, whose cohomology tends to local cohomology as B grows (Eisenbud,
+# The Geometry of Syzygies, App. 1).  The package read the Atiyah class
+# here, at B and B + 1, before the Euler sequence certified it exactly.
+
+DEFAULT_CECH_BOUND = 3
+
+
+class CechStabilizationError(BraneGaugeError):
+    """A Cech number or the Atiyah residual changed between the bound and
+    bound + 1, or the residual vanished: the window is too small."""
+
+
+def _shift(charts: tuple[int, ...], a: tuple, bound: int) -> tuple:
+    """The exponent vector a times (prod_{i in charts} x_i)^bound."""
+    return tuple(e + bound if i in charts else e for i, e in enumerate(a))
+
+
+@dataclass(frozen=True)
+class CechLevel:
+    """The window at one cochain level and bound: the chart sets in
+    chart_subsets order, and the index of one copy of the polynomial window
+    (linalg.degree_window).  Chart set k owns the coordinates
+    k * len(index) + index[(r, mon)]."""
+
+    bound: int
+    charts: tuple
+    index: WindowIndex
+
+    @property
+    def dim(self) -> int:
+        return len(self.charts) * len(self.index)
+
+    def coordinate(self, spot) -> int:
+        """The coordinate of the Laurent spot (charts, row, exponents)."""
+        charts, r, a = spot
+        key = (r, _shift(charts, a, self.bound))
+        if charts not in self.charts or key not in self.index:
+            raise ShapeError(f"cochain entry outside the window: {spot}")
+        return self.charts.index(charts) * len(self.index) + self.index[key]
+
+
+def _checked_bound(bound: int | None) -> int:
+    """The window bound to use: the default for None, else at least 1."""
+    if bound is None:
+        return DEFAULT_CECH_BOUND
+    if bound < 1:
+        raise ShapeError("cech bound must be at least 1")
+    return bound
+
+
+def cech_level_span(m, p: int, bound: int):
+    """The window at level p of the module m, and a tracker spanning
+    [R_p | D_{p-1}] in it.
+
+    The pivot vectors of the one degree-B(p+1) window go in at the offset of
+    each chart set; each leads on its own coordinate, so nothing is reduced
+    again.  The coboundaries of level p - 1 then join them.  Residuals
+    against the tracker decide class membership in h^p."""
+    nv = m.nvars
+    index, window = degree_window(m.relations, bound * (p + 1))
+    lv = CechLevel(bound, tuple(chart_subsets(nv, p)), index)
+    size = len(index)
+    tracker = SpanTracker()
+    if window is not None:
+        for k in range(len(lv.charts)):
+            for vec in window.pivots.values():
+                tracker.insert({k * size + i: c for i, c in vec.items()})
+    if p >= 1:
+        power = [tuple(bound if i == j else 0 for i in range(nv))
+                 for j in range(nv)]
+        lower = _window_index(m.relations, bound * p)
+        for charts in chart_subsets(nv, p - 1):
+            cofaces = [(lv.charts.index(bigger) * size, sign, power[j])
+                       for bigger, sign, j in _cofaces(charts, nv)]
+            for r, mon in lower:
+                tracker.insert({off + index[(r, monomial_mul(mon, xj))]: sign
+                                for off, sign, xj in cofaces})
+    return lv, tracker
+
+
+def _in_relation_span(m, p: int, bound: int, cochain: dict) -> bool:
+    """Whether a level-p cochain {(charts, row, exponents): coeff}, each
+    entry inside the window, lies in R_p: its component on each chart set,
+    shifted into the one degree-B(p+1) window, lies in that window's span."""
+    index, window = degree_window(m.relations, bound * (p + 1))
+    parts: dict = {}
+    for (charts, r, a), c in cochain.items():
+        parts.setdefault(charts, {})[index[(r, _shift(charts, a, bound))]] = c
+    return not any(window.residual(part) for part in parts.values())
+
+
+def cech_atiyah_residual(w: dict, p: ProjectiveSpace,
+                         bound: int | None = None) -> dict:
+    """The residual of the cotangent-valued 1-cochain w on P^n modulo the
+    level-1 coboundaries and in-window relations, checked as the package
+    checked the Atiyah class before the Euler sequence certified it: at the
+    bound and at bound + 1, each entry of w lies in the window (else
+    ShapeError), w is a cocycle modulo R_2 (else NotWellDefinedError) and
+    its residual is non-zero (else CechStabilizationError).  Empirical: a
+    window too small can hide a class or show a false one.  Returns the
+    residual at the bound."""
+    bound = _checked_bound(bound)
+    om = cotangent_sheaf(p)
+    image = _cech_d(w, om.nvars)  # on chart triples
+    residuals = []
+    for b in (bound, bound + 1):
+        lv, tracker = cech_level_span(om, 1, b)
+        column = {lv.coordinate(spot): c for spot, c in w.items()}
+        if not _in_relation_span(om, 2, b, image):
+            raise NotWellDefinedError(
+                "cochain fails the triple-overlap cocycle condition")
+        residuals.append(tracker.residual(column))
+    if not all(residuals):
+        raise CechStabilizationError(
+            f"the cochain reduced to a coboundary at bound {bound} or "
+            f"{bound + 1}")
+    return residuals[0]
+
+
 def laurent_cech_ranks(relations, p: int, bound: int) -> tuple[int, int, int]:
     """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at Cech level p, dense.
 
@@ -388,7 +532,7 @@ def laurent_cech_ranks(relations, p: int, bound: int) -> tuple[int, int, int]:
 def cech_level_ranks(m, p: int, bound: int,
                      cache: dict | None = None) -> tuple[int, int, int]:
     """(rank [D_{p-1} | R_p], rank R_p, dim W_p) at one level and bound,
-    from cech.cech_level_span.  R_p is one copy of the degree-B(p+1)
+    from cech_level_span.  R_p is one copy of the degree-B(p+1)
     window's span per chart set, so its rank is len(charts) times the
     window's.  With `cache`, the triple is kept under
     ("cech_ranks", m, p, bound).  Levels outside 0..n are empty.

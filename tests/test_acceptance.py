@@ -8,7 +8,6 @@ import math
 import random
 from fractions import Fraction
 
-from branegauge.cech import DEFAULT_CECH_BOUND
 from branegauge.cli import main as cli_main
 from branegauge.complexes import (
     BoundedComplex,
@@ -48,6 +47,7 @@ from branegauge.projective import (
 )
 
 from _oracles import (
+    DEFAULT_CECH_BOUND,
     dense_ideal_member,
     monomial_tuples,
     random_homogeneous,

@@ -1,13 +1,13 @@
 """Sheaf cohomology by local duality, and the Cech windows on the
-coordinate charts that the tests check it against."""
+coordinate charts that the tests check it and the Atiyah class against."""
 
 from functools import cache
 
 import pytest
 
-from branegauge.cech import DEFAULT_CECH_BOUND, cech_level_span, chart_subsets
-from branegauge.errors import CechStabilizationError, ShapeError
-from branegauge.gauge import atiyah_class_line_bundle
+import branegauge.gauge as gauge
+from branegauge.cech import chart_subsets
+from branegauge.errors import ShapeError
 from branegauge.linalg import degree_window
 from branegauge.modules import GradedModule, twist
 from branegauge.projective import (
@@ -18,8 +18,12 @@ from branegauge.projective import (
 )
 
 from _oracles import (
+    DEFAULT_CECH_BOUND,
+    CechStabilizationError,
     bott_omega1_h,
+    cech_atiyah_residual,
     cech_level_ranks,
+    cech_level_span,
     laurent_cech_ranks,
     line_bundle_h,
     stabilized_cech_dim,
@@ -171,12 +175,36 @@ def test_stabilization_error_when_window_too_small():
 
 def test_bound_must_be_positive():
     p = ProjectiveSpace(1)
-    with pytest.raises(ShapeError):
-        atiyah_class_line_bundle(1, p, bound=0)
+    w = gauge._atiyah_vector(1, p)
+    with pytest.raises(ShapeError, match="cech bound must be at least 1"):
+        cech_atiyah_residual(w, p, bound=0)
 
 
 def test_default_bound_is_exported():
     assert DEFAULT_CECH_BOUND >= 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_atiyah_cochain_has_a_window_residual_at_both_bounds(n):
+    # the old B/B+1 check agrees with the Euler certificate: the O(1)
+    # cochain is a cocycle and no coboundary, at the default bound and the
+    # next; the O(a) cochain's residual is a times that of O(1)
+    p = ProjectiveSpace(n)
+    residual = cech_atiyah_residual(gauge._atiyah_vector(1, p), p)
+    assert residual
+    assert cech_atiyah_residual(gauge._atiyah_vector(-2, p), p) == {
+        k: -2 * c for k, c in residual.items()}
+
+
+def test_coboundary_has_no_atiyah_residual():
+    # D of the Omega1 0-cochain w_01 / x0^2 on chart U_0: a cocycle that is
+    # a coboundary, so the window residual vanishes
+    p = ProjectiveSpace(2)
+    coboundary = {}
+    for bigger, sign, _ in gauge._cofaces((0,), p.nvars):
+        coboundary[(bigger, 0, (-2, 0, 0))] = sign
+    with pytest.raises(CechStabilizationError, match="coboundary"):
+        cech_atiyah_residual(coboundary, p)
 
 
 def test_coboundary_tracker_level_consistency():

@@ -1,6 +1,10 @@
 """End-to-end command line runs: exit codes, reports, determinism."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,17 +161,36 @@ module = O(-5)
 i = 1
 """
     # h^1(O(-5)) = 4 is exact by local duality; a Cech window would need
-    # bound 4, yet no --cech-bound changes the report
-    for extra in (["--cech-bound", "1"], ["--cech-bound", "2"], []):
-        code = _run(tmp_path, text, *extra)
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "dim: 4" in out
+    # bound 4, and the command line has no bound to give
+    code = _run(tmp_path, text)
+    assert code == 0
+    assert "dim: 4" in capsys.readouterr().out
 
 
 def test_bad_cech_bound_rejected(tmp_path, capsys):
-    code = _run(tmp_path, OK_MANIFEST, "--cech-bound", "0")
-    assert code == 2
+    # no certificate reads a truncation bound, so the option is gone: any
+    # value is an unknown argument, exit 2, and no report
+    for value in ("0", "3"):
+        with pytest.raises(SystemExit) as e:
+            _run(tmp_path, OK_MANIFEST, "--cech-bound", value)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --cech-bound" in captured.err
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples and slots classes, so a fresh import of
+    # the command line pulls in neither module (nor what they import)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys; before = set(sys.modules); import branegauge.cli; "
+             "print(sorted({'dataclasses', 'inspect'} "
+             "& (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 SES_MANIFEST = """\

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import branegauge.tasks as tasks
-from branegauge.cech import cech_level_span
 from branegauge.groebner import (
     GBElem,
     _make_elem,
@@ -30,7 +29,7 @@ from branegauge.polynomials import (
 )
 from branegauge.projective import ProjectiveSpace, cotangent_sheaf
 
-from _oracles import from_strings
+from _oracles import cech_level_span, from_strings
 
 
 def _scalars(obj):
@@ -220,5 +219,5 @@ def test_no_float_in_the_run_cache(monkeypatch):
     reports = tasks.run_tasks(parse_manifest(text))
     assert [r.status for r in reports] == ["ok", "ok"]
     cache = contexts[0].cache
-    assert {key[0] for key in cache} == {"sheaf_h", "atiyah_generator"}
+    assert {key[0] for key in cache} == {"sheaf_h"}
     assert _assert_canonical(cache) > 0

@@ -8,7 +8,7 @@ from branegauge.complexes import BoundedComplex, embed_object
 import branegauge.gauge as gauge
 from branegauge.errors import (
     BraneGaugeError,
-    CechStabilizationError,
+    CertificateError,
     NonGeneratorTermError,
     NotWellDefinedError,
     ShapeError,
@@ -31,6 +31,8 @@ from branegauge.modules import GradedMap
 from branegauge.projective import ProjectiveSpace, generator
 from branegauge.tasks import run_tasks
 
+from _oracles import cech_atiyah_residual
+
 
 def _line_brane(a: int, p: ProjectiveSpace):
     return embed_object(p.structure_sheaf(a)), {0: [f"O({a})"]}
@@ -43,34 +45,39 @@ def test_atiyah_class_is_the_twist():
             assert atiyah_class_line_bundle(a, p) == Fraction(a)
 
 
-def test_atiyah_bound_must_be_positive():
-    p = ProjectiveSpace(2)
-    for bound in (0, -1):
-        with pytest.raises(ShapeError, match="cech bound must be at least 1"):
-            atiyah_class_line_bundle(2, p, bound)
-
-
 def test_vanishing_generating_class_is_a_structured_error(monkeypatch):
-    real = gauge.cech_level_span
-
-    def spans_the_generator(m, p, bound):
-        # a coboundary span that (wrongly) contains the O(1) cochain
-        lv, tracker = real(m, p, bound)
-        basis = gauge._atiyah_vector(1, ProjectiveSpace(m.nvars - 1))
-        tracker.insert({lv.coordinate(s): c for s, c in basis.items()})
-        return lv, tracker
-
-    monkeypatch.setattr(gauge, "cech_level_span", spans_the_generator)
-    p = ProjectiveSpace(1)
-    cache: dict = {}
-    for _ in range(2):
-        with pytest.raises(CechStabilizationError, match="coboundary"):
-            atiyah_class_line_bundle(1, p, cache=cache)
-    assert cache == {}
-    assert issubclass(CechStabilizationError, BraneGaugeError)
+    # an h^0(O(-1)^{n+1}) of 1 leaves the connecting map free to kill the
+    # class; an h^1(Omega1) other than 1 leaves it short of a generator
+    real = gauge.sheaf_cohomology_dim
     manifest = parse_manifest("[ring]\nn = 1\n\n[task atiyah]\na = 1\n")
-    (report,) = run_tasks(manifest)
-    assert report.status == "error"
+    for degree, wrong in [(0, 1), (1, 0), (1, 2)]:
+        monkeypatch.setattr(
+            gauge, "sheaf_cohomology_dim",
+            lambda m, i, cache=None: wrong if i == degree else real(m, i, cache))
+        cache: dict = {}
+        for _ in range(2):
+            with pytest.raises(CertificateError, match=f"h\\^{degree}"):
+                atiyah_class_line_bundle(1, ProjectiveSpace(1), cache=cache)
+        assert all(key[0] == "sheaf_h" for key in cache)
+        (report,) = run_tasks(manifest)
+        assert report.status == "error"
+    assert issubclass(CertificateError, BraneGaugeError)
+
+
+def test_broken_cotangent_inclusion_is_not_well_defined(monkeypatch):
+    # twice the inclusion is still a module map into the Euler kernel, but
+    # it sends w to 2 D(s), not D(s)
+    real = gauge.cotangent_inclusion
+
+    def doubled(p):
+        incl = real(p)
+        return GradedMap(incl.source, incl.target, incl.matrix.scale(2),
+                         check=True)
+
+    monkeypatch.setattr(gauge, "cotangent_inclusion", doubled)
+    for n in (1, 3):
+        with pytest.raises(NotWellDefinedError, match="connecting image"):
+            atiyah_class_line_bundle(0, ProjectiveSpace(n))
 
 
 def test_atiyah_cochain_must_scale_the_generator(monkeypatch):
@@ -120,7 +127,9 @@ def test_random_cochain_fails_cocycle_check(monkeypatch):
         atiyah_class_line_bundle(1, ProjectiveSpace(2))
 
 
-def test_cochain_entry_outside_the_window_is_a_shape_error(monkeypatch):
+def test_cochain_entry_off_the_euler_image_is_not_well_defined(monkeypatch):
+    # the package rejects the moved entry by the Euler identity; the old
+    # window check (the oracle) found it outside its window
     real = gauge._atiyah_vector
     bound = 2
 
@@ -135,8 +144,11 @@ def test_cochain_entry_outside_the_window_is_a_shape_error(monkeypatch):
         return vector
 
     monkeypatch.setattr(gauge, "_atiyah_vector", too_deep)
+    p = ProjectiveSpace(2)
+    with pytest.raises(NotWellDefinedError, match="connecting image"):
+        atiyah_class_line_bundle(1, p)
     with pytest.raises(ShapeError, match="outside the window"):
-        atiyah_class_line_bundle(1, ProjectiveSpace(2), bound)
+        cech_atiyah_residual(gauge._atiyah_vector(1, p), p, bound)
 
 
 def test_jet_sequence_record_fields():

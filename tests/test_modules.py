@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branegauge import modules
+from branegauge import linalg, modules
 from branegauge.errors import ShapeError
 from branegauge.groebner import module_groebner, mvec_member
 from branegauge.modules import (
@@ -128,6 +128,31 @@ def test_euler_kernel_matches_cotangent_counts():
         k = kernel(e)
         for d in range(5):
             assert graded_piece_dim(k, d) == omega_piece_dim(n, d)
+
+
+def test_zero_relation_columns_change_no_graded_piece(monkeypatch):
+    # a zero column spans nothing: the degree window inserts no multiple of
+    # it, and every graded piece of the padded presentation is the same
+    p = ProjectiveSpace(2)
+    modules_ = [generator(k, p).module for k in (1, 2, 3)]
+    modules_.append(twist(generator(2, p).module, 1))
+    inserts = []
+    real = linalg.SpanTracker.insert
+    monkeypatch.setattr(linalg.SpanTracker, "insert",
+                        lambda self, col: inserts.append(col) or real(self, col))
+    for m in modules_:
+        rel = m.relations
+        zeros = PolyMatrix.zero(3, rel.row_twists, (0, 2, 3))
+        padded = GradedModule(rel.hstack(zeros))
+        for d in range(-1, 5):
+            assert graded_piece_dim(padded, d) == graded_piece_dim(m, d)
+            del inserts[:]
+            plain = linalg.degree_window(rel, d)[1]
+            n_plain = len(inserts)
+            wide = linalg.degree_window(padded.relations, d)[1]
+            # the padded window inserts the same vectors, none of them empty
+            assert len(inserts) == 2 * n_plain and all(inserts)
+            assert (plain and plain.rank) == (wide and wide.rank)
 
 
 def test_kernel_inclusion_composes_to_zero():

@@ -4,15 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-import branegauge.cech as cech
 import branegauge.gauge as gauge
 import branegauge.projective as projective
-from branegauge.cech import DEFAULT_CECH_BOUND
-from branegauge.errors import (
-    CechStabilizationError,
-    NotWellDefinedError,
-    SupportDisjointFinding,
-)
+from branegauge.errors import NotWellDefinedError, SupportDisjointFinding
 from branegauge.gauge import atiyah_class_line_bundle, hom_pair_dim
 from branegauge.manifest import parse_manifest
 from branegauge.modules import GradedModule, tensor, twist
@@ -26,7 +20,12 @@ from branegauge.projective import (
 )
 from branegauge.tasks import run_tasks
 
-from _oracles import from_strings, matrix_from_rows, stabilized_cech_dim
+from _oracles import (
+    CechStabilizationError,
+    from_strings,
+    matrix_from_rows,
+    stabilized_cech_dim,
+)
 
 
 def _module(entry: str, twist_: int = 0) -> GradedModule:
@@ -117,9 +116,6 @@ def test_cache_gives_the_uncached_answers(monkeypatch):
     assert len(calls) == 1
 
 
-BOUNDS = (DEFAULT_CECH_BOUND, DEFAULT_CECH_BOUND + 1)
-
-
 def _keys(cache, namespace):
     return [key[1:] for key in cache if key[0] == namespace]
 
@@ -139,31 +135,21 @@ def test_cech_and_atiyah_cache_gives_the_uncached_answers(monkeypatch):
     assert [atiyah_class_line_bundle(a, p, cache=cache) for p in spaces[:2]
             for a in twists] == plain_a
 
-    # one entry per (n, bound) and per module: the Atiyah class reads its
-    # window at both bounds, h^i one tuple of duality numbers per module
-    assert sorted(_keys(cache, "atiyah_generator")) == [
-        (n, b) for n in (1, 2) for b in BOUNDS]
+    # one tuple of duality numbers per module: h^i of Omega1, which the
+    # Atiyah class's Euler certificate shares, and h^0 of O(-1)^{n+1}
     assert [cache[("sheaf_h", m)] for m, i in cases if i == 0] == [
         (0, 1), (0, 1, 0), (0, 1, 0, 0)]
-    assert len(cache) == 4 + len(spaces)
-    # only ints, one cochain and one residual dict: no tracker, no window,
-    # no complex
+    middles = [GradedModule.free(p.nvars, (1,) * p.nvars) for p in spaces[:2]]
+    assert [cache[("sheaf_h", m)][0] for m in middles] == [0, 0]
+    assert len(cache) == len(spaces) + len(middles)
+    # only tuples of ints: no cochain, no tracker, no window, no complex
     for key, value in cache.items():
-        if key[0] == "sheaf_h":
-            assert type(value) is tuple and len(value) == key[1].nvars
-            assert all(type(v) is int for v in value)
-        else:
-            w, residual = value
-            assert w and residual
-            assert all(type(c) in (int, Fraction) for c in w.values())
-            assert all(type(c) in (int, Fraction) for c in residual.values())
+        assert key[0] == "sheaf_h"
+        assert type(value) is tuple and len(value) == key[1].nvars
+        assert all(type(v) is int for v in value)
 
-    # equal inputs hit the cache: no relation window and no RHom complex
-    # is built again
+    # equal inputs hit the cache: no RHom complex is built again
     calls = []
-    real = cech.degree_window
-    monkeypatch.setattr(cech, "degree_window",
-                        lambda rel, d: calls.append(d) or real(rel, d))
     real_rhom = projective.rhom_complex
     monkeypatch.setattr(projective, "rhom_complex",
                         lambda m, n: calls.append(m) or real_rhom(m, n))
@@ -219,7 +205,8 @@ def test_corrupt_generating_cochain_is_never_cached(monkeypatch):
     for a in (1, 1, 2, 0):
         with pytest.raises(NotWellDefinedError):
             atiyah_class_line_bundle(a, p, cache=cache)
-    assert _keys(cache, "atiyah_generator") == []
+    # the identity fails before any h^i is read, so nothing is stored
+    assert cache == {}
 
 
 MANIFEST_HEAD = """\
@@ -288,35 +275,19 @@ def test_cech_manifest_matches_one_task_per_manifest():
     assert dims == ["0", "1", "0", "1"]
 
 
-def _record_cech_levels(monkeypatch):
-    calls = []
-    real = cech.cech_level_span
-
-    def recording(m, p, bound):
-        calls.append((m, p, bound))
-        return real(m, p, bound)
-
-    monkeypatch.setattr(cech, "cech_level_span", recording)
-    monkeypatch.setattr(gauge, "cech_level_span", recording)
-    return calls
-
-
-def test_cech_manifest_builds_only_the_atiyah_levels(monkeypatch):
-    # the Atiyah generator builds the level-1 span of Omega1 at B and B + 1,
-    # once each; no h^i builds a Cech level
+def test_cech_manifest_reads_each_duality_tuple_once(monkeypatch):
+    # the atiyah and cech tasks share Omega1's duality tuple; the Euler
+    # certificate adds O(-1)^3's; no task builds a Cech window
     apart = [_cech_reports([t])[0] for t in CECH_TASKS]
-    calls = _record_cech_levels(monkeypatch)
+    calls = []
+    real = projective._duality_h
+    monkeypatch.setattr(projective, "_duality_h",
+                        lambda m, top: calls.append(m) or real(m, top))
     assert _cech_reports(CECH_TASKS) == apart
-    om = cotangent_sheaf(ProjectiveSpace(2))
-    assert calls == [(om, 1, BOUNDS[0]), (om, 1, BOUNDS[1])]
-
-
-def test_cech_tasks_build_no_cech_level(monkeypatch):
-    calls = _record_cech_levels(monkeypatch)
-    cech_tasks = [t for t in CECH_TASKS if t.startswith("[task cech]")]
-    reports = _cech_reports(cech_tasks)
-    assert [dict(payload) for _, _, payload in reports] == [
+    p = ProjectiveSpace(2)
+    assert calls == [GradedModule.free(3, (1, 1, 1)), cotangent_sheaf(p),
+                     p.structure_sheaf(-3)]
+    assert [dict(payload) for kind, _, payload in apart if kind == "cech"] == [
         {"module": m, "i": i, "dim": d} for m, i, d in
         [("Omega1", "0", "0"), ("Omega1", "1", "1"), ("Omega1", "2", "0"),
          ("O(-3)", "2", "1")]]
-    assert calls == []
