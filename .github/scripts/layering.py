@@ -45,6 +45,13 @@ and follows them transitively.  It fails when
   `projective.sheaf_cohomology_dim`, by local duality, and the Atiyah class
   is certified by the Euler sequence, so no certificate reads a truncation
   bound and no second h^i route comes back into the package;
+- any module but `modules` and `homspace`, `__init__` included, names
+  `degree_window` (apart from its definition in `linalg`): a graded piece
+  or a piece-map rank is read through `modules.hilbert_window`, which reads
+  a module's pruned presentation once for a whole degree range and builds
+  no window for a free one, and `HomBasis` ranks its own windows; a caller
+  that built one degree-d window at a time would bring back the per-degree
+  reads that range reads replaced;
 - any module, `__init__` included, imports `dataclasses`: the records are
   `typing.NamedTuple`s and `__slots__` classes, so importing the package
   pulls in neither `dataclasses` nor the `inspect`, `ast`, `dis` and
@@ -113,6 +120,10 @@ ONE_OWNER = {
 ORACLE_NAMES = ("CechLevel", "cech_level_span", "_in_relation_span",
                 "DEFAULT_CECH_BOUND", "_checked_bound",
                 "CechStabilizationError", "cech_h_dim_at")
+
+
+# the modules that may name linalg.degree_window; linalg defines it
+WINDOW_CLIENTS = {"modules", "homspace"}
 
 
 def imports_dataclasses(tree: ast.AST) -> bool:
@@ -203,6 +214,12 @@ def main() -> int:
             for where, _ in naming_places(tree, name):
                 broken.append(f"{mod}{'.' + where if where else ''} names "
                               f"{name}; it is a test oracle")
+        if mod not in WINDOW_CLIENTS:
+            for where, kind in naming_places(tree, "degree_window"):
+                if not (mod == "linalg" and kind == "def"):
+                    broken.append(f"{mod}{'.' + where if where else ''} "
+                                  f"names degree_window; only "
+                                  f"{' and '.join(sorted(WINDOW_CLIENTS))} may")
         if imports_dataclasses(tree):
             broken.append(f"{mod} imports dataclasses; package records are "
                           f"NamedTuples and __slots__ classes")

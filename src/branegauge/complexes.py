@@ -14,18 +14,23 @@ R(-t) of free generators by Gaussian elimination (_split_trivial, a
 homotopy equivalence checked by d o d = 0), then asks
 modules.kernel_in_image at every nonzero term left; h is a
 quasi-isomorphism iff Con(h) is acyclic, so for r * id on a complex of
-free modules no Groebner basis runs.  The rest are degree-d window
-ranks: a graded piece is exact, so dim H^i(c)_d = dim C^i_d -
-rank d^{i-1}_d - rank d^i_d (cohomology_piece_dim), and for h: A -> B
+free modules no Groebner basis runs.  The rest are window ranks over a
+range of internal degrees: a graded piece is exact, so dim H^i(c)_d =
+dim C^i_d - rank d^{i-1}_d - rank d^i_d (cohomology_piece_dim), and for
+h: A -> B
 
     rank H^i(h)_d = rank D_d - rank (d_A^i)_d - rank (d_B^{i-1})_d,
 
 D: Con(h)^{i-1} -> Con(h)^i.  Proof: im D = {(-d_A a, h a + d_B b)}
 projects onto im d_A^i with kernel 0 (+) (h(Z^i_A) + B^i_B), whose
-quotient by B^i_B is the image of H^i(h).  triangle_les_ok reads only
-these ranks, and _cone_differential writes the cone's signs for it and for
-cone().  triangle_from_ses asks modules.exactness_failure once per degree:
-for chain maps A --f--> B --g--> C exact in every degree, the map
+quotient by B^i_B is the image of H^i(h).  A map's rank in degree d is
+dim N_d - dim coker_d, so every number is a difference of Hilbert windows
+(modules.hilbert_window), which _WindowRanks reads once per pruned
+presentation over the whole degree range lo..hi and keeps as int lists.
+triangle_les_ok reads only these lists, one index i at a time, and
+_cone_differential writes the cone's signs for it and for cone().
+triangle_from_ses asks modules.exactness_failure once per degree: for
+chain maps A --f--> B --g--> C exact in every degree, the map
 Con(f) -> C that is g on B is a quasi-isomorphism by the mapping-cone
 lemma (Weibel, An Introduction to Homological Algebra, 1.5), so it is not
 built.  Cone differentials and the inclusion, projection and rotation
@@ -56,14 +61,14 @@ from .modules import (
     GradedModule,
     _direct_sum_of_twists,
     _pivot_on_unit,
+    cokernel,
     direct_sum,
     exactness_failure,
     free_resolution,
+    hilbert_window,
     kernel_in_image,
     kernel_with_inclusion,
     lift_map_through_inclusion,
-    piece_dim_and_map_rank,
-    piece_map_rank,
 )
 from .polymatrix import PolyMatrix
 
@@ -298,7 +303,7 @@ def cohomology_piece_dim(c: BoundedComplex, i: int, d: int) -> int:
     complex of vector spaces C^._d, and rank-nullity reads it off the
     degree-d windows of C^i (which also ranks d^{i-1}) and C^{i+1}, with no
     kernel presented."""
-    return _WindowRanks().h_dim(c, i, d)
+    return _WindowRanks(d, d).h_dims(c, i)[0]
 
 
 def _split_trivial(c: BoundedComplex) -> BoundedComplex:
@@ -590,37 +595,65 @@ def cone_rotation_equiv(h: ComplexMap) -> bool:
 
 
 class _WindowRanks:
-    """Window ranks, each computed once per instance: (dim C^i_d,
-    rank d^{i-1}_d) per (complex, i, d), the cone differential
-    Con(h)^{i-1} -> Con(h)^i per (map, i), and rank H^i(h)_d per (map, i,
-    d).  Complexes and maps key by identity."""
+    """Window ranks over the internal degrees lo..hi, each list computed
+    once per instance: (dims C^i_d, ranks d^{i-1}_d) per (complex, i) and
+    rank H^i(h)_d per (map, i), the latter by the cone formula (module
+    docstring) from the ranks of Con(h)^{i-1} -> Con(h)^i.  A map's ranks
+    are its target's Hilbert window minus its cokernel's.  Complexes and
+    maps key by identity; each Hilbert window keys on the module's pruned
+    presentation, so equal presentations built apart (cone terms, zero
+    modules, cokernels) are ranked once.  Only int lists are kept, and only
+    for the life of the instance."""
 
-    def __init__(self):
+    __slots__ = ("lo", "hi", "_windows", "_pieces", "_ranks")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+        self._windows: dict = {}
         self._pieces: dict = {}
-        self._cone_diffs: dict = {}
         self._ranks: dict = {}
 
-    def _piece(self, c: BoundedComplex, i: int, d: int) -> tuple[int, int]:
-        if (c, i, d) not in self._pieces:
-            self._pieces[(c, i, d)] = (piece_dim_and_map_rank(c.diff(i - 1), d)
-                                       if c.lo <= i <= c.hi else (0, 0))
-        return self._pieces[(c, i, d)]
+    def _window(self, m: GradedModule) -> list[int]:
+        key = m.pruned_relations()
+        got = self._windows.get(key)
+        if got is None:
+            got = self._windows[key] = hilbert_window(m, self.lo, self.hi)
+        return got
 
-    def h_dim(self, c: BoundedComplex, i: int, d: int) -> int:
-        dim, incoming = self._piece(c, i, d)
-        return dim - incoming - self._piece(c, i + 1, d)[1]
+    def _map_ranks(self, f: GradedMap) -> tuple[list[int], list[int]]:
+        """(dims N_d, ranks M_d -> N_d) over the window, for f: M -> N."""
+        dims = self._window(f.target)
+        return dims, [n - q for n, q in zip(dims, self._window(cokernel(f)))]
 
-    def h_rank(self, h: ComplexMap, i: int, d: int) -> int:
+    def _piece(self, c: BoundedComplex, i: int) -> tuple[list[int], list[int]]:
+        got = self._pieces.get((c, i))
+        if got is None:
+            if c.lo <= i <= c.hi:
+                got = self._map_ranks(c.diff(i - 1))
+            else:
+                zeros = [0] * (self.hi - self.lo + 1)
+                got = zeros, zeros
+            self._pieces[(c, i)] = got
+        return got
+
+    def h_dims(self, c: BoundedComplex, i: int) -> list[int]:
+        """dim H^i(c)_d = dim C^i_d - rank d^{i-1}_d - rank d^i_d."""
+        dims, incoming = self._piece(c, i)
+        outgoing = self._piece(c, i + 1)[1]
+        return [n - a - b for n, a, b in zip(dims, incoming, outgoing)]
+
+    def h_ranks(self, h: ComplexMap, i: int) -> list[int]:
         """rank H^i(h)_d, by the cone formula (module docstring)."""
-        if (h, i, d) not in self._ranks:
-            if (h, i) not in self._cone_diffs:
-                self._cone_diffs[(h, i)] = _cone_differential(
-                    h, i - 1, _cone_term(h, i - 1), _cone_term(h, i))
-            self._ranks[(h, i, d)] = (
-                piece_map_rank(self._cone_diffs[(h, i)], d)
-                - self._piece(h.source, i + 1, d)[1]
-                - self._piece(h.target, i, d)[1])
-        return self._ranks[(h, i, d)]
+        got = self._ranks.get((h, i))
+        if got is None:
+            con = _cone_differential(h, i - 1, _cone_term(h, i - 1),
+                                     _cone_term(h, i))
+            got = self._ranks[(h, i)] = [
+                r - a - b for r, a, b in zip(
+                    self._map_ranks(con)[1], self._piece(h.source, i + 1)[1],
+                    self._piece(h.target, i)[1])]
+        return got
 
 
 def triangle_les_ok(t: Triangle, piece_lo: int, piece_hi: int) -> bool:
@@ -629,20 +662,22 @@ def triangle_les_ok(t: Triangle, piece_lo: int, piece_hi: int) -> bool:
     At every cohomological index and every internal degree d in the window,
     exactness demands dim = rank(in) + rank(out) at each node; the connecting
     map is delta followed by the shift identification, which preserves ranks.
-    Every number is a window rank of one _WindowRanks, so no Groebner basis
-    runs.  An empty degree window checks nothing, so piece_lo > piece_hi is
-    a ShapeError.
+    Every number is a window rank of one _WindowRanks over the whole degree
+    window, so no Groebner basis runs, and each index i compares its three
+    identities as lists over the degrees.  An empty degree window checks
+    nothing, so piece_lo > piece_hi is a ShapeError.
     """
     if piece_lo > piece_hi:
         raise ShapeError(f"empty graded piece window {piece_lo}..{piece_hi}")
     lo = min(t.a.lo, t.b.lo, t.c.lo) - 1
     hi = max(t.a.hi, t.b.hi, t.c.hi) + 1
-    w = _WindowRanks()
-    for d in range(piece_lo, piece_hi + 1):
-        for i in range(lo, hi + 1):
-            k_f, k_g, k_d = (w.h_rank(h, i, d) for h in (t.f, t.g, t.delta))
-            if (w.h_dim(t.f.source, i, d) != w.h_rank(t.delta, i - 1, d) + k_f
-                    or w.h_dim(t.g.source, i, d) != k_f + k_g
-                    or w.h_dim(t.delta.source, i, d) != k_g + k_d):
+    w = _WindowRanks(piece_lo, piece_hi)
+    for i in range(lo, hi + 1):
+        for dim_a, dim_b, dim_c, k_in, k_f, k_g, k_d in zip(
+                w.h_dims(t.f.source, i), w.h_dims(t.g.source, i),
+                w.h_dims(t.delta.source, i), w.h_ranks(t.delta, i - 1),
+                w.h_ranks(t.f, i), w.h_ranks(t.g, i), w.h_ranks(t.delta, i)):
+            if (dim_a != k_in + k_f or dim_b != k_f + k_g
+                    or dim_c != k_g + k_d):
                 return False
     return True

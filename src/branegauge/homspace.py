@@ -10,8 +10,8 @@ subspace.  Coordinates in the basis support composing maps into rational
 matrices, which is what the Hom-complex differential needs.
 
 The target's degree-d windows come from linalg.degree_window, the kernel
-that graded_piece_dim and piece_map_rank rank too (on pruned
-presentations; here the target's own relations are ranked); this module
+that modules.hilbert_window ranks too (on pruned presentations; here the
+target's own relations are ranked); this module
 imports nothing from groebner or modules, so it stays an independent
 cross-check.
 """

@@ -211,15 +211,16 @@ def _scan_value(text: str, pos: int, line: int):
 
 
 def _strip_comment(line: str) -> str:
-    out = []
+    """line up to its first '#' outside double quotes, right-stripped."""
+    if "#" not in line:
+        return line.rstrip()
     quoted = False
-    for ch in line:
+    for k, ch in enumerate(line):
         if ch == '"':
             quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+        elif ch == "#" and not quoted:
+            return line[:k].rstrip()
+    return line.rstrip()
 
 
 def _int_value(value, key: str, line: int) -> int:

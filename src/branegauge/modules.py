@@ -18,8 +18,11 @@ read one pruned presentation per module, GradedModule.pruned_relations:
 every unit entry pivoted out once (_prune_constants), so an identity block
 costs no rank in any degree.  A graded piece is the degree-d window of that
 presentation, linalg.degree_window (which HomBasis, homspace.py, ranks on
-its own presentations); a piece-map rank is dim N_d - dim coker(f)_d; and
-M = 0 iff no cover generator survives pruning (graded Nakayama).
+its own presentations); hilbert_window reads a whole degree range off one
+pruned presentation and builds no tracker for a free one, and
+graded_piece_dim is its one-degree case; a piece-map rank is dim N_d -
+dim coker(f)_d; and M = 0 iff no cover generator survives pruning (graded
+Nakayama).
 Direct sums, tensor products, twisted sums (+)_k N(t_k) and Hom's
 composition-with-relations map are PolyMatrix.blocks, kron and dual (see
 polymatrix.py for the layout); no function here computes a flattened cover
@@ -47,7 +50,7 @@ from .groebner import (
     mvec_member,
     syzygy_basis,
 )
-from .linalg import MVec, _expand, _mvec_axpy, degree_window
+from .linalg import MVec, _expand, _mvec_axpy, _window_index, degree_window
 from .polymatrix import PolyMatrix
 from .polynomials import Polynomial, monomials_of_degree, qinv
 
@@ -332,22 +335,32 @@ def lift_map_through_inclusion(f: GradedMap, incl: GradedMap) -> GradedMap:
 # -- dimensions -------------------------------------------------------------
 
 
-def graded_piece_dim(m: GradedModule, d: int) -> int:
-    """Dimension of M_d over the rationals, by exact linear algebra.
-
-    Size of the degree-d window of the pruned presentation minus the rank
-    of its relation multiples (linalg.degree_window).  A unit pivot that
-    pruning removed is an identity block in every degree: it spans the
-    N(d - t) window coordinates of its generator of twist t, so those and
-    its relation's multiples leave the window together.  Independent of any
-    Groebner computation.
-    """
-    index, tracker = degree_window(m.pruned_relations(), d)
-    return len(index) - tracker.rank if index else 0
-
-
 def hilbert_window(m: GradedModule, lo: int, hi: int) -> list[int]:
-    return [graded_piece_dim(m, d) for d in range(lo, hi + 1)]
+    """[dim M_d for d in lo..hi] over the rationals, by exact linear algebra.
+
+    m.pruned_relations() is read once for the whole range.  With no nonzero
+    relation left, M is free and dim M_d is the size of the degree-d window
+    of its cover (linalg._window_index), so no tracker is built.  Otherwise
+    dim M_d is the size of the degree-d window of the pruned presentation
+    minus the rank of its relation multiples (linalg.degree_window), one
+    window per degree.  A unit pivot that pruning removed is an identity
+    block in every degree: it spans the N(d - t) window coordinates of its
+    generator of twist t, so those and its relation's multiples leave the
+    window together.  Independent of any Groebner computation.
+    """
+    rel = m.pruned_relations()
+    if not any(rel.vecs):
+        return [len(_window_index(rel, d)) for d in range(lo, hi + 1)]
+    out = []
+    for d in range(lo, hi + 1):
+        index, tracker = degree_window(rel, d)
+        out.append(len(index) - tracker.rank if index else 0)
+    return out
+
+
+def graded_piece_dim(m: GradedModule, d: int) -> int:
+    """dim M_d over the rationals: the one-degree hilbert_window."""
+    return hilbert_window(m, d, d)[0]
 
 
 def is_zero_module(m: GradedModule) -> bool:
@@ -577,21 +590,13 @@ def truncate_module(m: GradedModule, floor: int) -> tuple[GradedModule, GradedMa
                                 gens, check=False))
 
 
-def piece_dim_and_map_rank(f: GradedMap, d: int) -> tuple[int, int]:
-    """(dim N_d, rank of the induced map M_d -> N_d), for f: M -> N.
-
-    The image of M_d is what cokernel(f) = [f | N's relations] divides out
-    of N_d, so the rank is dim N_d - dim coker(f)_d: two graded pieces, each
-    read on its module's pruned presentation (graded_piece_dim), where a
-    unit entry of f, an identity block say, costs no rank.
-    """
-    dim = graded_piece_dim(f.target, d)
-    return dim, dim - graded_piece_dim(cokernel(f), d)
-
-
 def piece_map_rank(f: GradedMap, d: int) -> int:
-    """Rank of the induced linear map M_d -> N_d over the rationals."""
-    return piece_dim_and_map_rank(f, d)[1]
+    """Rank of the induced linear map M_d -> N_d over the rationals, for
+    f: M -> N.  The image of M_d is what cokernel(f) = [f | N's relations]
+    divides out of N_d, so the rank is dim N_d - dim coker(f)_d: two graded
+    pieces, each read on its module's pruned presentation, where a unit
+    entry of f, an identity block say, costs no rank."""
+    return graded_piece_dim(f.target, d) - graded_piece_dim(cokernel(f), d)
 
 
 # -- annihilator ------------------------------------------------------------

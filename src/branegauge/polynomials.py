@@ -267,12 +267,24 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {str(self)!r})"
 
 
+_INTEGER_RE = re.compile(r"-?\d+")
+
+
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse the `3/2*x0^2*x1 - x2^3` syntax.
 
     Raises PolynomialSyntaxError with the character offset of the first
-    defect.  Variables must be x0..x{nvars-1}.
+    defect.  Variables must be x0..x{nvars-1}.  A bare integer such as
+    "0", "1" or "-2", the commonest matrix entry of a manifest, is read by
+    int() alone; it gives what _parse_terms gives.
     """
+    if _INTEGER_RE.fullmatch(text):
+        return Polynomial.constant(nvars, int(text))
+    return _parse_terms(text, nvars)
+
+
+def _parse_terms(text: str, nvars: int) -> Polynomial:
+    """parse_polynomial's general case: term by term, with offsets."""
     terms: dict[Monomial, Coeff] = {}
     pos = 0
     n = len(text)

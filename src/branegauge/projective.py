@@ -229,9 +229,10 @@ def _duality_h(m: GradedModule, top: int) -> tuple[int, ...]:
     """
     nv = m.nvars
     c = rhom_complex(m, GradedModule.free(nv, (nv,)))
-    w = _WindowRanks()
-    h0 = graded_piece_dim(m, 0) - w.h_dim(c, nv, 0) + w.h_dim(c, nv - 1, 0)
-    return (h0,) + tuple(w.h_dim(c, nv - 1 - i, 0) for i in range(1, top + 1))
+    w = _WindowRanks(0, 0)
+    h0 = (graded_piece_dim(m, 0) - w.h_dims(c, nv)[0]
+          + w.h_dims(c, nv - 1)[0])
+    return (h0,) + tuple(w.h_dims(c, nv - 1 - i)[0] for i in range(1, top + 1))
 
 
 def sheaf_cohomology_dim(m: GradedModule, i: int,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .complexes import (
     ComplexMap,
-    cohomology_piece_dim,
+    _WindowRanks,
     cone,
     hom_complex,
     is_quasi_iso,
@@ -143,9 +143,9 @@ def _run_cone(task, ctx):
     con = cone(h)
     payload = [("window", f"{con.lo}..{con.hi}")]
     payload.extend(_twists_lines(con))
+    w = _WindowRanks(0, 0)
     for i in con.window():
-        payload.append((f"h^{i} at degree 0",
-                        str(cohomology_piece_dim(con, i, 0))))
+        payload.append((f"h^{i} at degree 0", str(w.h_dims(con, i)[0])))
     return "ok", payload
 
 

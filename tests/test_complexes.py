@@ -352,6 +352,21 @@ def test_les_fails_when_delta_of_a_zero_map_cone_is_zero():
     assert not triangle_les_ok(broken, -1, 4)
 
 
+def test_les_fails_when_only_the_last_degree_of_the_window_breaks():
+    # the cone of the zero map R(-4) -> R with delta replaced by zero: the
+    # node a, H^0(R(-4))_d, is zero below d = 4, so every identity holds in
+    # degrees -1..3 and the first failing cell is d = 4, the last one
+    src = embed_object(_free(4))
+    tgt = embed_object(_free(0))
+    t = triangle_from_cone(ComplexMap.zero(src, tgt))
+    broken = t._replace(delta=ComplexMap.zero(t.c, t.delta.target))
+    assert triangle_les_ok(t, -1, 4)
+    assert triangle_les_ok(broken, -1, 3)
+    assert all(triangle_les_ok(broken, d, d) for d in range(-1, 4))
+    assert not triangle_les_ok(broken, 4, 4)
+    assert not triangle_les_ok(broken, -1, 4)
+
+
 def test_les_of_a_rotated_triangle():
     # rotation makes a fresh A[1]: delta's source is not g's target complex
     t = _hyperplane_ses_triangle()
@@ -589,19 +604,44 @@ def _oracle_maps():
 def test_cone_rank_formula_equals_the_subquotient_route():
     checked = nonzero = 0
     for h in _oracle_maps():
-        w = _WindowRanks()
+        w = _WindowRanks(-2, 4)
         lo = min(h.source.lo, h.target.lo) - 1
         hi = max(h.source.hi, h.target.hi) + 1
         for i in range(lo, hi + 1):
             induced = subquotient_induced_map(h, i)
-            for d in range(-2, 5):
+            ranks, dims = w.h_ranks(h, i), w.h_dims(h.source, i)
+            for k, d in enumerate(range(-2, 5)):
                 want = piece_map_rank(induced, d)
-                assert w.h_rank(h, i, d) == want, (h, i, d)
-                assert w.h_dim(h.source, i, d) == graded_piece_dim(
-                    induced.source, d)
+                assert ranks[k] == want, (h, i, d)
+                assert dims[k] == graded_piece_dim(induced.source, d)
                 checked += 1
                 nonzero += want > 0
     assert checked > 300 and nonzero > 20
+
+
+def test_window_ranks_equal_the_per_degree_reads():
+    # every (i, d) cell of one _WindowRanks over -2..4 is what the one-degree
+    # reads give: graded_piece_dim and piece_map_rank per complex term and
+    # differential, and a fresh one-degree _WindowRanks per map
+    cells = 0
+    for h in _oracle_maps():
+        w = _WindowRanks(-2, 4)
+        for c in (h.source, h.target):
+            for i in range(c.lo - 1, c.hi + 2):
+                dims, ranks = w._piece(c, i)
+                h_dims = w.h_dims(c, i)
+                for k, d in enumerate(range(-2, 5)):
+                    assert dims[k] == graded_piece_dim(c.term(i), d)
+                    want = (piece_map_rank(c.diff(i - 1), d)
+                            if c.lo <= i <= c.hi else 0)
+                    assert ranks[k] == want, (c, i, d)
+                    assert h_dims[k] == cohomology_piece_dim(c, i, d)
+                    cells += 1
+        for i in range(min(h.source.lo, h.target.lo) - 1,
+                       max(h.source.hi, h.target.hi) + 2):
+            assert w.h_ranks(h, i) == [_WindowRanks(d, d).h_ranks(h, i)[0]
+                                       for d in range(-2, 5)]
+    assert cells > 400
 
 
 def test_quasi_iso_by_cone_exactness_equals_the_subquotient_route():

@@ -10,6 +10,7 @@ from branegauge.manifest import (
     _TASK_PARAMS,
     TASK_KINDS,
     _argument,
+    _strip_comment,
     parse_manifest,
     print_manifest,
 )
@@ -304,6 +305,29 @@ def test_comments_and_blank_lines_ignored():
         "n = 2", "n = 2   # dimension")
     m = parse_manifest(text)
     assert m.n == 2
+
+
+def _char_by_char_strip(line):
+    """The characters of line before its first '#' outside double quotes,
+    right-stripped, read one at a time."""
+    out, quoted = [], False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out).rstrip()
+
+
+@given(st.text(alphabet='ab "#\t', max_size=12))
+@example('n = 2  # dim')
+@example('name = "a#b"  # c')
+@example('x = "#')
+@example("no comment here \t ")
+@settings(max_examples=200, deadline=None)
+def test_strip_comment_equals_the_char_by_char_reading(line):
+    assert _strip_comment(line) == _char_by_char_strip(line)
 
 
 def test_bytes_input_accepted():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from branegauge.errors import PolynomialSyntaxError, RingMismatchError
 from branegauge.polynomials import (
     Polynomial,
+    _parse_terms,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -116,6 +117,39 @@ def test_parse_rejects_bad_text():
         parse_polynomial("x7", 3)
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("x0 +", 3)
+
+
+def _parse_outcome(parse, text):
+    """What parse gives for text on P^2: a polynomial with the types of its
+    coefficients, or the syntax error's type, message and offset."""
+    try:
+        p = parse(text, 3)
+    except PolynomialSyntaxError as e:
+        return type(e), str(e), e.offset
+    return p, [type(c) for _, c in p.items()]
+
+
+@pytest.mark.parametrize("text", ["0", "1", "-2", "-0", "007", " 3", "3 ",
+                                  "--1", "", "- 4", "+5", "6/3", "2x0"])
+def test_integer_fast_path_agrees_with_the_term_parser(text):
+    assert _parse_outcome(parse_polynomial, text) == _parse_outcome(
+        _parse_terms, text)
+
+
+@given(st.integers(-10**30, 10**30))
+@settings(max_examples=60, deadline=None)
+def test_integer_text_parses_to_its_constant(k):
+    assert parse_polynomial(str(k), 3) == Polynomial.constant(3, k)
+    assert _parse_outcome(parse_polynomial, str(k)) == _parse_outcome(
+        _parse_terms, str(k))
+
+
+def test_integer_fast_path_edge_values():
+    assert parse_polynomial("-0", 3).is_zero
+    assert parse_polynomial("007", 3) == Polynomial.constant(3, 7)
+    for bad in ("--1", ""):
+        with pytest.raises(PolynomialSyntaxError):
+            parse_polynomial(bad, 3)
 
 
 @given(_poly_strategy())

@@ -141,15 +141,16 @@ def test_duality_route_matches_the_saturation_oracle_on_line_bundles():
 
 def test_sheaf_hom_builds_each_ext_window_once(monkeypatch):
     # every Ext piece of one RHom complex is read through one set of window
-    # ranks, so no (relations, degree) window is built twice in a call
+    # ranks, so no (pruned presentation, degree range) window is built twice
+    # in a call
     calls = []
-    real = complexes.piece_dim_and_map_rank
+    real = complexes.hilbert_window
 
-    def recording(f, d):
-        calls.append((f.target.relations, d))
-        return real(f, d)
+    def recording(m, lo, hi):
+        calls.append((m.pruned_relations(), lo, hi))
+        return real(m, lo, hi)
 
-    monkeypatch.setattr(complexes, "piece_dim_and_map_rank", recording)
+    monkeypatch.setattr(complexes, "hilbert_window", recording)
     p = ProjectiveSpace(3)
     om = cotangent_sheaf(p)
     family = [g.module for g in generator_family(p)]
@@ -161,7 +162,8 @@ def test_sheaf_hom_builds_each_ext_window_once(monkeypatch):
             assert len(calls) == len(set(calls))
             builds += len(calls)
     assert dims == [0, 0, 0, 3] * 4
-    assert builds == 18
+    # 18 map ranks, each a target window and a cokernel window
+    assert builds == 36
 
 
 def test_sheaf_hom_generator_pairs():
