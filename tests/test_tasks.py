@@ -1,7 +1,7 @@
 """Task execution over parsed manifests, one exercise per task kind."""
 
 from branegauge.manifest import TASK_KINDS, parse_manifest
-from branegauge.reports import exit_code, render_report
+from branegauge.reports import TaskReport, exit_code, render_report
 from branegauge.tasks import _HANDLERS, run_tasks
 
 
@@ -151,6 +151,27 @@ def test_deterministic_render():
     a = render_report("mem", m.n, run_tasks(m))
     b = render_report("mem", m.n, run_tasks(m))
     assert a == b
+
+
+def _render_line_by_line(source_label, n, reports):
+    """The report as one list of all its lines, joined once."""
+    lines = ["schema: brane-gauge-report/1", f"manifest: {source_label}",
+             f"ring: n={n}", f"tasks: {len(reports)}"]
+    for r in reports:
+        lines.append("")
+        lines.extend(f"{key}: {value}" for key, value in r.line_items())
+    lines.append("")
+    return "\n".join(lines)
+
+
+def test_render_equals_the_line_by_line_join():
+    m = parse_manifest(FULL)
+    reports = run_tasks(m)
+    extra = [TaskReport(7, "shift", "error", [("error", "x")]),
+             TaskReport(8, "cone", "ok")]
+    for rs in (reports, reports + extra, [], extra[1:]):
+        assert render_report("mem", m.n, rs) == _render_line_by_line(
+            "mem", m.n, rs)
 
 
 def test_every_task_kind_has_exactly_one_handler():
