@@ -27,8 +27,11 @@ quotient by B^i_B is the image of H^i(h).  A map's rank in degree d is
 dim N_d - dim coker_d, so every number is a difference of Hilbert windows
 (modules.hilbert_window), which _WindowRanks reads once per pruned
 presentation over the whole degree range lo..hi and keeps as int lists.
-triangle_les_ok reads only these lists, one index i at a time, and
-_cone_differential writes the cone's signs for it and for cone().
+triangle_les_ok reads only these lists, one index i at a time.  D's
+target window is the sum of the windows of A^{i+1} and B^i, and its
+cokernel is presented in one block matrix [D | Con(h)^i's relations], so
+the check builds no cone term; _cone_blocks writes the cone's signs for it
+and for cone().
 triangle_from_ses asks modules.exactness_failure once per degree: for
 chain maps A --f--> B --g--> C exact in every degree, the map
 Con(f) -> C that is g on B is a quasi-isomorphism by the mapping-cone
@@ -224,18 +227,24 @@ def _cone_term(h: ComplexMap, i: int) -> GradedModule:
     return direct_sum(h.source.term(i + 1), h.target.term(i))
 
 
+def _cone_blocks(h: ComplexMap, i: int) -> dict:
+    """The blocks of d^i of Con(h), [[-d_A^{i+1}, 0], [h^{i+1}, d_B^i]],
+    over the summands (A^{i+2}, B^{i+1}) x (A^{i+1}, B^i): the one place
+    the cone's signs are written."""
+    a, b = h.source, h.target
+    return {(0, 0): -a.diff(i + 1).matrix, (1, 0): h.level(i + 1).matrix,
+            (1, 1): b.diff(i).matrix}
+
+
 def _cone_differential(h: ComplexMap, i: int, source: GradedModule,
                        target: GradedModule) -> GradedMap:
-    """d^i of Con(h), [[-d_A^{i+1}, 0], [h^{i+1}, d_B^i]], from source =
-    Con(h)^i to target = Con(h)^{i+1}: the one place the cone's signs are
-    written."""
+    """d^i of Con(h), from source = Con(h)^i to target = Con(h)^{i+1}."""
     a, b = h.source, h.target
     mat = PolyMatrix.blocks(
         a.nvars,
         [a.term(i + 2).cover_twists, b.term(i + 1).cover_twists],
         [a.term(i + 1).cover_twists, b.term(i).cover_twists],
-        {(0, 0): -a.diff(i + 1).matrix, (1, 0): h.level(i + 1).matrix,
-         (1, 1): b.diff(i).matrix},
+        _cone_blocks(h, i),
     )
     return GradedMap(source, target, mat, check=False)
 
@@ -598,12 +607,14 @@ class _WindowRanks:
     """Window ranks over the internal degrees lo..hi, each list computed
     once per instance: (dims C^i_d, ranks d^{i-1}_d) per (complex, i) and
     rank H^i(h)_d per (map, i), the latter by the cone formula (module
-    docstring) from the ranks of Con(h)^{i-1} -> Con(h)^i.  A map's ranks
-    are its target's Hilbert window minus its cokernel's.  Complexes and
-    maps key by identity; each Hilbert window keys on the module's pruned
-    presentation, so equal presentations built apart (cone terms, zero
-    modules, cokernels) are ranked once.  Only int lists are kept, and only
-    for the life of the instance."""
+    docstring) from the ranks of D: Con(h)^{i-1} -> Con(h)^i.  A map's
+    ranks are its target's Hilbert window minus its cokernel's; for D the
+    target's window is that of A^{i+1} plus that of B^i, already kept, and
+    each cone term is built once per (map, i), as D's target for i and as
+    its source for i + 1.  Complexes and maps key by identity; each Hilbert
+    window keys on the module's pruned presentation, so equal presentations
+    built apart (zero modules, cokernels) are ranked once.  Only int lists
+    and the cone terms are kept, and only for the life of the instance."""
 
     __slots__ = ("lo", "hi", "_windows", "_pieces", "_ranks")
 
@@ -647,12 +658,21 @@ class _WindowRanks:
         """rank H^i(h)_d, by the cone formula (module docstring)."""
         got = self._ranks.get((h, i))
         if got is None:
-            con = _cone_differential(h, i - 1, _cone_term(h, i - 1),
-                                     _cone_term(h, i))
+            a, b = h.source, h.target
+            dims_a, rank_a = self._piece(a, i + 1)
+            dims_b, rank_b = self._piece(b, i)
+            # coker D = Con(h)^i / im D, presented by [D | its relations]
+            rel_a, rel_b = a.term(i + 1).relations, b.term(i).relations
+            parts = _cone_blocks(h, i - 1)
+            parts[(0, 2)] = rel_a
+            parts[(1, 3)] = rel_b
+            coker = GradedModule(PolyMatrix.blocks(
+                a.nvars, [rel_a.row_twists, rel_b.row_twists],
+                [a.term(i).cover_twists, b.term(i - 1).cover_twists,
+                 rel_a.col_twists, rel_b.col_twists], parts))
             got = self._ranks[(h, i)] = [
-                r - a - b for r, a, b in zip(
-                    self._map_ranks(con)[1], self._piece(h.source, i + 1)[1],
-                    self._piece(h.target, i)[1])]
+                na + nb - q - ra - rb for na, nb, q, ra, rb in zip(
+                    dims_a, dims_b, self._window(coker), rank_a, rank_b)]
         return got
 
 

@@ -314,7 +314,7 @@ def _parse_terms(text: str, nvars: int) -> Polynomial:
         expect_factor = True
         while True:
             pos = skip_ws(pos)
-            if pos < n and text[pos].isdigit():
+            if pos < n and text[pos].isdecimal():
                 m = re.match(r"\d+", text[pos:])
                 num = int(m.group(0))
                 pos += m.end()
@@ -363,7 +363,7 @@ def _parse_terms(text: str, nvars: int) -> Polynomial:
                 pos += 1
                 expect_factor = True
                 continue
-            if pos < n and (text[pos].isdigit() or text[pos] == "x"):
+            if pos < n and (text[pos].isdecimal() or text[pos] == "x"):
                 continue  # juxtaposition, '*' optional
             break
         if not saw_factor:

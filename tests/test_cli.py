@@ -80,6 +80,15 @@ def test_structural_error_exits_two(tmp_path, capsys):
     assert "Nope" in err
 
 
+def test_superscript_exponent_exits_two_on_its_line(tmp_path, capsys):
+    code = _run(tmp_path, OK_MANIFEST.replace('["x1"]', '["x1\u00b2"]'))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not captured.out
+    assert "(line 6)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.bg")])
     assert code == 2

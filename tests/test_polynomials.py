@@ -119,6 +119,15 @@ def test_parse_rejects_bad_text():
         parse_polynomial("x0 +", 3)
 
 
+@pytest.mark.parametrize("text, offset", [("\u00b2", 0), ("x0\u00b2", 2),
+                                          ("3\u00b2", 1), ("x0^\u00b2", 3)])
+def test_non_decimal_digits_are_syntax_errors(text, offset):
+    # str.isdigit holds for a superscript two, but it is no decimal digit
+    with pytest.raises(PolynomialSyntaxError) as e:
+        parse_polynomial(text, 3)
+    assert e.value.offset == offset
+
+
 def _parse_outcome(parse, text):
     """What parse gives for text on P^2: a polynomial with the types of its
     coefficients, or the syntax error's type, message and offset."""
