@@ -608,13 +608,13 @@ class _WindowRanks:
     once per instance: (dims C^i_d, ranks d^{i-1}_d) per (complex, i) and
     rank H^i(h)_d per (map, i), the latter by the cone formula (module
     docstring) from the ranks of D: Con(h)^{i-1} -> Con(h)^i.  A map's
-    ranks are its target's Hilbert window minus its cokernel's; for D the
-    target's window is that of A^{i+1} plus that of B^i, already kept, and
-    each cone term is built once per (map, i), as D's target for i and as
-    its source for i + 1.  Complexes and maps key by identity; each Hilbert
-    window keys on the module's pruned presentation, so equal presentations
-    built apart (zero modules, cokernels) are ranked once.  Only int lists
-    and the cone terms are kept, and only for the life of the instance."""
+    ranks are its target's Hilbert window minus its cokernel's.  For D the
+    target's window is the sum of the kept windows of A^{i+1} and B^i, and
+    its cokernel is one block matrix, so no cone term is built.  Complexes
+    and maps key by identity; each Hilbert window keys on the module's
+    pruned presentation, so equal presentations built apart (zero modules,
+    cokernels) are ranked once.  Only int lists are kept, and only for the
+    life of the instance."""
 
     __slots__ = ("lo", "hi", "_windows", "_pieces", "_ranks")
 
