@@ -222,11 +222,6 @@ def negate_map(h: ComplexMap) -> ComplexMap:
 # -- cone -------------------------------------------------------------------
 
 
-def _cone_term(h: ComplexMap, i: int) -> GradedModule:
-    """Con(h)^i = A^{i+1} (+) B^i."""
-    return direct_sum(h.source.term(i + 1), h.target.term(i))
-
-
 def _cone_blocks(h: ComplexMap, i: int) -> dict:
     """The blocks of d^i of Con(h), [[-d_A^{i+1}, 0], [h^{i+1}, d_B^i]],
     over the summands (A^{i+2}, B^{i+1}) x (A^{i+1}, B^i): the one place
@@ -236,27 +231,17 @@ def _cone_blocks(h: ComplexMap, i: int) -> dict:
             (1, 1): b.diff(i).matrix}
 
 
-def _cone_differential(h: ComplexMap, i: int, source: GradedModule,
-                       target: GradedModule) -> GradedMap:
-    """d^i of Con(h), from source = Con(h)^i to target = Con(h)^{i+1}."""
-    a, b = h.source, h.target
-    mat = PolyMatrix.blocks(
-        a.nvars,
-        [a.term(i + 2).cover_twists, b.term(i + 1).cover_twists],
-        [a.term(i + 1).cover_twists, b.term(i).cover_twists],
-        _cone_blocks(h, i),
-    )
-    return GradedMap(source, target, mat, check=False)
-
-
 def cone(h: ComplexMap) -> BoundedComplex:
-    """Con(h), checked to square to zero."""
-    lo = min(h.source.lo - 1, h.target.lo)
-    hi = max(h.source.hi - 1, h.target.hi)
-    terms = [_cone_term(h, i) for i in range(lo, hi + 1)]
-    diffs = [_cone_differential(h, i, terms[i - lo], terms[i + 1 - lo])
-             for i in range(lo, hi)]
-    return BoundedComplex(h.source.nvars, lo, terms, diffs, check=True)
+    """Con(h), with Con(h)^i = A^{i+1} (+) B^i, checked to square to zero."""
+    a, b = h.source, h.target
+    lo = min(a.lo - 1, b.lo)
+    hi = max(a.hi - 1, b.hi)
+    terms = [direct_sum(a.term(i + 1), b.term(i)) for i in range(lo, hi + 1)]
+    diffs = [GradedMap(terms[i - lo], terms[i + 1 - lo], PolyMatrix.blocks(
+        a.nvars, [a.term(i + 2).cover_twists, b.term(i + 1).cover_twists],
+        [a.term(i + 1).cover_twists, b.term(i).cover_twists],
+        _cone_blocks(h, i)), check=False) for i in range(lo, hi)]
+    return BoundedComplex(a.nvars, lo, terms, diffs, check=True)
 
 
 def cone_with_maps(h: ComplexMap):
