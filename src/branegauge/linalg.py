@@ -38,16 +38,20 @@ all rank that one window, so homspace needs nothing from groebner or
 modules.  A window's index depends only on the ring, the row twists and d,
 so it is built once per such triple and shared (_window_index):
 degree_window and HomBasis read the same dict, and no caller may mutate
-it.  Each degree_window call gets a fresh tracker of its own.
+it.  Each degree_window call gets a fresh tracker of its own.  A window is
+counted before it is listed (_cover_size, which is also all a free
+module's graded piece needs), and one of more than WINDOW_CAP coordinates
+raises DeskScaleError instead of enumerating its monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import comb, gcd
 from typing import Iterable
 
+from .errors import DeskScaleError
 from .polynomials import (
     Coeff,
     Monomial,
@@ -62,6 +66,9 @@ SparseVec = dict[int, Coeff]
 # coordinates
 MVec = dict[tuple[int, Monomial], Coeff]
 WindowIndex = dict[tuple[int, tuple], int]
+# the most coordinates a degree window may have; far above any window the
+# tests or the benchmark build, far below a hang
+WINDOW_CAP = 10**6
 
 
 def vec_axpy(target: dict, coeff: Coeff, source: dict) -> None:
@@ -274,10 +281,27 @@ def _window_index(relations, d: int) -> WindowIndex:
     return _cover_index(relations.nvars, relations.row_twists, d)
 
 
+def _cover_size(nv: int, row_twists, d: int) -> int:
+    """The number of (row, monomial) coordinates of degree d of a free
+    cover: sum over rows of C(d - t + nv - 1, nv - 1), by counting alone."""
+    k, size = nv - 1, 0
+    for t in row_twists:
+        if d >= t:
+            size += comb(d - t + k, k)
+    return size
+
+
 @cache
 def _cover_index(nv: int, row_twists: tuple[int, ...], d: int) -> WindowIndex:
     """The (row, monomial) coordinates of degree d of a free cover, rows in
-    order and monomials in monomials_of_degree order; memoized."""
+    order and monomials in monomials_of_degree order; memoized.  A window
+    of more than WINDOW_CAP coordinates raises DeskScaleError before any
+    monomial is listed."""
+    size = _cover_size(nv, row_twists, d)
+    if size > WINDOW_CAP:
+        raise DeskScaleError(
+            f"the degree-{d} window has {size} coordinates, past the "
+            f"desk-scale cap of {WINDOW_CAP}")
     index: WindowIndex = {}
     for r, t in enumerate(row_twists):
         for mon in monomials_of_degree(nv, d - t):

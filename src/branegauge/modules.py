@@ -50,7 +50,7 @@ from .groebner import (
     mvec_member,
     syzygy_basis,
 )
-from .linalg import MVec, _expand, _mvec_axpy, _window_index, degree_window
+from .linalg import MVec, _cover_size, _expand, _mvec_axpy, degree_window
 from .polymatrix import PolyMatrix
 from .polynomials import Polynomial, monomials_of_degree, qinv
 
@@ -340,7 +340,8 @@ def hilbert_window(m: GradedModule, lo: int, hi: int) -> list[int]:
 
     m.pruned_relations() is read once for the whole range.  With no nonzero
     relation left, M is free and dim M_d is the size of the degree-d window
-    of its cover (linalg._window_index), so no tracker is built.  Otherwise
+    of its cover, sum_r C(d - t_r + n, n), counted (linalg._cover_size)
+    with no index and no tracker built.  Otherwise
     dim M_d is the size of the degree-d window of the pruned presentation
     minus the rank of its relation multiples (linalg.degree_window), one
     window per degree.  A unit pivot that pruning removed is an identity
@@ -350,7 +351,8 @@ def hilbert_window(m: GradedModule, lo: int, hi: int) -> list[int]:
     """
     rel = m.pruned_relations()
     if not any(rel.vecs):
-        return [len(_window_index(rel, d)) for d in range(lo, hi + 1)]
+        return [_cover_size(rel.nvars, rel.row_twists, d)
+                for d in range(lo, hi + 1)]
     out = []
     for d in range(lo, hi + 1):
         index, tracker = degree_window(rel, d)
@@ -554,21 +556,25 @@ def hom_module_with_inclusion(
     """Graded Hom(M, N) with its inclusion into Hom(cover M, N).
 
     Hom(M, N) is the kernel of composition-with-relations,
-    Hom(F0, N) -> Hom(F1, N); an element of degree d over cover gen (i, r)
-    is the coefficient of N's generator r in the image of M's generator i.
+    phi: Hom(F0, N) -> Hom(F1, N); an element of degree d over cover gen
+    (i, r) is the coefficient of N's generator r in the image of M's
+    generator i.  When M's relations act on N by zero, phi is the zero map
+    (an exact membership test of its columns against the relation basis of
+    (+)_c N(s_c), GradedMap.is_zero_map) and Hom(M, N) is Hom(F0, N) itself,
+    with the identity inclusion: no kernel is computed.  A module with no
+    relation, and a zero N, are such cases and need no Groebner run.
     """
     if m.nvars != n.nvars:
         raise RingMismatchError("hom over mismatched rings")
     big0 = _direct_sum_of_twists(n, m.cover_twists)
-    if m.relations.cols == 0 or n.rank == 0:
-        return big0, GradedMap.identity(big0)
-    big1 = _direct_sum_of_twists(n, m.relations.col_twists)
     phi = GradedMap(
         big0,
-        big1,
+        _direct_sum_of_twists(n, m.relations.col_twists),
         m.relations.dual().kron(PolyMatrix.identity(m.nvars, n.cover_twists)),
         check=False,
     )
+    if phi.is_zero_map():
+        return big0, GradedMap.identity(big0)
     return kernel_with_inclusion(phi)
 
 

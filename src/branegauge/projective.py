@@ -274,7 +274,12 @@ def sheaf_hom_dim(f: GradedModule, g: GradedModule,
 
     The int is looked up in `cache` under ("sheaf_hom", f, g), keyed by the
     presentations; pass one dict through a run to compute each distinct
-    pair once.
+    pair once.  Beside it, ("hom_h0", H) holds h^0(H~) for the presentation
+    H that hom_module gives, so pairs whose Hom modules coincide (on the
+    generator family: every S_i whose relations annihilate G, where H is
+    Hom(F0, G)) are resolved once.  Only h^0 is kept there, not the
+    ("sheaf_h", H) tuple of sheaf_cohomology_dim, whose higher h^i would
+    rank windows no Hom read needs.
     """
     if f.nvars != g.nvars:
         raise ShapeError("sheaf hom over mismatched rings")
@@ -284,7 +289,11 @@ def sheaf_hom_dim(f: GradedModule, g: GradedModule,
         cache = {}
     key = ("sheaf_hom", f, g)
     if key not in cache:
-        cache[key] = _duality_h(hom_module(f, g), 0)[0]
+        h = hom_module(f, g)
+        h_key = ("hom_h0", h)
+        if h_key not in cache:
+            cache[h_key] = _duality_h(h, 0)[0]
+        cache[key] = cache[h_key]
     return cache[key]
 
 

@@ -42,12 +42,18 @@ class RunContext:
     ("sheaf_hom", source, target), ("hom_pair", n, i, j) and the duality
     numbers ("sheaf_h", module), which the cech tasks and the Atiyah
     class's Euler certificate share.  run_tasks creates it and drops it
-    when the run ends; the lem1-check, gauge-bound, sheaf-hom, cech and
-    atiyah handlers pass it down explicitly.  Values are ints (every
-    Hom-side entry) and tuples of ints (duality numbers), never a module, a
-    complex, a tracker or a window.  A failed check stores no verdict.  Two
+    when the run ends; the lem1-check, gauge-bound, sheaf-hom, cech,
+    atiyah and hom-complex (oracle = sheaf) handlers pass it down
+    explicitly.  Beside each ("sheaf_hom", source, target) int sits
+    ("hom_h0", H), h^0 of the sheaf of the Hom module H that
+    modules.hom_module presents (Hom(F0, target) itself when the source's
+    relations act on the target by zero), so pairs with one Hom module
+    share one resolution.  Values are ints (every Hom-side entry) and
+    tuples of ints (duality numbers), never a module, a complex, a tracker
+    or a window.  A failed check stores no verdict.  Two
     other memos sit outside it: the process-wide tables
-    polynomials.monomials_of_degree and linalg._cover_index, and the
+    polynomials.monomials_of_degree and linalg._cover_index (which refuses
+    a window past linalg.WINDOW_CAP coordinates before listing it), and the
     per-instance relation basis and pruned relations of a module and
     cokernel of a map (modules), which the manifest's modules and maps keep
     for the whole run.  Mutable; equal by its fields.
@@ -152,7 +158,8 @@ def _run_cone(task, ctx):
 def _run_hom_complex(task, ctx):
     b, c = task.args["source"], task.args["target"]
     if task.args.get("oracle") == "sheaf":
-        rep = hom_complex(b, c, hom_dim=sheaf_hom_dim)
+        rep = hom_complex(
+            b, c, hom_dim=lambda f, g: sheaf_hom_dim(f, g, ctx.cache))
     else:
         rep = hom_complex(b, c)
     payload = [("window", f"{rep.lo}..{rep.hi}")]

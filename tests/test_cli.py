@@ -295,3 +295,35 @@ def test_a_failed_certificate_is_a_task_error(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert re.findall(r"status: (\w+)", out) == ["error", "ok"]
     assert "message: syzygy certification failed: m * syz != 0" in out
+
+
+def _run_in_subprocess(tmp_path, text):
+    # a fresh interpreter, so no window memo of an earlier test is reused;
+    # the timeout turns a hang into a failure
+    p = tmp_path / "in.bg"
+    p.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "branegauge.cli", "run",
+                           str(p)], env=env, capture_output=True, text=True,
+                          timeout=20)
+
+
+def test_huge_twist_h_i_is_counted_not_listed(tmp_path):
+    # h^2(O(-100000)) on P^2 is the degree-99997 piece of R, C(99999, 2);
+    # a free window is counted, never enumerated
+    out = _run_in_subprocess(
+        tmp_path, "[ring]\nn = 2\n\n[task cech]\nmodule = O(-100000)\ni = 2\n")
+    assert out.returncode == 0
+    assert "dim: 4999850001\n" in out.stdout
+
+
+def test_huge_relation_degree_exits_two_with_the_window_cap(tmp_path):
+    out = _run_in_subprocess(
+        tmp_path, "[ring]\nn = 2\n\n[module M]\ntwists = [0]\n"
+        'relations = [["x0^100000"]]\n\n[task resolve]\nmodule = M\n')
+    assert out.returncode == 2
+    assert "status: error" in out.stdout
+    assert ("the degree-100000 window has 5000150001 coordinates, past the "
+            "desk-scale cap of 1000000") in out.stdout

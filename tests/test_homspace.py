@@ -8,11 +8,12 @@ from branegauge.modules import (
     GradedModule,
     graded_piece_dim,
     hom_module,
+    tensor,
     twist,
 )
 from branegauge.polymatrix import PolyMatrix
 from branegauge.polynomials import Polynomial, monomials_of_degree, parse_polynomial
-from branegauge.projective import ProjectiveSpace, cotangent_sheaf
+from branegauge.projective import ProjectiveSpace, cotangent_sheaf, generator
 
 
 def _quotient(nv, gens, cover=(0,)):
@@ -39,6 +40,12 @@ def test_hom_basis_matches_hom_module_degree_zero():
         (_quotient(nv, ["x0"]), GradedModule.free(nv, (0,))),
         (_quotient(nv, ["x0^2"]), _quotient(nv, ["x0"])),
     ]
+    # every pair Hom(S_i, Omega1 (x) S_j) on P^2: hom_module takes its
+    # zero-map shortcut on the pairs i <= j and a kernel on the others
+    p = ProjectiveSpace(2)
+    om = cotangent_sheaf(p)
+    cases += [(generator(i, p).module, tensor(om, generator(j, p).module))
+              for i in range(1, 4) for j in range(1, 4)]
     for a, b in cases:
         hb = HomBasis(a, b)
         hm = hom_module(a, b)

@@ -4,10 +4,15 @@ import random
 import signal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from branegauge import linalg
+from branegauge.errors import DeskScaleError
 from branegauge.linalg import (
     SpanTracker,
+    _cover_index,
+    _cover_size,
     degree_window,
     nullspace,
     solve_in_span,
@@ -196,3 +201,24 @@ def test_degree_window_index_is_shared_and_each_call_gets_its_own_tracker():
     # another degree or other row twists get another index
     assert degree_window(a, 2)[0] is not index_a
     assert degree_window(PolyMatrix(3, (0, 2), (1,), [x0]), 3)[0] is not index_a
+
+
+def test_cover_size_counts_the_window_without_listing_it():
+    for nv, twists, d in [(2, (0,), 5), (3, (0, 1), 3), (3, (2, -1), 1),
+                          (4, (0, 0, 3), 4), (3, (5,), 2), (3, (), 7)]:
+        assert _cover_size(nv, twists, d) == len(_cover_index(nv, twists, d))
+    # O(-100000) on P^2 has C(100002, 2) monomials of degree 0 in its window
+    assert _cover_size(3, (-100000,), 0) == 5000150001
+
+
+def test_a_window_past_the_cap_is_refused_before_it_is_listed(monkeypatch):
+    # the memo is bypassed so that no earlier call decides the outcome
+    build = _cover_index.__wrapped__
+    assert len(build(3, (0,), 2)) == 6
+    monkeypatch.setattr(linalg, "WINDOW_CAP", 5)
+    with pytest.raises(DeskScaleError, match="degree-2 window has 6 "
+                       "coordinates, past the desk-scale cap of 5"):
+        build(3, (0,), 2)
+    monkeypatch.setattr(linalg, "monomials_of_degree", None)  # never reached
+    with pytest.raises(DeskScaleError):
+        build(3, (0,), 10**6)

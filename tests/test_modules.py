@@ -279,6 +279,53 @@ def test_hom_module_quotient_case():
     assert is_zero_module(hom_module(m, GradedModule.free(nv, (0,))))
 
 
+@st.composite
+def _hom_pairs(draw):
+    """Random presentations M and N over P^1 or P^2; in about half the
+    draws N also gets every entry of M's relations times every generator of
+    N as a relation, so that M's relations annihilate N."""
+    nv = draw(st.sampled_from([2, 3]))
+    m_rows = sorted(draw(st.lists(st.integers(-1, 1), min_size=1,
+                                  max_size=2)))
+    m_rel = _draw_matrix(draw, nv, m_rows,
+                         draw(st.lists(st.integers(0, 2), max_size=2)))
+    n_rows = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=2))
+    n_rel = _draw_matrix(draw, nv, n_rows,
+                         draw(st.lists(st.integers(0, 2), max_size=2)))
+    planted = draw(st.booleans())
+    if planted:
+        cols, degs = [], []
+        for c, s in enumerate(m_rel.col_twists):
+            for i, t in enumerate(m_rows):
+                entry = m_rel.entry(i, c)
+                if entry.is_zero:
+                    continue
+                for r, u in enumerate(n_rows):
+                    cols.append([entry if k == r else Polynomial.zero(nv)
+                                 for k in range(len(n_rows))])
+                    degs.append(u + s - t)
+        n_rel = n_rel.hstack(PolyMatrix.from_columns(nv, n_rows, cols, degs))
+    return GradedModule(m_rel), GradedModule(n_rel), planted
+
+
+@given(_hom_pairs())
+@settings(max_examples=40, deadline=None)
+def test_hom_module_is_the_kernel_of_composition_with_relations(pair):
+    # phi: Hom(F0, N) -> Hom(F1, N), checked well defined; when it is zero
+    # hom_module is Hom(F0, N) itself and computes no kernel
+    m, n, planted = pair
+    big0 = modules._direct_sum_of_twists(n, m.cover_twists)
+    phi = GradedMap(
+        big0, modules._direct_sum_of_twists(n, m.relations.col_twists),
+        m.relations.dual().kron(PolyMatrix.identity(m.nvars, n.cover_twists)))
+    zero = phi.is_zero_map()
+    assert zero or not planted
+    by_kernel = kernel_with_inclusion(phi)[0]
+    h = hom_module(m, n)
+    assert h == (big0 if zero else by_kernel)
+    assert hilbert_window(h, -2, 4) == hilbert_window(by_kernel, -2, 4)
+
+
 def test_saturation_of_irrelevant_power():
     nv = 2
     # R/(x0,x1)^2 presented by the three degree-2 monomials

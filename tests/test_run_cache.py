@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 import branegauge.gauge as gauge
+import branegauge.modules as modules
 import branegauge.projective as projective
 from branegauge.errors import NotWellDefinedError, SupportDisjointFinding
 from branegauge.gauge import atiyah_class_line_bundle, hom_pair_dim
 from branegauge.manifest import parse_manifest
-from branegauge.modules import GradedModule, tensor, twist
+from branegauge.modules import GradedModule, hom_module, tensor, twist
 from branegauge.polynomials import Polynomial
 from branegauge.projective import (
     ProjectiveSpace,
@@ -18,6 +19,7 @@ from branegauge.projective import (
     sheaf_cohomology_dim,
     sheaf_hom_dim,
 )
+from branegauge.complexes import hom_complex
 from branegauge.tasks import run_tasks
 
 from _oracles import (
@@ -71,9 +73,11 @@ def test_integral_fraction_and_int_share_one_cache_entry():
     cache: dict = {}
     dims = [sheaf_hom_dim(source, g, cache) for g in (by_fraction, by_int, half)]
     assert dims[0] == dims[1]
-    assert list(cache) == [("sheaf_hom", source, by_int),
-                           ("sheaf_hom", source, half)]
-    assert list(cache.values()) == dims[1:]
+    # one ("sheaf_hom", ...) entry per distinct pair, each beside the h^0 of
+    # its Hom module; Hom(O, G) is presented as G itself
+    assert list(cache) == [("hom_h0", by_int), ("sheaf_hom", source, by_int),
+                           ("hom_h0", half), ("sheaf_hom", source, half)]
+    assert list(cache.values()) == [dims[1], dims[1], dims[2], dims[2]]
 
 
 def test_finding_fires_again_with_a_shared_cache():
@@ -97,9 +101,16 @@ def test_cache_gives_the_uncached_answers(monkeypatch):
     cache: dict = {}
     assert [sheaf_hom_dim(f, g, cache) for f, g in pairs] == plain
     # one int per pair, the uncached answer
-    assert list(cache) == [("sheaf_hom", f, g) for f, g in pairs]
-    assert list(cache.values()) == plain
+    assert _keys(cache, "sheaf_hom") == pairs
+    assert [cache[("sheaf_hom", f, g)] for f, g in pairs] == plain
     assert all(type(v) is int for v in plain)
+    # and one h^0 per distinct Hom presentation: x0 kills Omega1 (x) S_2,
+    # so Hom(S_1, -) and Hom(S_2, -) of it coincide
+    homs = [hom_module(f, g) for f, g in pairs]
+    assert homs[1] == homs[3] and len(set(homs)) == 3
+    assert {key[1]: v for key, v in cache.items() if key[0] == "hom_h0"} == {
+        h: d for h, d in zip(homs, plain)}
+    assert len(cache) == len(pairs) + 3
 
     # rebuilt, equal inputs hit the cache: no Hom module is recomputed
     calls = []
@@ -114,6 +125,22 @@ def test_cache_gives_the_uncached_answers(monkeypatch):
     # the recorder does see an uncached question
     assert sheaf_hom_dim(*rebuilt[0]) == plain[0]
     assert len(calls) == 1
+
+
+def test_lem1_table_resolves_each_hom_presentation_once(monkeypatch):
+    # on P^3 the 16 pairs give 7 distinct Hom presentations, and the 10
+    # pairs i <= j need no kernel (S_1 has no relation; on the others the
+    # relations of S_i kill Omega1 (x) S_j), so 6 kernels are left
+    plain = gauge.lem1_table(ProjectiveSpace(3))
+    duality, kernels = [], []
+    real_h, real_k = projective._duality_h, modules.kernel_with_inclusion
+    monkeypatch.setattr(projective, "_duality_h",
+                        lambda m, top: duality.append(m) or real_h(m, top))
+    monkeypatch.setattr(modules, "kernel_with_inclusion",
+                        lambda f: kernels.append(f) or real_k(f))
+    assert gauge.lem1_table(ProjectiveSpace(3)) == plain
+    assert len(duality) == len(set(duality)) == 7
+    assert len(kernels) == 6
 
 
 def _keys(cache, namespace):
@@ -291,3 +318,36 @@ def test_cech_manifest_reads_each_duality_tuple_once(monkeypatch):
         {"module": m, "i": i, "dim": d} for m, i, d in
         [("Omega1", "0", "0"), ("Omega1", "1", "1"), ("Omega1", "2", "0"),
          ("O(-3)", "2", "1")]]
+
+
+HOM_COMPLEX_MANIFEST = """\
+[ring]
+n = 2
+
+[complex K]
+degrees = 0..1
+term 0 = O(-1)
+term 1 = S(2)
+map 0 = [["1"]]
+"""
+
+SHEAF_HOM_COMPLEX = "[task hom-complex]\nsource = K\ntarget = K\noracle = sheaf\n"
+
+
+def test_sheaf_hom_complex_tasks_share_the_run_cache(monkeypatch):
+    # two identical tasks build each Hom module once, and report what the
+    # uncached oracle gives
+    text = HOM_COMPLEX_MANIFEST + "\n" + SHEAF_HOM_COMPLEX * 2
+    k = parse_manifest(text).complexes["K"]
+    plain = hom_complex(k, k, hom_dim=sheaf_hom_dim)
+    calls = []
+    real = projective.hom_module
+    monkeypatch.setattr(projective, "hom_module",
+                        lambda *a: calls.append(a) or real(*a))
+    first, second = run_tasks(parse_manifest(text))
+    assert first.payload == second.payload
+    assert [(key, value) for key, value in first.payload
+            if key.startswith("dim ")] == [
+        (f"dim {plain.lo + i}", str(d)) for i, d in enumerate(plain.dims)]
+    pairs = {(k.term(i), k.term(j)) for i in (0, 1) for j in (0, 1)}
+    assert len(calls) == len(set(calls)) == len(pairs) == 4
